@@ -1,9 +1,10 @@
-// Golden-trace regression suite: canonical continuous-operation runs are
-// rendered to a stable text form (timeline, per-epoch net migration logs,
-// costs at 6 significant digits, structural trace hash) and compared byte
-// for byte against the expectations committed under tests/golden/. Any
-// behavioural drift — an extra migration, a reordered event, a cost shift —
-// fails here even when the aggregate cost gates would still pass.
+// Golden-trace regression suite: canonical continuous-operation and
+// streaming runs are rendered to a stable text form (timeline, per-epoch net
+// migration logs, per-trigger re-optimisation outcomes, costs at 6
+// significant digits, structural trace hash) and compared byte for byte
+// against the expectations committed under tests/golden/. Any behavioural
+// drift — an extra migration, a reordered event, a cost shift — fails here
+// even when the aggregate cost gates would still pass.
 //
 // To intentionally re-bless after a behaviour-changing commit:
 //   tools/regen_golden.sh <build-dir>      (sets SCORE_REGEN_GOLDEN=1)
@@ -18,6 +19,7 @@
 
 #include "core/scenario_io.hpp"
 #include "driver/continuous.hpp"
+#include "driver/streaming.hpp"
 #include "topology/canonical_tree.hpp"
 #include "topology/fat_tree.hpp"
 
@@ -123,6 +125,36 @@ void check_or_regen(const std::string& name, const std::string& actual) {
             "line-ending change?)";
 }
 
+/// Streaming rendering: only fields fixed by the seeds. Queue depths and
+/// fold/trigger latencies depend on thread timing and are left out.
+std::string render(const std::string& name,
+                   const driver::StreamingReport& report) {
+  std::ostringstream out;
+  out << "score-golden v1\n";
+  out << "case " << name << "\n";
+  out << "triggers " << report.reopts.size() << "\n";
+  for (const driver::ReoptEvent& ev : report.reopts) {
+    out << "tick " << ev.tick << " drift " << fmt6(ev.drift) << " migrations "
+        << ev.migrations << " rounds " << ev.rounds << " partial "
+        << (ev.partial ? 1 : 0) << "\n";
+    out << "  cost_before " << fmt6(ev.cost_before) << " cost_after "
+        << fmt6(ev.cost_after) << " fresh " << fmt6(ev.fresh_cost) << "\n";
+  }
+  out << "final_cost " << fmt6(report.final_cost) << " deltas_applied "
+      << report.deltas_applied << " deltas_folded " << report.deltas_folded
+      << " rebuilds " << report.cache_rebuilds << "\n";
+  return out.str();
+}
+
+topo::CanonicalTreeConfig canonical_config() {
+  topo::CanonicalTreeConfig tcfg;
+  tcfg.racks = 8;
+  tcfg.hosts_per_rack = 4;
+  tcfg.racks_per_pod = 2;
+  tcfg.cores = 2;
+  return tcfg;
+}
+
 driver::ContinuousConfig base_config() {
   driver::ContinuousConfig cfg;
   cfg.generator.num_vms = 64;
@@ -142,24 +174,14 @@ driver::ContinuousConfig base_config() {
 }
 
 TEST(GoldenTraces, CanonicalTreeCentralizedRoundRobin) {
-  topo::CanonicalTreeConfig tcfg;
-  tcfg.racks = 8;
-  tcfg.hosts_per_rack = 4;
-  tcfg.racks_per_pod = 2;
-  tcfg.cores = 2;
-  topo::CanonicalTree topology(tcfg);
+  topo::CanonicalTree topology(canonical_config());
   driver::ContinuousEngine engine(topology, base_config());
   check_or_regen("canonical-centralized-rr", render("canonical-centralized-rr",
                                                     engine.run()));
 }
 
 TEST(GoldenTraces, CanonicalTreeCentralizedMultiToken) {
-  topo::CanonicalTreeConfig tcfg;
-  tcfg.racks = 8;
-  tcfg.hosts_per_rack = 4;
-  tcfg.racks_per_pod = 2;
-  tcfg.cores = 2;
-  topo::CanonicalTree topology(tcfg);
+  topo::CanonicalTree topology(canonical_config());
   driver::ContinuousConfig cfg = base_config();
   cfg.tokens = 4;  // multi-token driver; results are ExecPolicy-invariant
   driver::ContinuousEngine engine(topology, cfg);
@@ -176,6 +198,50 @@ TEST(GoldenTraces, FatTreeDistributedZeroLoss) {
   driver::ContinuousEngine engine(topology, cfg);
   check_or_regen("fattree-distributed-loss0",
                  render("fattree-distributed-loss0", engine.run()));
+}
+
+driver::StreamingConfig streaming_config() {
+  driver::StreamingConfig cfg;
+  cfg.generator.num_vms = 64;
+  cfg.generator.seed = 2014;
+  cfg.server_capacity.vm_slots = 4;
+  cfg.server_capacity.ram_mb = 4 * 256.0;
+  cfg.server_capacity.cpu_cores = 4.0;
+  cfg.placement_seed = 77;
+  cfg.events.events_per_tick = 96;
+  cfg.events.seed = 99;
+  cfg.ticks = 12;
+  cfg.drift_threshold = 0.05;
+  cfg.tokens = 4;
+  cfg.iterations_per_reopt = 4;
+  cfg.fresh_reference = true;
+  return cfg;
+}
+
+TEST(GoldenTraces, StreamingCentralizedMultiToken) {
+  topo::CanonicalTree topology(canonical_config());
+  driver::StreamingEngine engine(topology, streaming_config());
+  check_or_regen("streaming-centralized-tokens4",
+                 render("streaming-centralized-tokens4", engine.run()));
+}
+
+TEST(GoldenTraces, StreamingShardedPartialReopt) {
+  topo::CanonicalTree topology(canonical_config());
+  driver::StreamingConfig cfg = streaming_config();
+  cfg.ingest_shards = 4;
+  cfg.partial_reopt = true;
+  driver::StreamingEngine engine(topology, cfg);
+  check_or_regen("streaming-sharded-partial",
+                 render("streaming-sharded-partial", engine.run()));
+}
+
+TEST(GoldenTraces, StreamingDistributed) {
+  topo::CanonicalTree topology(canonical_config());
+  driver::StreamingConfig cfg = streaming_config();
+  cfg.mode = "distributed";
+  driver::StreamingEngine engine(topology, cfg);
+  check_or_regen("streaming-distributed",
+                 render("streaming-distributed", engine.run()));
 }
 
 #ifdef SCORE_AGENT_BIN
@@ -284,12 +350,7 @@ TEST(GoldenTraces, ControlPlaneWireTrace) {
 // The exported v2 world snapshot is part of the golden contract too: it is
 // the replay seed for the runs above, so format drift must be deliberate.
 TEST(GoldenTraces, WorldSnapshotV2Dump) {
-  topo::CanonicalTreeConfig tcfg;
-  tcfg.racks = 8;
-  tcfg.hosts_per_rack = 4;
-  tcfg.racks_per_pod = 2;
-  tcfg.cores = 2;
-  topo::CanonicalTree topology(tcfg);
+  topo::CanonicalTree topology(canonical_config());
   driver::ContinuousEngine engine(topology, base_config());
   const driver::SteadyStateReport report = engine.run();
   std::ostringstream dump;
