@@ -1,15 +1,13 @@
 #include "driver/continuous.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <stdexcept>
 #include <utility>
 
 #include "core/cached_cost_model.hpp"
-#include "core/token_policy.hpp"
-#include "driver/multi_token.hpp"
-#include "driver/simulation.hpp"
 #include "util/rng.hpp"
 
 namespace score::driver {
@@ -236,16 +234,30 @@ double SteadyStateReport::total_migrated_mb() const {
 }
 
 double SteadyStateReport::max_cost_ratio() const {
-  double r = 0.0;
-  for (const EpochReport& e : epochs) r = std::max(r, e.cost_ratio());
-  return r;
+  double worst = std::numeric_limits<double>::quiet_NaN();
+  for (const EpochReport& e : epochs) {
+    // A NaN ratio compares false, so it never replaces a defined worst.
+    if (std::isnan(worst) || e.cost_ratio() > worst) worst = e.cost_ratio();
+  }
+  return worst;
 }
 
 double SteadyStateReport::mean_cost_ratio() const {
-  if (epochs.empty()) return 0.0;
+  const std::size_t defined = epochs.size() - undefined_cost_ratios();
+  if (defined == 0) return std::numeric_limits<double>::quiet_NaN();
   double sum = 0.0;
-  for (const EpochReport& e : epochs) sum += e.cost_ratio();
-  return sum / static_cast<double>(epochs.size());
+  for (const EpochReport& e : epochs) {
+    if (!std::isnan(e.cost_ratio())) sum += e.cost_ratio();
+  }
+  return sum / static_cast<double>(defined);
+}
+
+std::size_t SteadyStateReport::undefined_cost_ratios() const {
+  std::size_t undefined = 0;
+  for (const EpochReport& e : epochs) {
+    if (std::isnan(e.cost_ratio())) ++undefined;
+  }
+  return undefined;
 }
 
 // ---------------------------------------------------------------------------
@@ -255,10 +267,7 @@ double SteadyStateReport::mean_cost_ratio() const {
 ContinuousEngine::ContinuousEngine(const topo::Topology& topology,
                                    ContinuousConfig config)
     : topology_(&topology), config_(std::move(config)) {
-  if (config_.mode != "centralized" && config_.mode != "distributed") {
-    throw std::invalid_argument(
-        "ContinuousConfig::mode must be 'centralized' or 'distributed'");
-  }
+  config_.validate();
   if (config_.epochs == 0) {
     throw std::invalid_argument("ContinuousConfig::epochs must be >= 1");
   }
@@ -490,38 +499,17 @@ SteadyStateReport ContinuousEngine::drive(LifecycleSource& source) {
     }
 
     // ---- token rounds on the carried state ---------------------------------
-    const core::LinkWeights weights =
-        core::LinkWeights::exponential(topology_->max_level());
-    core::CachedCostModel model(*topology_, weights);
+    core::CachedCostModel model(
+        *topology_, core::LinkWeights::exponential(topology_->max_level()));
     model.bind(alloc, tm);
     er.cost_before = model.total_cost(alloc, tm);
 
-    if (config_.mode == "distributed") {
-      hypervisor::RuntimeConfig rcfg = config_.runtime;
-      rcfg.engine = config_.engine;
-      rcfg.iterations = config_.iterations_per_epoch;
-      hypervisor::DistributedScoreRuntime runtime(model, alloc, tm, rcfg);
-      const hypervisor::RuntimeResult res = runtime.run();
-      er.cost_after = res.final_cost;
-      er.migrations = res.total_migrations;
-      er.migrated_mb = res.migrated_mb;
-      er.rounds = res.rounds();
-    } else {
-      core::MigrationEngine engine(model, config_.engine);
-      MultiTokenConfig mcfg;
-      mcfg.tokens = std::max<std::size_t>(1, config_.tokens);
-      mcfg.iterations = config_.iterations_per_epoch;
-      mcfg.stop_when_stable = true;
-      mcfg.policy = config_.exec;
-      MultiTokenSimulation sim(engine, alloc, tm);
-      const SimResult res = sim.run(mcfg);
-      er.cost_after = res.final_cost;
-      er.migrations = res.total_migrations;
-      er.rounds = res.iterations.size();
-      for (const MigrationRecord& m : res.migration_log) {
-        er.migrated_mb += config_.precopy_factor * alloc.spec(m.vm).ram_mb;
-      }
-    }
+    const ConvergenceReport res =
+        reoptimize(model, alloc, tm, config_, config_.iterations_per_epoch);
+    er.cost_after = res.final_cost;
+    er.migrations = res.migrations;
+    er.migrated_mb = res.migrated_mb;
+    er.rounds = res.rounds;
 
     // ---- write back + structural migration diff ----------------------------
     for (std::size_t i = 0; i < world_ids.size(); ++i) {
@@ -538,22 +526,10 @@ SteadyStateReport ContinuousEngine::drive(LifecycleSource& source) {
     }
 
     // ---- fresh re-optimisation reference -----------------------------------
-    {
-      util::Rng fresh_rng(config_.lifecycle_seed * 104729ull +
-                          31ull * epoch + 17ull);
-      core::Allocation fresh = baselines::make_allocation(
-          *topology_, config_.server_capacity, world_ids.size(),
-          config_.vm_spec, config_.placement, fresh_rng);
-      core::CachedCostModel fresh_model(*topology_, weights);
-      fresh_model.bind(fresh, tm);
-      core::MigrationEngine fresh_engine(fresh_model, config_.engine);
-      core::RoundRobinPolicy rr;
-      SimConfig scfg;
-      scfg.iterations = config_.reopt_iterations;
-      scfg.stop_when_stable = true;
-      ScoreSimulation reopt(fresh_engine, rr, fresh, tm);
-      er.fresh_cost = reopt.run(scfg).final_cost;
-    }
+    er.fresh_cost = fresh_reference_cost(
+        *topology_, tm, config_.server_capacity, config_.vm_spec,
+        config_.placement,
+        config_.lifecycle_seed * 104729ull + 31ull * epoch + 17ull, config_);
 
     report.epochs.push_back(er);
   }

@@ -23,14 +23,14 @@
 //   2. compacts the active world — ascending world id — into an
 //      (Allocation, TrafficMatrix) scenario carrying every surviving VM's
 //      placement over from the previous epoch,
-//   3. runs token rounds on it: the centralized drivers
-//      (ScoreSimulation / MultiTokenSimulation under any ExecPolicy) or the
-//      message-passing distributed runtime
+//   3. runs token rounds on it through driver/reoptimize: the centralized
+//      MultiTokenSimulation (at every token count, under any ExecPolicy) or
+//      the message-passing distributed runtime
 //      (hypervisor/DistributedScoreRuntime, with its loss / churn /
 //      migration-budget machinery),
 //   4. re-optimises the *same* active set from a fresh initial placement
-//      with the centralized loop run to stability — the per-epoch
-//      re-optimisation reference — and
+//      with the centralized loop run to stability (fresh_reference_cost) —
+//      the per-epoch re-optimisation reference — and
 //   5. writes the optimised placements back into the world and emits an
 //      EpochReport (cost ratio vs. the fresh reference, migrations,
 //      modeled pre-copy MB, rounds to re-converge).
@@ -49,17 +49,15 @@
 #include <vector>
 
 #include "baselines/placement.hpp"
-#include "core/migration_engine.hpp"
 #include "core/scenario_io.hpp"
-#include "hypervisor/distributed_runtime.hpp"
+#include "driver/reoptimize.hpp"
 #include "topology/topology.hpp"
 #include "traffic/dynamics.hpp"
 #include "traffic/generator.hpp"
-#include "util/exec_policy.hpp"
 
 namespace score::driver {
 
-struct ContinuousConfig {
+struct ContinuousConfig : OptimizerConfig {
   // ---- world + traffic dynamics --------------------------------------------
   /// Defines the world VM universe and the epoch-0 matrix.
   traffic::GeneratorConfig generator;
@@ -86,28 +84,8 @@ struct ContinuousConfig {
   core::VmSpec vm_spec;
 
   // ---- per-epoch optimisation ----------------------------------------------
-  /// "centralized" (shared-memory token loop) or "distributed"
-  /// (message-passing dom0 runtime).
-  std::string mode = "centralized";
-  /// Centralized mode: tokens > 1 selects the multi-token driver.
-  std::size_t tokens = 1;
-  util::ExecPolicy exec = util::ExecPolicy::seq();
   /// Token-round budget per epoch (stability may stop a run earlier).
   std::size_t iterations_per_epoch = 4;
-  core::EngineConfig engine;
-  /// Distributed mode: fabric/failure/migration-model base config, including
-  /// the token policy (`runtime.policy`). The engine overrides only `engine`
-  /// and `iterations` per epoch. The centralized path and the fresh
-  /// re-optimisation reference always visit VMs in Round-Robin order.
-  hypervisor::RuntimeConfig runtime;
-  /// Bytes moved per migration ≈ precopy_factor × VM RAM (centralized
-  /// modes; the distributed runtime's own pre-copy model reports exact MB).
-  double precopy_factor = 1.3;
-
-  // ---- re-optimisation reference -------------------------------------------
-  /// Iteration cap for the per-epoch fresh re-optimisation (run to
-  /// stability; the cap only bounds pathological cases).
-  std::size_t reopt_iterations = 12;
 };
 
 /// One net placement change of an epoch, in ascending world-VM order — the
@@ -131,16 +109,17 @@ struct EpochReport {
   double cost_after = 0.0;       ///< after this epoch's token rounds
   double fresh_cost = 0.0;       ///< fresh re-optimisation reference
   std::size_t migrations = 0;
-  double migrated_mb = 0.0;      ///< modeled pre-copy bytes
+  double migrated_mb = 0.0;      ///< modeled pre-copy MB
   std::size_t rounds = 0;        ///< token rounds until stable (or the cap)
   /// Net placement diff of the epoch's token rounds (a VM that moved twice
   /// appears once with its final server; ping-pongs cancel out).
   std::vector<PlacementChange> changes;
 
-  /// Steady-state quality: continued cost over the fresh re-optimisation
-  /// reference (≈1 means churn tracking matches starting over).
+  /// Steady-state quality: fresh_ratio(cost_after, fresh_cost) (≈1 means
+  /// churn tracking matches starting over). An empty epoch computes no
+  /// reference, so its ratio is NaN, never a benign 1.0.
   double cost_ratio() const {
-    return fresh_cost > 0.0 ? cost_after / fresh_cost : 1.0;
+    return fresh_ratio(cost_after, fresh_cost, active_vms > 0);
   }
 };
 
@@ -154,8 +133,12 @@ struct SteadyStateReport {
 
   std::size_t total_migrations() const;
   double total_migrated_mb() const;
+  /// Worst and mean *defined* epoch ratio (+infinity counts as defined);
+  /// quiet NaN when no epoch has one. undefined_cost_ratios() counts the
+  /// epochs left out.
   double max_cost_ratio() const;
   double mean_cost_ratio() const;
+  std::size_t undefined_cost_ratios() const;
 };
 
 class ContinuousEngine {

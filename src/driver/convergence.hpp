@@ -28,6 +28,8 @@ struct ConvergenceReport {
   /// — the Fig. 2 x-axis in both modes.
   std::size_t rounds = 0;
   std::size_t migrations = 0;
+  /// Modeled pre-copy MB. summarize() has no VM specs and leaves it 0.
+  double migrated_mb = 0.0;
   double duration_s = 0.0;  ///< simulated seconds
 
   // Control-plane footprint. Zero in centralized mode, where decisions read

@@ -27,7 +27,9 @@
 // migration sequences, costs and iteration stats — only wall-clock changes.
 // Virtual-time accounting is preserved: a pass ends at the *max* over
 // per-token busy-until times, keeping fig2/ablation series comparable with
-// the single-token driver.
+// the single-token driver, whose Round-Robin decisions it makes at
+// tokens = 1 (see ScoreSimulation). Every centralized re-optimisation of the
+// streaming and continuous engines runs here (driver/reoptimize).
 #pragma once
 
 #include <vector>
@@ -38,15 +40,8 @@
 
 namespace score::driver {
 
-struct MultiTokenConfig {
+struct MultiTokenConfig : TokenRoundConfig {
   std::size_t tokens = 4;
-  std::size_t iterations = 5;
-  bool stop_when_stable = true;
-  double token_hold_s = 0.02;
-  double token_pass_per_hop_s = 0.0005;
-  double migration_bandwidth_bps = 1e9;
-  double precopy_factor = 1.3;
-  double migration_overhead_s = 0.1;
   /// Where shard walks + reconciliation run. Results are identical for every
   /// policy; par(n) shrinks wall-clock with the token count.
   util::ExecPolicy policy = util::ExecPolicy::seq();

@@ -28,8 +28,12 @@ using core::Allocation;
 using core::ServerId;
 using core::VmId;
 
-struct SimConfig {
+/// Round budget and §VI timing model of both centralized drivers (SimConfig
+/// and MultiTokenConfig).
+struct TokenRoundConfig {
   std::size_t iterations = 5;
+  /// Stop early once an entire iteration makes no migration.
+  bool stop_when_stable = true;
   /// Measurement + decision time charged per token hold (dom0 work).
   double token_hold_s = 0.02;
   /// Per-hop token transfer latency between consecutive holders' servers.
@@ -40,8 +44,9 @@ struct SimConfig {
   double precopy_factor = 1.3;
   /// Fixed per-migration control overhead (setup + stop-and-copy).
   double migration_overhead_s = 0.1;
-  /// Stop early once an entire iteration makes no migration.
-  bool stop_when_stable = true;
+};
+
+struct SimConfig : TokenRoundConfig {
   /// Record a time-series point after every token hold (else per iteration).
   bool record_every_hold = false;
 };
@@ -89,6 +94,12 @@ struct SimResult {
 /// both produce SimResult) as the mode-independent convergence report.
 ConvergenceReport summarize(const SimResult& result);
 
+/// Single-token driver on the event queue. Under Round-Robin it commits the
+/// migration log and placement of MultiTokenSimulation at tokens = 1
+/// (tested); only two reported numbers differ: final_cost is the running
+/// Lemma-3 sum, not the reconciled Eq. (2) total (~1e-13 relative apart), and
+/// duration_s also charges the wrap-around token hop between passes. It is
+/// the only driver that takes a TokenPolicy.
 class ScoreSimulation {
  public:
   /// All references must outlive the simulation. The allocation is mutated.

@@ -11,9 +11,6 @@
 
 #include "core/cached_cost_model.hpp"
 #include "core/sharded_cost_oracle.hpp"
-#include "core/token_policy.hpp"
-#include "driver/multi_token.hpp"
-#include "driver/simulation.hpp"
 #include "traffic/traffic_matrix.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -34,41 +31,26 @@ double DriftTrigger::drift(double current_cost) const {
 
 namespace {
 
-/// after/fresh when defined; +inf for a computed-zero reference beaten by a
-/// nonzero cost; quiet NaN when there is nothing to compare against.
-double ratio_or_nan(double cost_after, double fresh_cost, bool computed) {
-  if (fresh_cost > 0.0) return cost_after / fresh_cost;
-  if (computed && cost_after > 0.0) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return std::numeric_limits<double>::quiet_NaN();
-}
-
 double percentile_or_zero(const std::vector<double>& samples, double p) {
   return samples.empty() ? 0.0 : util::percentile(samples, p);
 }
 
 }  // namespace
 
-double ReoptEvent::cost_ratio() const {
-  return ratio_or_nan(cost_after, fresh_cost, fresh_computed);
-}
-
 double StreamingReport::max_cost_ratio() const {
   double worst = std::numeric_limits<double>::quiet_NaN();
-  auto fold_in = [&worst](double ratio) {
-    if (std::isnan(ratio)) return;
+  auto fold_in = [&worst](double ratio) {  // a NaN ratio never wins
     if (std::isnan(worst) || ratio > worst) worst = ratio;
   };
-  fold_in(ratio_or_nan(final_cost, final_fresh_cost, final_fresh_computed));
+  fold_in(fresh_ratio(final_cost, final_fresh_cost, final_fresh_computed));
   for (const ReoptEvent& ev : reopts) fold_in(ev.cost_ratio());
   return worst;
 }
 
 std::size_t StreamingReport::undefined_cost_ratios() const {
   std::size_t undefined = 0;
-  if (std::isnan(ratio_or_nan(final_cost, final_fresh_cost,
-                              final_fresh_computed))) {
+  if (std::isnan(fresh_ratio(final_cost, final_fresh_cost,
+                             final_fresh_computed))) {
     ++undefined;
   }
   for (const ReoptEvent& ev : reopts) {
@@ -98,70 +80,6 @@ double ns_since(SteadyClock::time_point start) {
   return static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                  SteadyClock::now() - start)
                                  .count());
-}
-
-struct ReoptStats {
-  std::size_t migrations = 0;
-  std::size_t rounds = 0;
-};
-
-// One drift-triggered re-optimisation on the live state: the paper's
-// incremental adaptation step, through either execution mode. A non-empty
-// `restrict_token_shards` confines the centralized token rounds to those
-// token-shard VM ranges (partial re-optimisation).
-ReoptStats run_reopt(const core::CachedCostModel& model,
-                     const core::MigrationEngine& engine,
-                     core::Allocation& alloc, const traffic::TrafficMatrix& tm,
-                     const StreamingConfig& config,
-                     const std::vector<std::size_t>& restrict_token_shards) {
-  ReoptStats stats;
-  if (config.mode == "distributed") {
-    if (!restrict_token_shards.empty()) {
-      throw std::logic_error(
-          "run_reopt: restricted rounds are centralized-only");
-    }
-    hypervisor::RuntimeConfig rcfg = config.runtime;
-    rcfg.engine = config.engine;
-    rcfg.iterations = config.iterations_per_reopt;
-    hypervisor::DistributedScoreRuntime runtime(model, alloc, tm, rcfg);
-    const hypervisor::RuntimeResult res = runtime.run();
-    stats.migrations = res.total_migrations;
-    stats.rounds = res.rounds();
-  } else {
-    MultiTokenConfig mcfg;
-    mcfg.tokens = std::max<std::size_t>(1, config.tokens);
-    mcfg.iterations = config.iterations_per_reopt;
-    mcfg.stop_when_stable = true;
-    mcfg.policy = config.exec;
-    mcfg.restrict_shards = restrict_token_shards;
-    MultiTokenSimulation sim(engine, alloc, tm);
-    const SimResult res = sim.run(mcfg);
-    stats.migrations = res.total_migrations;
-    stats.rounds = res.iterations.size();
-  }
-  return stats;
-}
-
-// Fresh-placement reference: what starting over on this matrix would achieve.
-double fresh_reference_cost(const topo::Topology& topology,
-                            const traffic::TrafficMatrix& tm,
-                            const StreamingConfig& config,
-                            std::uint64_t salt) {
-  util::Rng rng(config.placement_seed * 104729ull + salt);
-  core::Allocation fresh =
-      baselines::make_allocation(topology, config.server_capacity, tm.num_vms(),
-                                 config.vm_spec, config.placement, rng);
-  const core::LinkWeights weights =
-      core::LinkWeights::exponential(topology.max_level());
-  core::CachedCostModel model(topology, weights);
-  model.bind(fresh, tm);
-  core::MigrationEngine engine(model, config.engine);
-  core::RoundRobinPolicy rr;
-  SimConfig scfg;
-  scfg.iterations = config.reopt_iterations;
-  scfg.stop_when_stable = true;
-  ScoreSimulation reopt(engine, rr, fresh, tm);
-  return reopt.run(scfg).final_cost;
 }
 
 /// Records every effective rate transition an apply commits (post-clamp
@@ -246,15 +164,12 @@ StreamingEngine::StreamingEngine(const topo::Topology& topology,
   if (config_.generator.num_vms < 2) {
     throw std::invalid_argument("StreamingEngine: need at least 2 VMs");
   }
-  if (config_.mode != "centralized" && config_.mode != "distributed") {
-    throw std::invalid_argument("StreamingEngine: mode must be centralized "
-                                "or distributed");
-  }
+  config_.validate();
   if (config_.partial_reopt && config_.ingest_shards <= 1) {
     throw std::invalid_argument(
         "StreamingEngine: partial_reopt requires ingest_shards > 1");
   }
-  if (config_.partial_reopt && config_.mode == "distributed") {
+  if (config_.partial_reopt && config_.distributed()) {
     throw std::invalid_argument(
         "StreamingEngine: partial_reopt is centralized-only");
   }
@@ -275,7 +190,6 @@ StreamingReport StreamingEngine::run() {
       core::LinkWeights::exponential(topology_->max_level());
   core::CachedCostModel model(*topology_, weights);
   model.bind(alloc, tm);
-  core::MigrationEngine engine(model, config_.engine);
 
   TapGuard tap_guard;
   if (config_.tap != nullptr) {
@@ -352,8 +266,17 @@ StreamingReport StreamingEngine::run() {
     return restrict_shards;
   };
 
+  // What starting over on the live matrix would achieve; `salt` keeps every
+  // reference's placement draw distinct.
+  auto fresh_reference = [&](std::uint64_t salt) {
+    return fresh_reference_cost(*topology_, tm, config_.server_capacity,
+                                config_.vm_spec, config_.placement,
+                                config_.placement_seed * 104729ull + salt,
+                                config_);
+  };
+
   // ---- initial optimisation + trigger arm ----------------------------------
-  run_reopt(model, engine, alloc, tm, config_, {});
+  reoptimize(model, alloc, tm, config_, config_.iterations_per_reopt);
   report.initial_cost = model.total_cost(alloc, tm);
   DriftTrigger trigger(config_.drift_threshold);
   trigger.arm(report.initial_cost);
@@ -483,8 +406,9 @@ StreamingReport StreamingEngine::run() {
 #endif
       std::vector<double> pre_sums;
       if (sharded) pre_sums = shard_sums();
-      const ReoptStats res =
-          run_reopt(model, engine, alloc, tm, config_, restrict_shards);
+      const ConvergenceReport res = reoptimize(
+          model, alloc, tm, config_, config_.iterations_per_reopt,
+          restrict_shards);
       ev.cost_after = model.total_cost(alloc, tm);
       ev.migrations = res.migrations;
       ev.rounds = res.rounds;
@@ -527,8 +451,8 @@ StreamingReport StreamingEngine::run() {
         //     shares (matrix, weights, engine config).
         core::CachedCostModel full_model(*topology_, weights);
         full_model.bind(*pre_alloc, tm);
-        core::MigrationEngine full_engine(full_model, config_.engine);
-        run_reopt(full_model, full_engine, *pre_alloc, tm, config_, {});
+        reoptimize(full_model, *pre_alloc, tm, config_,
+                   config_.iterations_per_reopt);
         const double full_after = full_model.total_cost(*pre_alloc, tm);
         if (full_after >
             ev.cost_before + 1e-6 * (std::abs(ev.cost_before) + 1.0)) {
@@ -539,8 +463,7 @@ StreamingReport StreamingEngine::run() {
       }
 #endif
       if (config_.fresh_reference) {
-        ev.fresh_cost = fresh_reference_cost(*topology_, tm, config_,
-                                             31ull * tick + 17ull);
+        ev.fresh_cost = fresh_reference(31ull * tick + 17ull);
         ev.fresh_computed = true;
       }
       trigger.arm(ev.cost_after);
@@ -585,8 +508,7 @@ StreamingReport StreamingEngine::run() {
   report.ticks = tick;
   report.final_cost = model.total_cost(alloc, tm);
   if (config_.fresh_reference) {
-    report.final_fresh_cost =
-        fresh_reference_cost(*topology_, tm, config_, 0xF1A7ull);
+    report.final_fresh_cost = fresh_reference(0xF1A7ull);
     report.final_fresh_computed = true;
   }
   report.deltas_folded = model.deltas_folded();

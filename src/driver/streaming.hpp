@@ -43,18 +43,15 @@
 // across seq/par(n).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
-#include <string>
-
 #include "baselines/placement.hpp"
-#include "core/migration_engine.hpp"
-#include "hypervisor/distributed_runtime.hpp"
+#include "driver/reoptimize.hpp"
 #include "topology/topology.hpp"
 #include "traffic/generator.hpp"
 #include "traffic/ingest.hpp"
-#include "util/exec_policy.hpp"
 
 namespace score::driver {
 
@@ -83,7 +80,7 @@ class DriftTrigger {
   double baseline_ = 0.0;
 };
 
-struct StreamingConfig {
+struct StreamingConfig : OptimizerConfig {
   // ---- scenario -------------------------------------------------------------
   /// Defines the VM fleet and the starting matrix.
   traffic::GeneratorConfig generator;
@@ -107,26 +104,14 @@ struct StreamingConfig {
   // ---- drift-triggered re-optimisation -------------------------------------
   /// Relative drift of the cached total that launches a re-optimisation.
   double drift_threshold = 0.05;
-  /// "centralized" (shared-memory token loop) or "distributed"
-  /// (message-passing dom0 runtime), as in ContinuousConfig.
-  std::string mode = "centralized";
-  /// Centralized mode: tokens > 1 selects the multi-token driver.
-  std::size_t tokens = 1;
-  util::ExecPolicy exec = util::ExecPolicy::seq();
   /// Token-round budget per triggered re-opt (stability may stop earlier).
   std::size_t iterations_per_reopt = 4;
-  core::EngineConfig engine;
-  /// Distributed mode: fabric/failure/migration-budget base config; the
-  /// engine overrides `engine` and `iterations` per triggered re-opt.
-  hypervisor::RuntimeConfig runtime;
 
   // ---- fresh re-optimisation reference -------------------------------------
   /// Compute the per-event fresh reference (fresh placement re-optimised to
   /// stability on the matrix snapshot). Costs a full optimisation per
   /// trigger; disable for pure throughput runs.
   bool fresh_reference = true;
-  /// Iteration cap for the fresh reference.
-  std::size_t reopt_iterations = 12;
 
   // ---- sharded ingest + partial re-optimisation ----------------------------
   /// > 1 partitions drift attribution per VM shard (see the module comment):
@@ -168,15 +153,12 @@ struct ReoptEvent {
   /// global scalar trigger).
   std::vector<std::size_t> drifted_shards;
 
-  /// Steady-state quality vs. starting over (≈1 is the paper's band):
-  /// cost_after / fresh_cost when the reference is positive; +infinity when
-  /// a *computed* reference is zero but the achieved cost is not (a real
-  /// regression — the pre-fix code silently reported 1.0 here); quiet NaN
-  /// when undefined (reference disabled, or 0-cost state vs 0 reference).
-  double cost_ratio() const;
-  bool cost_ratio_defined() const {
-    return fresh_cost > 0.0 || (fresh_computed && cost_after > 0.0);
+  /// fresh_ratio(): NaN when the reference is disabled or both costs are 0,
+  /// +infinity for a computed zero reference beaten by a nonzero cost.
+  double cost_ratio() const {
+    return fresh_ratio(cost_after, fresh_cost, fresh_computed);
   }
+  bool cost_ratio_defined() const { return !std::isnan(cost_ratio()); }
 };
 
 struct StreamingReport {

@@ -305,6 +305,7 @@ driver::ConvergenceReport RuntimeResult::report() const {
   report.final_cost = final_cost;
   report.rounds = iterations.size();
   report.migrations = total_migrations;
+  report.migrated_mb = migrated_mb;
   report.duration_s = duration_s;
   report.token_messages = token_messages;
   report.token_bytes = token_bytes;

@@ -86,10 +86,6 @@ TEST(CliFlags, ModeIncompatibleCombosAreRejected) {
                             "--partial-reopt");
 }
 
-TEST(CliFlags, DistributedAliasStillConflictsWithCentralizedKnobs) {
-  expect_one_line_rejection("--distributed --tokens 2", "--tokens");
-}
-
 TEST(CliFlags, ValidCombosStillRun) {
   const CliResult centralized = run_cli("--vms 16 --iterations 1");
   EXPECT_EQ(centralized.exit_code, 0) << centralized.output;

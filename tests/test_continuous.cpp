@@ -3,6 +3,7 @@
 // byte-identity, and the distributed execution mode.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "core/scenario_io.hpp"
@@ -61,6 +62,37 @@ TEST(Continuous, EpochReportsAreInternallyConsistent) {
   // (the bench gates a tight band at paper scale; this guards the plumbing).
   EXPECT_LT(report.max_cost_ratio(), 2.0);
   EXPECT_GT(report.mean_cost_ratio(), 0.25);
+}
+
+// Every tenant departs after epoch 0, so epochs 1 and 2 are empty: there is
+// no fresh reference to compare against and their cost ratios are undefined.
+// They must not count as a perfect 1.0 in the aggregates.
+TEST(Continuous, EmptyEpochsHaveUndefinedCostRatios) {
+  topo::CanonicalTree topology(tree_config());
+  for (const char* mode : {"centralized", "distributed"}) {
+    driver::ContinuousConfig cfg = small_config();
+    cfg.generator.num_vms = 64;
+    cfg.epochs = 3;
+    cfg.initial_active_fraction = 1.0;
+    cfg.arrival_prob = 0.0;
+    cfg.departure_prob = 1.0;
+    cfg.mode = mode;
+    const driver::SteadyStateReport report =
+        driver::ContinuousEngine(topology, cfg).run();
+    ASSERT_EQ(report.epochs.size(), 3u) << mode;
+    const double ratio = report.epochs[0].cost_ratio();
+    ASSERT_GT(report.epochs[0].fresh_cost, 0.0) << mode;
+    EXPECT_DOUBLE_EQ(ratio,
+                     report.epochs[0].cost_after / report.epochs[0].fresh_cost);
+    EXPECT_NE(ratio, 1.0) << mode;
+    for (std::size_t k = 1; k < 3; ++k) {
+      EXPECT_EQ(report.epochs[k].active_vms, 0u) << mode;
+      EXPECT_TRUE(std::isnan(report.epochs[k].cost_ratio())) << mode;
+    }
+    EXPECT_DOUBLE_EQ(report.max_cost_ratio(), ratio) << mode;
+    EXPECT_DOUBLE_EQ(report.mean_cost_ratio(), ratio) << mode;
+    EXPECT_EQ(report.undefined_cost_ratios(), 2u) << mode;
+  }
 }
 
 TEST(Continuous, FixedSeedReproducesTimelineAndTraceHash) {

@@ -56,13 +56,15 @@ TEST_F(MultiTokenTest, SingleTokenMatchesScoreSimulation) {
   MultiTokenSimulation multi(engine_, alloc_multi, tm);
   const auto multi_res = multi.run(mcfg);
 
-  // Identical visit order and decision rule -> identical final allocation.
+  // Identical visit order and decision rule -> identical migration log and
+  // final allocation.
   // Costs agree only to rounding: the multi-token driver reports the
   // pass-barrier *reconciled* Eq. (2) total, the single-token driver the
   // accumulated cost -= delta running sum.
   EXPECT_NEAR(multi_res.final_cost, ref_res.final_cost,
               1e-9 * (1.0 + std::abs(ref_res.final_cost)));
   EXPECT_EQ(multi_res.total_migrations, ref_res.total_migrations);
+  EXPECT_EQ(multi_res.migration_log, ref_res.migration_log);
   for (score::core::VmId u = 0; u < 48; ++u) {
     EXPECT_EQ(alloc_multi.server_of(u), alloc_single.server_of(u));
   }

@@ -28,7 +28,6 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <limits>
 #include <sstream>
 
 #include "baselines/ga_optimizer.hpp"
@@ -43,7 +42,6 @@
 #include "driver/streaming.hpp"
 #include "hypervisor/distributed_runtime.hpp"
 #include "util/csv.hpp"
-#include "util/exec_policy.hpp"
 #include "util/flags.hpp"
 #include "world_builder.hpp"
 
@@ -51,17 +49,20 @@ namespace {
 
 using namespace score;
 
-/// The effective mode, honoring the deprecated --distributed alias.
-std::string effective_mode(const util::Flags& flags) {
-  return flags.get_bool("distributed") ? "distributed"
-                                       : flags.get_string("mode");
+/// A fresh-reference ratio as printed: NaN is "n/a", never a silent 1.0.
+std::string fmt_ratio(double r) {
+  if (std::isnan(r)) return "n/a";
+  if (std::isinf(r)) return "inf";
+  std::ostringstream os;
+  os << std::setprecision(4) << r;
+  return os.str();
 }
 
 /// Reject flag combinations that contradict the selected mode, with a
 /// one-line diagnostic naming both the flag and the mode it needs. Only
 /// flags the user actually passed are checked — defaults never conflict.
 void validate_mode_combos(const util::Flags& flags) {
-  const std::string mode = effective_mode(flags);
+  const std::string mode = flags.get_string("mode");
   if (mode != "centralized" && mode != "distributed" &&
       mode != "continuous" && mode != "streaming") {
     throw std::invalid_argument(
@@ -118,18 +119,11 @@ int run_continuous(const topo::Topology& topology, const util::Flags& flags) {
   cfg.departure_prob = flags.get_double("departure-prob");
   cfg.lifecycle_seed = static_cast<std::uint64_t>(flags.get_int("lifecycle-seed"));
   cfg.placement = tools::parse_placement(flags.get_string("placement"));
-  cfg.server_capacity.vm_slots = static_cast<std::size_t>(flags.get_int("slots"));
-  cfg.server_capacity.ram_mb = static_cast<double>(cfg.server_capacity.vm_slots) * 256.0;
-  cfg.server_capacity.cpu_cores = static_cast<double>(cfg.server_capacity.vm_slots);
+  cfg.server_capacity = tools::server_capacity(flags);
   cfg.iterations_per_epoch = static_cast<std::size_t>(flags.get_int("iterations"));
   cfg.engine.migration_cost = flags.get_double("cm");
   cfg.tokens = static_cast<std::size_t>(flags.get_int("tokens"));
-  const int threads = static_cast<int>(flags.get_int("threads"));
-  cfg.exec = threads > 0 ? util::ExecPolicy::par(static_cast<std::size_t>(threads))
-                         : util::ExecPolicy::seq();
-  if (flags.get_bool("distributed")) {
-    cfg.mode = "distributed";
-  }
+  cfg.exec = tools::exec_policy(flags);
   if (flags.get_double("loss") > 0.0 || flags.get_double("budget-mb") > 0.0) {
     cfg.mode = "distributed";
     cfg.runtime.message_loss_rate = flags.get_double("loss");
@@ -137,10 +131,7 @@ int run_continuous(const topo::Topology& topology, const util::Flags& flags) {
   }
   // --policy reaches the distributed per-epoch optimiser only; the
   // centralized multi-token path visits VMs in Round-Robin order.
-  cfg.runtime.policy = flags.get_string("policy") == "rr" ||
-                               flags.get_string("policy") == "round-robin"
-                           ? "round-robin"
-                           : "highest-level-first";
+  cfg.runtime.policy = tools::runtime_policy(flags);
 
   driver::ContinuousEngine engine(topology, cfg);
   driver::SteadyStateReport report;
@@ -163,14 +154,18 @@ int run_continuous(const topo::Topology& topology, const util::Flags& flags) {
               << std::setw(6) << er.arrived_vms << std::setw(6)
               << er.departed_vms << "  " << std::setw(13) << er.cost_before
               << "  " << std::setw(13) << er.cost_after << "  " << std::setw(13)
-              << er.fresh_cost << "  " << std::setw(6) << std::setprecision(4)
-              << er.cost_ratio() << std::setprecision(6) << std::setw(7)
-              << er.migrations << std::setw(8) << static_cast<long long>(er.migrated_mb)
+              << er.fresh_cost << "  " << std::setw(6)
+              << fmt_ratio(er.cost_ratio()) << std::setw(7) << er.migrations
+              << std::setw(8) << static_cast<long long>(er.migrated_mb)
               << std::setw(7) << er.rounds << "\n";
   }
   std::cout << "steady state: mean cost ratio vs fresh re-opt "
-            << report.mean_cost_ratio() << " (max " << report.max_cost_ratio()
-            << "), " << report.total_migrations() << " migrations, "
+            << fmt_ratio(report.mean_cost_ratio()) << " (max "
+            << fmt_ratio(report.max_cost_ratio());
+  if (report.undefined_cost_ratios() > 0) {
+    std::cout << ", " << report.undefined_cost_ratios() << " undefined";
+  }
+  std::cout << "), " << report.total_migrations() << " migrations, "
             << report.total_migrated_mb() << " MB pre-copied, "
             << report.world.timeline.size() << " lifecycle events\n";
   if (flags.get_bool("trace")) {
@@ -198,18 +193,14 @@ int run_streaming(const topo::Topology& topology, const util::Flags& flags) {
   cfg.intensity_scale = traffic::intensity_scale(
       tools::parse_intensity(flags.get_string("intensity")));
   cfg.placement = tools::parse_placement(flags.get_string("placement"));
-  cfg.server_capacity.vm_slots = static_cast<std::size_t>(flags.get_int("slots"));
-  cfg.server_capacity.ram_mb = static_cast<double>(cfg.server_capacity.vm_slots) * 256.0;
-  cfg.server_capacity.cpu_cores = static_cast<double>(cfg.server_capacity.vm_slots);
+  cfg.server_capacity = tools::server_capacity(flags);
   cfg.placement_seed = cfg.generator.seed + 1;
   cfg.events.seed = cfg.generator.seed + 2;
   cfg.events.events_per_tick = static_cast<std::size_t>(flags.get_int("batch-size"));
   cfg.ticks = static_cast<std::size_t>(flags.get_int("ticks"));
   cfg.drift_threshold = flags.get_double("drift-threshold");
   cfg.tokens = static_cast<std::size_t>(flags.get_int("tokens"));
-  const int threads = static_cast<int>(flags.get_int("threads"));
-  cfg.exec = threads > 0 ? util::ExecPolicy::par(static_cast<std::size_t>(threads))
-                         : util::ExecPolicy::seq();
+  cfg.exec = tools::exec_policy(flags);
   cfg.iterations_per_reopt = static_cast<std::size_t>(flags.get_int("iterations"));
   cfg.engine.migration_cost = flags.get_double("cm");
   cfg.ingest_shards =
@@ -218,17 +209,6 @@ int run_streaming(const topo::Topology& topology, const util::Flags& flags) {
 
   driver::StreamingEngine engine(topology, cfg);
   const driver::StreamingReport report = engine.run();
-
-  // A cost ratio can now legitimately be undefined (NaN: no fresh reference)
-  // or +inf (zero reference, nonzero cost). Print both honestly instead of
-  // the old silent 1.0.
-  const auto fmt_ratio = [](double r) -> std::string {
-    if (std::isnan(r)) return "n/a";
-    if (std::isinf(r)) return "inf";
-    std::ostringstream os;
-    os << std::setprecision(4) << r;
-    return os.str();
-  };
 
   std::cout << "streaming S-CORE, " << report.ticks << " ticks, "
             << report.deltas_applied << " flow deltas ("
@@ -256,13 +236,9 @@ int run_streaming(const topo::Topology& topology, const util::Flags& flags) {
             << " re-optimisations, " << report.deltas_per_reopt()
             << " deltas/re-opt, final cost " << report.final_cost
             << " (ratio vs fresh re-opt "
-            << fmt_ratio(report.final_fresh_computed &&
-                                 report.final_fresh_cost > 0.0
-                             ? report.final_cost / report.final_fresh_cost
-                             : report.final_fresh_computed &&
-                                       report.final_cost > 0.0
-                                 ? std::numeric_limits<double>::infinity()
-                                 : std::numeric_limits<double>::quiet_NaN())
+            << fmt_ratio(driver::fresh_ratio(report.final_cost,
+                                             report.final_fresh_cost,
+                                             report.final_fresh_computed))
             << ", worst " << fmt_ratio(report.max_cost_ratio());
   if (report.undefined_cost_ratios() > 0) {
     std::cout << ", " << report.undefined_cost_ratios() << " undefined";
@@ -309,8 +285,6 @@ int main(int argc, char** argv) {
   flags.add_bool("partial-reopt", false,
                  "streaming mode: confine triggered re-optimisations to the "
                  "drifted shards' token ranges (needs --ingest-shards > 1)");
-  flags.add_bool("distributed", false,
-                 "deprecated alias for --mode distributed");
   flags.add_bool("series", false, "print the cost-vs-time series as CSV");
   flags.add_string("save", "", "write the generated scenario snapshot to this file");
   flags.add_string("load", "", "load the scenario from a snapshot instead of generating");
@@ -325,11 +299,12 @@ int main(int argc, char** argv) {
     }
     validate_mode_combos(flags);
 
-    if (effective_mode(flags) == "streaming") {
+    const std::string mode = flags.get_string("mode");
+    if (mode == "streaming") {
       auto topology = tools::make_topology(flags);
       return run_streaming(*topology, flags);
     }
-    if (effective_mode(flags) == "continuous") {
+    if (mode == "continuous") {
       auto topology = tools::make_topology(flags);
       return run_continuous(*topology, flags);
     }
@@ -359,7 +334,7 @@ int main(int argc, char** argv) {
     core::MigrationEngine engine(model, w.runtime.engine);
 
     driver::SimResult result;
-    if (effective_mode(flags) == "distributed") {
+    if (mode == "distributed") {
       hypervisor::DistributedScoreRuntime runtime(model, alloc, tm, w.runtime);
       const hypervisor::RuntimeResult r = runtime.run();
       const driver::ConvergenceReport rep = r.report();
@@ -397,10 +372,7 @@ int main(int argc, char** argv) {
       driver::MultiTokenConfig mcfg;
       mcfg.tokens = static_cast<std::size_t>(flags.get_int("tokens"));
       mcfg.iterations = static_cast<std::size_t>(flags.get_int("iterations"));
-      const int threads = static_cast<int>(flags.get_int("threads"));
-      mcfg.policy = threads > 0
-                        ? util::ExecPolicy::par(static_cast<std::size_t>(threads))
-                        : util::ExecPolicy::seq();
+      mcfg.policy = tools::exec_policy(flags);
       driver::MultiTokenSimulation sim(engine, alloc, tm);
       result = sim.run(mcfg);
     } else {
@@ -432,13 +404,10 @@ int main(int argc, char** argv) {
       gcfg.stop_window = 20;
       baselines::GaOptimizer ga(model, gcfg);
       // Normalise against the same starting state.
-      core::ServerCapacity cap;
-      cap.vm_slots = static_cast<std::size_t>(flags.get_int("slots"));
-      cap.ram_mb = static_cast<double>(cap.vm_slots) * 256.0;
-      cap.cpu_cores = static_cast<double>(cap.vm_slots);
       util::Rng rng2(static_cast<std::uint64_t>(flags.get_int("seed")) + 1);
       core::Allocation fresh = baselines::make_allocation(
-          *w.topology, cap, static_cast<std::size_t>(flags.get_int("vms")),
+          *w.topology, tools::server_capacity(flags),
+          static_cast<std::size_t>(flags.get_int("vms")),
           core::VmSpec{}, tools::parse_placement(flags.get_string("placement")),
           rng2);
       const auto ga_res = ga.optimize(fresh, tm);

@@ -23,6 +23,7 @@
 #include "topology/fat_tree.hpp"
 #include "topology/leaf_spine.hpp"
 #include "traffic/generator.hpp"
+#include "util/exec_policy.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
 
@@ -109,6 +110,30 @@ inline baselines::PlacementStrategy parse_placement(const std::string& name) {
       "--placement must be random, round-robin or packed");
 }
 
+/// Server capacity from --slots: 256 MB of RAM and one core per VM slot.
+inline core::ServerCapacity server_capacity(const util::Flags& flags) {
+  core::ServerCapacity cap;
+  cap.vm_slots = static_cast<std::size_t>(flags.get_int("slots"));
+  cap.ram_mb = static_cast<double>(cap.vm_slots) * 256.0;
+  cap.cpu_cores = static_cast<double>(cap.vm_slots);
+  return cap;
+}
+
+/// Shard-walk execution policy from --threads (0 = sequential).
+inline util::ExecPolicy exec_policy(const util::Flags& flags) {
+  const long long threads = flags.get_int("threads");
+  return threads > 0 ? util::ExecPolicy::par(static_cast<std::size_t>(threads))
+                     : util::ExecPolicy::seq();
+}
+
+/// The distributed runtime's token policy for --policy: rr / round-robin
+/// select Round-Robin, every other name Highest-Level-First.
+inline std::string runtime_policy(const util::Flags& flags) {
+  const std::string name = flags.get_string("policy");
+  return name == "rr" || name == "round-robin" ? "round-robin"
+                                               : "highest-level-first";
+}
+
 /// Build the world and the distributed runtime config from parsed flags.
 inline World build_world(const util::Flags& flags) {
   World w;
@@ -122,19 +147,12 @@ inline World build_world(const util::Flags& flags) {
   w.tm = std::make_unique<traffic::TrafficMatrix>(traffic::generate_traffic(
       gen, parse_intensity(flags.get_string("intensity"))));
 
-  core::ServerCapacity cap;
-  cap.vm_slots = static_cast<std::size_t>(flags.get_int("slots"));
-  cap.ram_mb = static_cast<double>(cap.vm_slots) * 256.0;
-  cap.cpu_cores = static_cast<double>(cap.vm_slots);
   util::Rng rng(gen.seed + 1);
   w.alloc = std::make_unique<core::Allocation>(baselines::make_allocation(
-      *w.topology, cap, gen.num_vms, core::VmSpec{},
+      *w.topology, server_capacity(flags), gen.num_vms, core::VmSpec{},
       parse_placement(flags.get_string("placement")), rng));
 
-  w.runtime.policy = flags.get_string("policy") == "rr" ||
-                             flags.get_string("policy") == "round-robin"
-                         ? "round-robin"
-                         : "highest-level-first";
+  w.runtime.policy = runtime_policy(flags);
   w.runtime.engine.migration_cost = flags.get_double("cm");
   w.runtime.iterations = static_cast<std::size_t>(flags.get_int("iterations"));
   w.runtime.message_loss_rate = flags.get_double("loss");
