@@ -26,7 +26,7 @@ namespace score::core {
 
 struct EngineConfig {
   /// Migration (overhead) cost c_m; the paper's simulations use 0 for the
-  /// GA comparison and sweep it in §VI (see bench_ablation_cm).
+  /// GA comparison and sweep it in §VI (see bench_runner's ablation-cm rows).
   double migration_cost = 0.0;
   /// Required residual host-NIC bandwidth at the target beyond the VM's own
   /// demand (§V-C link-load threshold). 0 disables the extra headroom.

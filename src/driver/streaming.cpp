@@ -209,12 +209,10 @@ StreamingReport StreamingEngine::run() {
   if (config_.ingest_shards > 1) {
     smap = std::make_unique<traffic::ShardMap>(num_vms, config_.ingest_shards);
     shard_ranges = core::partition_vms(num_vms, smap->num_shards());
-    const std::size_t cap = config_.shard_queue_capacity != 0
-                                ? config_.shard_queue_capacity
-                                : config_.queue_capacity;
     for (std::size_t t = 0; t < smap->num_shards(); ++t) {
       shard_triggers.emplace_back(config_.drift_threshold);
-      shard_queues.push_back(std::make_unique<traffic::IngestQueue>(cap));
+      shard_queues.push_back(
+          std::make_unique<traffic::IngestQueue>(config_.queue_capacity));
     }
     drift_acc.assign(smap->num_shards(), 0.0);
     recorder = std::make_unique<DriftRecorder>(tm, *smap);

@@ -124,11 +124,6 @@ struct StreamingConfig : OptimizerConfig {
   /// drifted ingest shards' VM ranges (MultiTokenConfig::restrict_shards).
   /// Rejected with distributed mode (dom0 agents always walk their world).
   bool partial_reopt = false;
-  /// Capacity of each per-shard demux queue (0 = inherit queue_capacity).
-  /// The tick-phased engine drains every shard queue before the next apply,
-  /// so depth never exceeds 1 per queue; the bound is still enforced and
-  /// reported so external feeders reuse the same backpressure semantics.
-  std::size_t shard_queue_capacity = 0;
 
   // ---- diagnostics ---------------------------------------------------------
   /// Optional observer registered on the live matrix for the whole run (not

@@ -540,7 +540,7 @@ void RemoteAgentExecutor::deliver(const sim::Message& msg) {
       static_cast<int>(msg.type) ==
           static_cast<int>(CtrlMsg::kLocationRequest) ||
       static_cast<int>(msg.type) == static_cast<int>(CtrlMsg::kCapacityRequest);
-  if (!config_.pipeline_probes || !stateless) {
+  if (!stateless) {
     drain_window();
     round_trip(agent_of_host(msg.dst), std::move(task));
     return;

@@ -65,7 +65,6 @@ struct RemoteExecutorConfig {
   /// How long a dead daemon's hosts stay parked awaiting a reconnect before
   /// they are redistributed to a survivor.
   double reconnect_grace_s = 10.0;
-  bool pipeline_probes = true;  ///< overlap stateless probe-request tasks
   /// Chaos hook: sever kill_agent's connection (scheduler-side close) right
   /// after its Nth task was sent. 0 disables.
   std::size_t kill_after_tasks = 0;

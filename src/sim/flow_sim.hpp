@@ -6,9 +6,10 @@
 // *achieve*: concurrent flows receive their max-min fair share of every link
 // on their (ECMP-pinned) path — the classical progressive-filling model of
 // TCP-fair sharing — and finite flows run to completion, yielding flow
-// completion times (FCTs). bench_fct compares FCTs before and after S-CORE
-// re-localises the fleet: the cost reduction translates into real
-// throughput/FCT gains, which is the end-to-end point of the system.
+// completion times (FCTs). bench_runner's ablation-fct rows compare FCTs
+// before and after S-CORE re-localises the fleet: the cost reduction
+// translates into real throughput/FCT gains, which is the end-to-end point
+// of the system.
 #pragma once
 
 #include <cstdint>

@@ -37,6 +37,10 @@ Two modes:
           +100%; one-sided — a p99 over a handful of batches is the
           noisiest gated metric, so only a clear tail blow-up fails).
 
+      A gated metric that is null (bench_runner writes NaN/inf as null) on
+      either side of a joined pair fails the gate: an undefined value never
+      passes as a benign default.
+
       Scenarios present only in the baseline (e.g. the paper-scale suite
       when CI runs --scale default) are reported as skipped, not failed.
       Scenarios present only in the candidate — benches with no committed
@@ -65,6 +69,12 @@ REQUIRED_FIELDS = {
     "cost_reduction_pct": (int, float),
     "migrations": int,
 }
+
+
+# Metrics compare() gates besides the required cost_reduction_pct.
+GATED_METRICS = ("ns_per_call", "checksum_per_call", "checksum",
+                 "updates_per_sec", "bytes_per_vm", "ns_per_migration",
+                 "fold_p99_ns")
 
 
 def fail(msg: str) -> None:
@@ -146,7 +156,19 @@ def compare(baseline: dict, candidate: dict, args: argparse.Namespace) -> int:
             continue
         compared += 1
 
-        if "ns_per_call" in b and "ns_per_call" in c and b["ns_per_call"] > 0:
+        for field in GATED_METRICS:
+            sides = [side for side, rec in (("baseline", b), ("candidate", c))
+                     if field in rec and rec[field] is None]
+            if sides:
+                fail(f"{name}: {field} is null in the {' and '.join(sides)} "
+                     "(undefined values fail the gate)")
+                failures += 1
+
+        def gated(field: str) -> bool:
+            """Present and defined on both sides (nulls already failed)."""
+            return b.get(field) is not None and c.get(field) is not None
+
+        if gated("ns_per_call") and b["ns_per_call"] > 0:
             ratio = c["ns_per_call"] / b["ns_per_call"]
             allowed = max(b["ns_per_call"] * (1.0 + args.ns_tolerance), args.ns_floor)
             if c["ns_per_call"] > allowed:
@@ -160,7 +182,7 @@ def compare(baseline: dict, candidate: dict, args: argparse.Namespace) -> int:
 
         for field, need_equal_calls in (("checksum_per_call", False),
                                         ("checksum", True)):
-            if field not in b or field not in c or b[field] == 0:
+            if not gated(field) or b[field] == 0:
                 continue
             if need_equal_calls and b.get("calls") != c.get("calls"):
                 continue
@@ -170,8 +192,7 @@ def compare(baseline: dict, candidate: dict, args: argparse.Namespace) -> int:
                      f"{c[field]:.9g} (rel {rel:.3g} > {args.checksum_rtol:.3g})")
                 failures += 1
 
-        if ("updates_per_sec" in b and "updates_per_sec" in c
-                and b["updates_per_sec"] > 0):
+        if gated("updates_per_sec") and b["updates_per_sec"] > 0:
             ratio = c["updates_per_sec"] / b["updates_per_sec"]
             if ratio < 1.0 - args.updates_tolerance:
                 fail(f"{name}: updates_per_sec regressed "
@@ -189,7 +210,7 @@ def compare(baseline: dict, candidate: dict, args: argparse.Namespace) -> int:
         for field, tolerance in (("bytes_per_vm", args.bytes_tolerance),
                                  ("ns_per_migration", args.migration_tolerance),
                                  ("fold_p99_ns", args.fold_tolerance)):
-            if field in b and field in c and b[field] > 0:
+            if gated(field) and b[field] > 0:
                 ratio = c[field] / b[field]
                 if ratio > 1.0 + tolerance:
                     fail(f"{name}: {field} regressed {b[field]:.4g} -> "

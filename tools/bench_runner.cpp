@@ -1,8 +1,9 @@
-// bench_runner — curated benchmark subset with machine-readable output.
+// bench_runner — the benchmark harness, with machine-readable output.
 //
-// Runs the entries that anchor the perf trajectory — Fig. 2 token
-// convergence, Fig. 3 cost-ratio-over-GA on both topologies, the cost-model
-// micro benchmark, and (with --scale paper) the paper-scale §VI scenarios —
+// Runs the suites that reproduce the paper's evaluation and anchor the perf
+// trajectory — Fig. 2 token convergence, Fig. 3 cost-ratio-over-GA on both
+// topologies, the cost-model micro benchmark, the remaining paper figures
+// and ablations, and (with --scale paper) the paper-scale §VI scenarios —
 // and writes every result as JSON to BENCH_results.json (override with
 // --out). Each future PR reruns this and diffs against the committed
 // trajectory file via tools/bench_compare.py to show its perf delta.
@@ -34,11 +35,11 @@
 //             one-sided. Default: "default" (the fast trajectory subset).
 //   --threads max worker threads for the tokens × threads ablation
 //             (default 4).
-//   --suite   run only one suite: fig2 | fig3 | micro | paper-scale |
-//             tokens-threads | dist-vs-centralized | steady-state |
-//             streaming-ingest | huge-scale (default: all suites the
-//             selected scale includes). The CI multi-core re-measure job uses `--scale
-//             paper --suite tokens-threads`. steady-state is the §VI-B
+//   --suite   run only one suite of kSuites below (default: all suites the
+//             selected scale includes). The CI multi-core re-measure job
+//             uses `--scale paper --suite tokens-threads`. figures is Fig.
+//             3a-c, 4, 5a, 5b-d and control-plane overhead; ablations is
+//             A1-A4, A6 and A7. steady-state is the §VI-B
 //             continuous-operation suite: VM lifecycle churn over dynamic
 //             traffic epochs, distributed re-optimisation per epoch,
 //             hard-gated against per-epoch fresh centralized
@@ -50,10 +51,8 @@
 //   --mode    restrict the dist-vs-centralized suite to one execution mode
 //             (cross-mode hard checks need "both", the default).
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -63,12 +62,15 @@
 #include <sys/resource.h>
 #endif
 
-#include "bench_common.hpp"
+#include "baselines/ga_optimizer.hpp"
+#include "bench_support.hpp"
+#include "core/cost_model.hpp"
 #include "core/scenario_io.hpp"
 #include "core/token_policy.hpp"
 #include "driver/continuous.hpp"
 #include "driver/convergence.hpp"
 #include "driver/multi_token.hpp"
+#include "driver/simulation.hpp"
 #include "driver/streaming.hpp"
 #include "hypervisor/distributed_runtime.hpp"
 #include "traffic/ingest.hpp"
@@ -78,29 +80,15 @@
 namespace {
 
 using namespace score;
-
-bool g_quick = false;
-bool g_paper_suite = false;
-bool g_huge_suite = false;
-std::size_t g_threads = 4;  // --threads: max workers for the tokens ablation
-std::string g_mode = "both";  // --mode: dist-vs-centralized restriction
-
-baselines::GaConfig runner_ga_config() {
-  baselines::GaConfig cfg = bench::ga_config();
-  if (g_quick) {
-    cfg.population = 32;
-    cfg.max_generations = 60;
-    cfg.stop_window = 10;
-  }
-  return cfg;
-}
+using bench::RunOptions;
 
 // Fig. 2: ratio of migrated VMs per token-passing iteration, canonical tree,
 // both policies. The paper's claim: the ratio plummets after iteration 2.
-void run_fig2(bench::JsonReport& report) {
+bool run_fig2(const RunOptions& /*opt*/, bench::JsonReport& report) {
   for (const std::string policy_name : {"round-robin", "highest-level-first"}) {
     bench::Stopwatch sw;
-    auto s = bench::make_scenario(/*fat_tree=*/false, traffic::Intensity::kSparse);
+    auto s =
+        bench::make_scenario("canonical-tree", traffic::Intensity::kSparse);
     s.bind_cache();
     core::MigrationEngine engine(*s.model);
     auto policy = core::make_policy(policy_name);
@@ -127,50 +115,68 @@ void run_fig2(bench::JsonReport& report) {
               << rec.cost_reduction_pct << "%, " << rec.migrations
               << " migrations in " << rec.wall_time_s << "s\n";
   }
+  return true;
 }
 
-// Fig. 3: final communication-cost ratio over the GA-approximated optimum,
-// canonical tree and fat-tree, sparse intensity (the curated subset — the
-// full intensity sweep lives in bench_fig3_{canonical,fattree}).
-void run_fig3(bench::JsonReport& report) {
-  for (const bool fat_tree : {false, true}) {
-    const std::string topo_name = fat_tree ? "fat-tree" : "canonical-tree";
-    const std::uint64_t seed = 42;
+// Fig. 3d-i: final communication-cost ratio over the GA-approximated
+// optimum, canonical tree (3d-f) and fat-tree (3g-i), at the sparse, medium
+// (x10) and dense (x50) intensities. The same base TM is scaled per
+// intensity (the paper's methodology); density effects come from the
+// bandwidth constraint binding at the higher scales.
+bool run_fig3(const RunOptions& opt, bench::JsonReport& report) {
+  baselines::GaConfig ga_cfg;
+  ga_cfg.polish = baselines::GaPolish::kFinal;  // see GaPolish docs
+  ga_cfg.population = opt.quick ? 32 : 96;
+  ga_cfg.max_generations = opt.quick ? 60 : 400;
+  ga_cfg.stop_window = opt.quick ? 10 : 20;
 
-    bench::Stopwatch ga_sw;
-    auto ga_scenario = bench::make_scenario(fat_tree, traffic::Intensity::kSparse, seed);
-    baselines::GaOptimizer ga(*ga_scenario.model, runner_ga_config());
-    const auto ga_res = ga.optimize(*ga_scenario.alloc, ga_scenario.tm);
-    const double opt = ga_res.best_cost;
-    const double ga_time = ga_sw.elapsed_s();
+  for (const std::string topo_name : {"canonical-tree", "fat-tree"}) {
+    for (const traffic::Intensity intensity :
+         {traffic::Intensity::kSparse, traffic::Intensity::kMedium,
+          traffic::Intensity::kDense}) {
+      const std::string intensity_name = traffic::intensity_name(intensity);
+      const std::uint64_t seed = 42;
 
-    for (const std::string policy_name : {"round-robin", "highest-level-first"}) {
-      bench::Stopwatch sw;
-      auto s = bench::make_scenario(fat_tree, traffic::Intensity::kSparse, seed);
-      s.bind_cache();
-      core::MigrationEngine engine(*s.model);
-      auto policy = core::make_policy(policy_name);
-      driver::SimConfig cfg;
-      cfg.iterations = 8;
-      driver::ScoreSimulation sim(engine, *policy, *s.alloc, s.tm);
-      const driver::SimResult res = sim.run(cfg);
+      // GA normaliser: one search per intensity, from the same initial state.
+      bench::Stopwatch ga_sw;
+      auto ga_scenario = bench::make_scenario(topo_name, intensity, seed);
+      baselines::GaOptimizer ga(*ga_scenario.model, ga_cfg);
+      const auto ga_res = ga.optimize(*ga_scenario.alloc, ga_scenario.tm);
+      const double opt_cost = ga_res.best_cost;
+      const double ga_time = ga_sw.elapsed_s();
 
-      bench::BenchRecord rec;
-      rec.suite = "fig3-cost-ratio";
-      rec.scenario = topo_name + "/sparse/" + policy_name;
-      rec.wall_time_s = sw.elapsed_s();
-      rec.cost_reduction_pct = 100.0 * res.reduction();
-      rec.migrations = res.total_migrations;
-      rec.metric("initial_ratio", opt > 0.0 ? res.initial_cost / opt : 0.0);
-      rec.metric("final_ratio", opt > 0.0 ? res.final_cost / opt : 0.0);
-      rec.metric("ga_cost", opt);
-      rec.metric("ga_time_s", ga_time);
-      report.add(rec);
-      std::cerr << "[fig3] " << rec.scenario << ": final ratio "
-                << (opt > 0.0 ? res.final_cost / opt : 0.0) << " in "
-                << rec.wall_time_s << "s\n";
+      for (const std::string policy_name :
+           {"round-robin", "highest-level-first"}) {
+        bench::Stopwatch sw;
+        auto s = bench::make_scenario(topo_name, intensity, seed);
+        s.bind_cache();
+        core::MigrationEngine engine(*s.model);
+        auto policy = core::make_policy(policy_name);
+        driver::SimConfig cfg;
+        cfg.iterations = 8;
+        driver::ScoreSimulation sim(engine, *policy, *s.alloc, s.tm);
+        const driver::SimResult res = sim.run(cfg);
+
+        bench::BenchRecord rec;
+        rec.suite = "fig3-cost-ratio";
+        rec.scenario = topo_name + "/" + intensity_name + "/" + policy_name;
+        rec.wall_time_s = sw.elapsed_s();
+        rec.cost_reduction_pct = 100.0 * res.reduction();
+        rec.migrations = res.total_migrations;
+        const double final_ratio =
+            opt_cost > 0.0 ? res.final_cost / opt_cost : 0.0;
+        rec.metric("initial_ratio",
+                   opt_cost > 0.0 ? res.initial_cost / opt_cost : 0.0);
+        rec.metric("final_ratio", final_ratio);
+        rec.metric("ga_cost", opt_cost);
+        rec.metric("ga_time_s", ga_time);
+        report.add(rec);
+        std::cerr << "[fig3] " << rec.scenario << ": final ratio "
+                  << final_ratio << " in " << rec.wall_time_s << "s\n";
+      }
     }
   }
+  return true;
 }
 
 // Micro benchmark: the operations that bound per-token-hold work in dom0,
@@ -178,7 +184,7 @@ void run_fig3(bench::JsonReport& report) {
 // the production path (CachedCostModel, O(1) on the bound pair);
 // "total_cost_bruteforce" keeps the Eq. (2) re-walk as the reference;
 // "apply_migration" measures the O(degree) incremental fold.
-void run_micro(bench::JsonReport& report) {
+bool run_micro(const RunOptions& opt, bench::JsonReport& report) {
   const std::size_t num_vms = 256;
   topo::CanonicalTreeConfig tcfg;
   tcfg.racks = 64;
@@ -231,17 +237,17 @@ void run_micro(bench::JsonReport& report) {
               << 1e9 * elapsed / static_cast<double>(reps) << " ns/call\n";
   };
 
-  time_op("total_cost", g_quick ? 8 * num_vms : 80 * num_vms,
+  time_op("total_cost", opt.quick ? 8 * num_vms : 80 * num_vms,
           [&](std::size_t) { return model.total_cost(alloc, tm); });
-  time_op("total_cost_bruteforce", g_quick ? 20 : 200,
+  time_op("total_cost_bruteforce", opt.quick ? 20 : 200,
           [&](std::size_t) { return brute.total_cost(alloc, tm); });
-  time_op("migration_delta", g_quick ? 8 * num_vms : 80 * num_vms,
+  time_op("migration_delta", opt.quick ? 8 * num_vms : 80 * num_vms,
           [&](std::size_t i) {
     const auto vm = static_cast<core::VmId>(i % num_vms);
     return model.migration_delta(alloc, tm, vm,
                                  (vm * 37) % topology.num_hosts());
   });
-  time_op("engine_evaluate", g_quick ? num_vms : 8 * num_vms,
+  time_op("engine_evaluate", opt.quick ? num_vms : 8 * num_vms,
           [&](std::size_t i) {
     const auto vm = static_cast<core::VmId>(i % num_vms);
     return engine.evaluate(alloc, tm, vm).delta;
@@ -261,12 +267,13 @@ void run_micro(bench::JsonReport& report) {
       }
     }
     if (away != core::kInvalidServer) {
-      time_op("apply_migration", g_quick ? 2000 : 20000, [&](std::size_t i) {
+      time_op("apply_migration", opt.quick ? 2000 : 20000, [&](std::size_t i) {
         model.apply_migration(alloc, tm, vm, i % 2 == 0 ? away : home);
         return model.total_cost(alloc, tm);
       });
     }
   }
+  return true;
 }
 
 // Paper §VI fleet shared by the paper-scale suite and the tokens × threads
@@ -309,17 +316,18 @@ PaperFleet make_paper_fleet(const topo::Topology& topology) {
 // tests enforce it), so every scenario must report the *same* final cost —
 // checked here, hard failure on divergence — while sim_wall_s shrinks with
 // the thread count. speedup_vs_par1 is the headline metric.
-bool run_tokens_threads(bench::JsonReport& report) {
-  topo::FatTree topology(topo::FatTreeConfig{.k = 16});
-  const PaperFleet fleet = make_paper_fleet(topology);
+bool run_tokens_threads(const RunOptions& opt, bench::JsonReport& report) {
+  const std::unique_ptr<topo::Topology> topology =
+      bench::make_topology("fat-tree-k16");
+  const PaperFleet fleet = make_paper_fleet(*topology);
   const traffic::TrafficMatrix& tm = fleet.tm;
   const std::size_t num_vms = fleet.num_vms;
 
   // --threads caps the widest policy: never spawn more workers than asked.
   std::vector<util::ExecPolicy> policies = {util::ExecPolicy::seq(),
                                             util::ExecPolicy::par(1)};
-  if (g_threads >= 2) policies.push_back(util::ExecPolicy::par(2));
-  if (g_threads > 2) policies.push_back(util::ExecPolicy::par(g_threads));
+  if (opt.threads >= 2) policies.push_back(util::ExecPolicy::par(2));
+  if (opt.threads > 2) policies.push_back(util::ExecPolicy::par(opt.threads));
 
   bool ok = true;
   for (const std::size_t tokens : {4u, 16u}) {
@@ -327,7 +335,7 @@ bool run_tokens_threads(bench::JsonReport& report) {
     double par1_wall_s = 0.0;
     for (const util::ExecPolicy& policy : policies) {
       core::Allocation alloc = fleet.alloc;
-      core::CachedCostModel model(topology, core::LinkWeights::exponential(3));
+      core::CachedCostModel model(*topology, core::LinkWeights::exponential(3));
       model.bind(alloc, tm);
       core::MigrationEngine engine(model);
 
@@ -398,22 +406,12 @@ bool run_tokens_threads(bench::JsonReport& report) {
 // Paper-scale suite (§VI topologies): short Round-Robin runs plus cost-
 // oracle timings at the sizes the paper evaluates. No GA normaliser — the
 // reduction is reported against the initial random placement.
-void run_paper_scale(bench::JsonReport& report) {
-  struct Spec {
-    std::string name;
-    std::unique_ptr<topo::Topology> topology;
-  };
-  std::vector<Spec> specs;
-  specs.push_back({"canonical-2560", std::make_unique<topo::CanonicalTree>(
-                                         topo::CanonicalTreeConfig::paper_scale())});
-  specs.push_back({"fat-tree-k16", std::make_unique<topo::FatTree>(
-                                       topo::FatTreeConfig{.k = 16})});
-  specs.push_back({"fat-tree-k32", std::make_unique<topo::FatTree>(
-                                       topo::FatTreeConfig{.k = 32})});
-
-  for (auto& spec : specs) {
+bool run_paper_scale(const RunOptions& opt, bench::JsonReport& report) {
+  for (const std::string name :
+       {"canonical-2560", "fat-tree-k16", "fat-tree-k32"}) {
+    const std::unique_ptr<topo::Topology> topo_ptr = bench::make_topology(name);
     bench::Stopwatch sw;
-    const topo::Topology& topology = *spec.topology;
+    const topo::Topology& topology = *topo_ptr;
     core::CachedCostModel model(topology, core::LinkWeights::exponential(3));
     core::CostModel brute(topology, core::LinkWeights::exponential(3));
 
@@ -437,19 +435,19 @@ void run_paper_scale(bench::JsonReport& report) {
     const double sim_wall = sim_sw.elapsed_s();
 
     // Cost-oracle timings at this scale, post-convergence state.
-    const std::size_t cached_reps = g_quick ? 2000 : 20000;
+    const std::size_t cached_reps = opt.quick ? 2000 : 20000;
     bench::Stopwatch cached_sw;
     double sink = 0.0;
     for (std::size_t i = 0; i < cached_reps; ++i) sink += model.total_cost(alloc, tm);
     const double cached_ns = 1e9 * cached_sw.elapsed_s() / static_cast<double>(cached_reps);
-    const std::size_t brute_reps = g_quick ? 2 : 5;
+    const std::size_t brute_reps = opt.quick ? 2 : 5;
     bench::Stopwatch brute_sw;
     for (std::size_t i = 0; i < brute_reps; ++i) sink += brute.total_cost(alloc, tm);
     const double brute_ns = 1e9 * brute_sw.elapsed_s() / static_cast<double>(brute_reps);
 
     bench::BenchRecord rec;
     rec.suite = "paper-scale";
-    rec.scenario = spec.name;
+    rec.scenario = name;
     rec.wall_time_s = sw.elapsed_s();
     rec.cost_reduction_pct = 100.0 * res.reduction();
     rec.migrations = res.total_migrations;
@@ -470,6 +468,7 @@ void run_paper_scale(bench::JsonReport& report) {
               << "s sim (cached total_cost " << cached_ns << " ns, brute "
               << brute_ns << " ns)\n";
   }
+  return true;
 }
 
 // Distributed-vs-centralized suite (paper suite): the paper's headline claim
@@ -479,27 +478,18 @@ void run_paper_scale(bench::JsonReport& report) {
 // topologies, stay there under 5% control-message loss (probe timeouts +
 // token retransmission), and reproduce its exact wire trace for a fixed
 // seed. All three properties are hard checks: divergence fails the run.
-bool run_dist_vs_centralized(bench::JsonReport& report) {
-  struct Spec {
-    std::string name;
-    std::unique_ptr<topo::Topology> topology;
-  };
-  std::vector<Spec> specs;
-  specs.push_back({"canonical-2560", std::make_unique<topo::CanonicalTree>(
-                                         topo::CanonicalTreeConfig::paper_scale())});
-  specs.push_back({"fat-tree-k16", std::make_unique<topo::FatTree>(
-                                       topo::FatTreeConfig{.k = 16})});
-
+bool run_dist_vs_centralized(const RunOptions& opt, bench::JsonReport& report) {
   constexpr std::size_t kMaxRounds = 8;
   constexpr double kRatioTolerance = 0.01;
   bool ok = true;
 
-  for (auto& spec : specs) {
-    const topo::Topology& topology = *spec.topology;
+  for (const std::string name : {"canonical-2560", "fat-tree-k16"}) {
+    const std::unique_ptr<topo::Topology> topo_ptr = bench::make_topology(name);
+    const topo::Topology& topology = *topo_ptr;
     const PaperFleet fleet = make_paper_fleet(topology);
 
     driver::ConvergenceReport central;
-    if (g_mode != "distributed") {
+    if (opt.mode != "distributed") {
       core::Allocation alloc = fleet.alloc;
       core::CachedCostModel model(topology, core::LinkWeights::exponential(3));
       model.bind(alloc, fleet.tm);
@@ -513,7 +503,7 @@ bool run_dist_vs_centralized(bench::JsonReport& report) {
 
       bench::BenchRecord rec;
       rec.suite = "distributed-vs-centralized";
-      rec.scenario = spec.name + "/centralized";
+      rec.scenario = name + "/centralized";
       rec.wall_time_s = sw.elapsed_s();
       rec.cost_reduction_pct = 100.0 * central.reduction();
       rec.migrations = central.migrations;
@@ -528,7 +518,7 @@ bool run_dist_vs_centralized(bench::JsonReport& report) {
                 << " rounds (" << rec.wall_time_s << "s wall)\n";
     }
 
-    if (g_mode == "centralized") continue;
+    if (opt.mode == "centralized") continue;
 
     const auto run_distributed = [&](double loss_rate,
                                      hypervisor::RuntimeResult& out) {
@@ -553,8 +543,8 @@ bool run_dist_vs_centralized(bench::JsonReport& report) {
 
       bench::BenchRecord rec;
       rec.suite = "distributed-vs-centralized";
-      rec.scenario = spec.name +
-                     (loss == 0.0 ? "/distributed" : "/distributed-loss5");
+      rec.scenario =
+          name + (loss == 0.0 ? "/distributed" : "/distributed-loss5");
       rec.wall_time_s = wall;
       rec.cost_reduction_pct = 100.0 * rep.reduction();
       rec.migrations = rep.migrations;
@@ -572,7 +562,7 @@ bool run_dist_vs_centralized(bench::JsonReport& report) {
       rec.metric("probe_timeouts", static_cast<double>(res.probe_timeouts));
       rec.metric("migrated_mb", res.migrated_mb);
       double ratio = 0.0;
-      if (g_mode == "both" && central.final_cost > 0.0) {
+      if (opt.mode == "both" && central.final_cost > 0.0) {
         ratio = rep.final_cost / central.final_cost;
         rec.metric("final_cost_ratio_vs_centralized", ratio);
         // One-sided: distributed must not end more than 1% above the
@@ -604,7 +594,7 @@ bool run_dist_vs_centralized(bench::JsonReport& report) {
         run_distributed(0.0, repeat);
         if (repeat.trace_hash != res.trace_hash ||
             repeat.final_cost != res.final_cost) {
-          std::cerr << "[dist-vs-cent] DETERMINISM FAILURE: " << spec.name
+          std::cerr << "[dist-vs-cent] DETERMINISM FAILURE: " << name
                     << " trace hash " << std::hex << res.trace_hash << " vs "
                     << repeat.trace_hash << std::dec << "\n";
           ok = false;
@@ -624,24 +614,15 @@ bool run_dist_vs_centralized(bench::JsonReport& report) {
 // churn incrementally is as good as starting over). A fixed lifecycle seed
 // must also reproduce the event timeline and structural trace hash exactly
 // (checked by a second run on the fat-tree scenario).
-bool run_steady_state(bench::JsonReport& report) {
-  struct Spec {
-    std::string name;
-    std::unique_ptr<topo::Topology> topology;
-  };
-  std::vector<Spec> specs;
-  specs.push_back({"canonical-2560", std::make_unique<topo::CanonicalTree>(
-                                         topo::CanonicalTreeConfig::paper_scale())});
-  specs.push_back({"fat-tree-k16", std::make_unique<topo::FatTree>(
-                                       topo::FatTreeConfig{.k = 16})});
-
+bool run_steady_state(const RunOptions& opt, bench::JsonReport& report) {
   // One-sided band: continued cost may beat the fresh reference (carried
   // state is a head start) but must not exceed it by more than 5%.
   constexpr double kSteadyBand = 0.05;
   bool ok = true;
 
-  for (auto& spec : specs) {
-    const topo::Topology& topology = *spec.topology;
+  for (const std::string name : {"canonical-2560", "fat-tree-k16"}) {
+    const std::unique_ptr<topo::Topology> topo_ptr = bench::make_topology(name);
+    const topo::Topology& topology = *topo_ptr;
     for (const traffic::Intensity intensity :
          {traffic::Intensity::kSparse, traffic::Intensity::kDense}) {
       driver::ContinuousConfig cfg;
@@ -655,7 +636,7 @@ bool run_steady_state(bench::JsonReport& report) {
       cfg.generator.seed = 42;
       cfg.dynamics.seed = 43;
       cfg.intensity_scale = traffic::intensity_scale(intensity);
-      cfg.epochs = g_quick ? 2 : 4;
+      cfg.epochs = opt.quick ? 2 : 4;
       cfg.tenant_vms = 32;
       cfg.initial_active_fraction = 0.8;
       cfg.arrival_prob = 0.3;
@@ -686,7 +667,7 @@ bool run_steady_state(bench::JsonReport& report) {
         // non-empty epoch with an undefined (NaN) ratio fails the band too.
         if (er.epoch >= 1 && er.active_vms > 0 &&
             !(er.cost_ratio() - 1.0 <= kSteadyBand)) {
-          std::cerr << "[steady-state] BAND FAILURE: " << spec.name << "/"
+          std::cerr << "[steady-state] BAND FAILURE: " << name << "/"
                     << traffic::intensity_name(intensity) << " epoch "
                     << er.epoch << " cost " << er.cost_after
                     << " vs fresh re-opt " << er.fresh_cost << " (ratio "
@@ -699,7 +680,7 @@ bool run_steady_state(bench::JsonReport& report) {
       bench::BenchRecord rec;
       rec.suite = "steady-state";
       rec.scenario =
-          spec.name + "/" + traffic::intensity_name(intensity) + "/distributed";
+          name + "/" + traffic::intensity_name(intensity) + "/distributed";
       rec.wall_time_s = wall;
       rec.cost_reduction_pct =
           initial_cost > 0.0 ? 100.0 * (1.0 - final_cost / initial_cost) : 0.0;
@@ -729,7 +710,7 @@ bool run_steady_state(bench::JsonReport& report) {
 
       // Determinism seam: one re-run on the smaller topology must reproduce
       // the event timeline and the structural trace hash bit for bit.
-      if (spec.name == "fat-tree-k16" &&
+      if (name == "fat-tree-k16" &&
           intensity == traffic::Intensity::kSparse) {
         driver::ContinuousEngine repeat_engine(topology, cfg);
         const driver::SteadyStateReport repeat = repeat_engine.run();
@@ -759,23 +740,24 @@ bool run_steady_state(bench::JsonReport& report) {
 // Hard gate: every triggered re-opt (and the final state) lands within the
 // <= 1.05 band of a fresh per-event re-optimisation; headline metrics are
 // the re-opt count and deltas folded per re-opt.
-bool run_streaming_ingest(bench::JsonReport& report) {
+bool run_streaming_ingest(const RunOptions& opt, bench::JsonReport& report) {
   bool ok = true;
 
   // ---- fold throughput ------------------------------------------------------
   {
-    topo::CanonicalTree topology(topo::CanonicalTreeConfig::paper_scale());
-    PaperFleet fleet = make_paper_fleet(topology);
+    const std::unique_ptr<topo::Topology> topology =
+        bench::make_topology("canonical-2560");
+    PaperFleet fleet = make_paper_fleet(*topology);
     traffic::TrafficMatrix& tm = fleet.tm;
-    core::CachedCostModel model(topology, core::LinkWeights::exponential(3));
-    core::CostModel brute(topology, core::LinkWeights::exponential(3));
+    core::CachedCostModel model(*topology, core::LinkWeights::exponential(3));
+    core::CostModel brute(*topology, core::LinkWeights::exponential(3));
     model.bind(fleet.alloc, tm);
 
     traffic::FlowEventConfig ecfg;
     ecfg.events_per_tick = 4096;
     ecfg.seed = 97;
     traffic::FlowEventStream stream(tm, ecfg);
-    const std::size_t num_batches = g_quick ? 32 : 256;
+    const std::size_t num_batches = opt.quick ? 32 : 256;
     std::vector<traffic::FlowDeltaBatch> batches;
     batches.reserve(num_batches);
     std::uint64_t updates = 0;
@@ -851,19 +833,10 @@ bool run_streaming_ingest(bench::JsonReport& report) {
   }
 
   // ---- drift-triggered streaming runs --------------------------------------
-  struct Spec {
-    std::string name;
-    std::unique_ptr<topo::Topology> topology;
-  };
-  std::vector<Spec> specs;
-  specs.push_back({"canonical-2560", std::make_unique<topo::CanonicalTree>(
-                                         topo::CanonicalTreeConfig::paper_scale())});
-  specs.push_back({"fat-tree-k16", std::make_unique<topo::FatTree>(
-                                       topo::FatTreeConfig{.k = 16})});
   constexpr double kDriftBand = 0.05;
 
   // The drift-triggered scenario of both loops below.
-  const auto drift_config = [](const topo::Topology& topology) {
+  const auto drift_config = [&opt](const topo::Topology& topology) {
     driver::StreamingConfig cfg;
     cfg.server_capacity.vm_slots = 16;
     cfg.server_capacity.ram_mb = 16 * 256.0;
@@ -883,7 +856,7 @@ bool run_streaming_ingest(bench::JsonReport& report) {
     cfg.events.seed = 97;
     // Quick mode still needs enough ticks for drift to cross the trigger
     // threshold on the big fleet (3 events/VM total at 6 ticks).
-    cfg.ticks = g_quick ? 6 : 12;
+    cfg.ticks = opt.quick ? 6 : 12;
     // Bounded ingest: the producer easily outruns a consumer that stops to
     // re-optimise, so backpressure is what keeps the backlog (and staleness)
     // finite. The queue's high-water mark is hard-gated below.
@@ -899,8 +872,9 @@ bool run_streaming_ingest(bench::JsonReport& report) {
     return cfg;
   };
 
-  for (auto& spec : specs) {
-    const topo::Topology& topology = *spec.topology;
+  for (const std::string name : {"canonical-2560", "fat-tree-k16"}) {
+    const std::unique_ptr<topo::Topology> topo_ptr = bench::make_topology(name);
+    const topo::Topology& topology = *topo_ptr;
     const driver::StreamingConfig cfg = drift_config(topology);
 
     bench::Stopwatch sw;
@@ -909,7 +883,7 @@ bool run_streaming_ingest(bench::JsonReport& report) {
     const double wall = sw.elapsed_s();
 
     if (res.max_cost_ratio() - 1.0 > kDriftBand) {
-      std::cerr << "[streaming-ingest] BAND FAILURE: " << spec.name
+      std::cerr << "[streaming-ingest] BAND FAILURE: " << name
                 << " max cost ratio " << res.max_cost_ratio() << " vs band "
                 << 1.0 + kDriftBand << "\n";
       ok = false;
@@ -917,7 +891,7 @@ bool run_streaming_ingest(bench::JsonReport& report) {
     // Backpressure gate: a bounded queue's depth can never exceed its
     // capacity — a violation means push() stopped blocking on full.
     if (res.max_queue_depth > cfg.queue_capacity) {
-      std::cerr << "[streaming-ingest] BACKPRESSURE FAILURE: " << spec.name
+      std::cerr << "[streaming-ingest] BACKPRESSURE FAILURE: " << name
                 << " max queue depth " << res.max_queue_depth
                 << " > capacity " << cfg.queue_capacity << "\n";
       ok = false;
@@ -928,7 +902,7 @@ bool run_streaming_ingest(bench::JsonReport& report) {
 
     bench::BenchRecord rec;
     rec.suite = "streaming-ingest";
-    rec.scenario = spec.name + "/drift-trigger";
+    rec.scenario = name + "/drift-trigger";
     rec.wall_time_s = wall;
     rec.cost_reduction_pct =
         res.initial_cost > 0.0
@@ -970,8 +944,9 @@ bool run_streaming_ingest(bench::JsonReport& report) {
   // queue families respect their bounds, and a seq re-run of the identical
   // config lands on bit-identical results (the fold is single-owner; shard
   // workers only write disjoint accumulators).
-  for (auto& spec : specs) {
-    const topo::Topology& topology = *spec.topology;
+  for (const std::string name : {"canonical-2560", "fat-tree-k16"}) {
+    const std::unique_ptr<topo::Topology> topo_ptr = bench::make_topology(name);
+    const topo::Topology& topology = *topo_ptr;
     driver::StreamingConfig cfg = drift_config(topology);
     cfg.ingest_shards = 4;
     cfg.partial_reopt = true;
@@ -984,7 +959,7 @@ bool run_streaming_ingest(bench::JsonReport& report) {
 
     if (res.undefined_cost_ratios() > 0 ||
         res.max_cost_ratio() - 1.0 > kDriftBand) {
-      std::cerr << "[streaming-ingest] BAND FAILURE: " << spec.name
+      std::cerr << "[streaming-ingest] BAND FAILURE: " << name
                 << "/sharded max cost ratio " << res.max_cost_ratio()
                 << " (undefined " << res.undefined_cost_ratios()
                 << ") vs band " << 1.0 + kDriftBand << "\n";
@@ -992,7 +967,7 @@ bool run_streaming_ingest(bench::JsonReport& report) {
     }
     if (res.max_queue_depth > cfg.queue_capacity ||
         res.max_shard_queue_depth > cfg.queue_capacity) {
-      std::cerr << "[streaming-ingest] BACKPRESSURE FAILURE: " << spec.name
+      std::cerr << "[streaming-ingest] BACKPRESSURE FAILURE: " << name
                 << "/sharded depths " << res.max_queue_depth << "/"
                 << res.max_shard_queue_depth << " > capacity "
                 << cfg.queue_capacity << "\n";
@@ -1008,7 +983,7 @@ bool run_streaming_ingest(bench::JsonReport& report) {
       if (seq_res.final_cost != res.final_cost ||
           seq_res.reopts.size() != res.reopts.size() ||
           seq_res.partial_reopts != res.partial_reopts) {
-        std::cerr << "[streaming-ingest] DETERMINISM FAILURE: " << spec.name
+        std::cerr << "[streaming-ingest] DETERMINISM FAILURE: " << name
                   << "/sharded seq vs par(2): final " << seq_res.final_cost
                   << " vs " << res.final_cost << ", reopts "
                   << seq_res.reopts.size() << " vs " << res.reopts.size()
@@ -1023,7 +998,7 @@ bool run_streaming_ingest(bench::JsonReport& report) {
 
     bench::BenchRecord rec;
     rec.suite = "streaming-ingest";
-    rec.scenario = spec.name + "/sharded-ingest";
+    rec.scenario = name + "/sharded-ingest";
     rec.wall_time_s = wall;
     rec.cost_reduction_pct =
         res.initial_cost > 0.0
@@ -1112,25 +1087,11 @@ void reset_peak_rss() {
 //   bytes_per_vm        peak RSS / num_vms        <= kMaxBytesPerVm
 //   ns_per_migration    sim wall / migrations     <= kMaxNsPerMigration
 // --quick trims the suite to fat-tree-k48 (the CI smoke tier).
-bool run_huge_scale(bench::JsonReport& report) {
-  struct Spec {
-    std::string name;
-    std::function<std::unique_ptr<topo::Topology>()> make;
-  };
-  std::vector<Spec> specs;
-  specs.push_back({"fat-tree-k48", [] {
-                     return std::make_unique<topo::FatTree>(
-                         topo::FatTreeConfig::huge_scale_k48());
-                   }});
-  if (!g_quick) {
-    specs.push_back({"fat-tree-k64", [] {
-                       return std::make_unique<topo::FatTree>(
-                           topo::FatTreeConfig::huge_scale_k64());
-                     }});
-    specs.push_back({"canonical-1m-vm", [] {
-                       return std::make_unique<topo::CanonicalTree>(
-                           topo::CanonicalTreeConfig::huge_scale());
-                     }});
+bool run_huge_scale(const RunOptions& opt, bench::JsonReport& report) {
+  std::vector<std::string> names = {"fat-tree-k48"};
+  if (!opt.quick) {
+    names.push_back("fat-tree-k64");
+    names.push_back("canonical-1m-vm");
   }
 
   // Measured on the reference host: ~250-290 bytes/VM and ~5.5-6.5 us per
@@ -1141,10 +1102,10 @@ bool run_huge_scale(bench::JsonReport& report) {
   constexpr double kMaxNsPerMigration = 100000.0;  // 100 us end-to-end
   bool ok = true;
 
-  for (const Spec& spec : specs) {
+  for (const std::string& name : names) {
     reset_peak_rss();
     bench::Stopwatch sw;
-    const std::unique_ptr<topo::Topology> topology = spec.make();
+    const std::unique_ptr<topo::Topology> topology = bench::make_topology(name);
     PaperFleet fleet = make_paper_fleet(*topology);
     const std::size_t num_vms = fleet.num_vms;
     traffic::TrafficMatrix& tm = fleet.tm;
@@ -1180,14 +1141,14 @@ bool run_huge_scale(bench::JsonReport& report) {
             : 0.0;
 
     if (bytes_per_vm <= 0.0 || bytes_per_vm > kMaxBytesPerVm) {
-      std::cerr << "[huge-scale] MEMORY FAILURE: " << spec.name << " "
+      std::cerr << "[huge-scale] MEMORY FAILURE: " << name << " "
                 << bytes_per_vm << " bytes/VM outside (0, " << kMaxBytesPerVm
                 << "] (peak RSS " << peak_rss << " B over " << num_vms
                 << " VMs)\n";
       ok = false;
     }
     if (ns_per_migration <= 0.0 || ns_per_migration > kMaxNsPerMigration) {
-      std::cerr << "[huge-scale] LATENCY FAILURE: " << spec.name << " "
+      std::cerr << "[huge-scale] LATENCY FAILURE: " << name << " "
                 << ns_per_migration << " ns/migration outside (0, "
                 << kMaxNsPerMigration << "] (" << res.total_migrations
                 << " migrations in " << sim_wall << "s)\n";
@@ -1196,7 +1157,7 @@ bool run_huge_scale(bench::JsonReport& report) {
 
     bench::BenchRecord rec;
     rec.suite = "huge-scale";
-    rec.scenario = spec.name;
+    rec.scenario = name;
     rec.wall_time_s = sw.elapsed_s();
     rec.cost_reduction_pct = 100.0 * res.reduction();
     rec.migrations = res.total_migrations;
@@ -1214,7 +1175,7 @@ bool run_huge_scale(bench::JsonReport& report) {
     rec.metric("compactions", static_cast<double>(tm.compactions()));
     rec.metric("final_cost", res.final_cost);
     report.add(rec);
-    std::cerr << "[huge-scale] " << spec.name << ": " << topology->num_hosts()
+    std::cerr << "[huge-scale] " << name << ": " << topology->num_hosts()
               << " hosts, " << num_vms << " VMs, " << bytes_per_vm
               << " bytes/VM peak, " << ns_per_migration << " ns/migration ("
               << res.total_migrations << " migrations, reduction "
@@ -1224,16 +1185,44 @@ bool run_huge_scale(bench::JsonReport& report) {
   return ok;
 }
 
+// --scale values, each a superset of the one before: a single `--scale huge`
+// run regenerates every row of BENCH_results.json (default + paper + huge).
+constexpr const char* kScales[] = {"default", "paper", "huge"};
+
+struct Suite {
+  const char* name;   ///< --suite value
+  std::size_t scale;  ///< index into kScales of the smallest scale running it
+  /// Runs the suite; false when one of its hard checks failed.
+  bool (*run)(const RunOptions&, bench::JsonReport&);
+};
+
+// Run order is table order. The figure and ablation suites run last, so the
+// memory they free never sits in the huge tier's peak-RSS window.
+constexpr Suite kSuites[] = {
+    {"fig2", 0, run_fig2},
+    {"fig3", 0, run_fig3},
+    {"micro", 0, run_micro},
+    {"paper-scale", 1, run_paper_scale},
+    {"tokens-threads", 1, run_tokens_threads},
+    {"dist-vs-centralized", 1, run_dist_vs_centralized},
+    {"steady-state", 1, run_steady_state},
+    {"streaming-ingest", 1, run_streaming_ingest},
+    {"huge-scale", 2, run_huge_scale},
+    {"figures", 0, bench::run_figures},
+    {"ablations", 0, bench::run_ablations},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  RunOptions opt;
   std::string out_path = "BENCH_results.json";
   std::string scale = "default";
   std::string suite = "all";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
-      g_quick = true;
+      opt.quick = true;
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
@@ -1242,30 +1231,29 @@ int main(int argc, char** argv) {
         std::cerr << "bench_runner: --threads must be >= 1\n";
         return 2;
       }
-      g_threads = static_cast<std::size_t>(n);
+      opt.threads = static_cast<std::size_t>(n);
     } else if (arg == "--scale" && i + 1 < argc) {
       scale = argv[++i];
-      if (scale != "default" && scale != "paper" && scale != "huge") {
+      if (std::find(std::begin(kScales), std::end(kScales), scale) ==
+          std::end(kScales)) {
         std::cerr << "bench_runner: --scale must be 'default', 'paper' or "
                      "'huge'\n";
         return 2;
       }
     } else if (arg == "--suite" && i + 1 < argc) {
       suite = argv[++i];
-      if (suite != "all" && suite != "fig2" && suite != "fig3" &&
-          suite != "micro" && suite != "paper-scale" &&
-          suite != "tokens-threads" && suite != "dist-vs-centralized" &&
-          suite != "steady-state" && suite != "streaming-ingest" &&
-          suite != "huge-scale") {
-        std::cerr << "bench_runner: --suite must be one of all, fig2, fig3, "
-                     "micro, paper-scale, tokens-threads, "
-                     "dist-vs-centralized, steady-state, streaming-ingest, "
-                     "huge-scale\n";
+      if (suite != "all" &&
+          std::none_of(std::begin(kSuites), std::end(kSuites),
+                       [&suite](const Suite& s) { return suite == s.name; })) {
+        std::cerr << "bench_runner: --suite must be one of all";
+        for (const Suite& s : kSuites) std::cerr << ", " << s.name;
+        std::cerr << "\n";
         return 2;
       }
     } else if (arg == "--mode" && i + 1 < argc) {
-      g_mode = argv[++i];
-      if (g_mode != "both" && g_mode != "centralized" && g_mode != "distributed") {
+      opt.mode = argv[++i];
+      if (opt.mode != "both" && opt.mode != "centralized" &&
+          opt.mode != "distributed") {
         std::cerr << "bench_runner: --mode must be 'both', 'centralized' or "
                      "'distributed'\n";
         return 2;
@@ -1277,30 +1265,17 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // "huge" is a strict superset of "paper": a single `--scale huge` run
-  // regenerates every row of BENCH_results.json (default + paper + huge).
-  g_paper_suite = scale == "paper" || scale == "huge";
-  g_huge_suite = scale == "huge";
-  const auto want = [&suite](const char* name) {
-    return suite == "all" || suite == name;
-  };
+  const auto scale_index = static_cast<std::size_t>(
+      std::find(std::begin(kScales), std::end(kScales), scale) -
+      std::begin(kScales));
 
-  score::bench::JsonReport report;
-  report.set_scale_label(scale);
+  score::bench::JsonReport report(scale);
   score::bench::Stopwatch total;
   bool ok = true;
-  if (want("fig2")) run_fig2(report);
-  if (want("fig3")) run_fig3(report);
-  if (want("micro")) run_micro(report);
-  if (g_paper_suite) {
-    if (want("paper-scale")) run_paper_scale(report);
-    if (want("tokens-threads")) ok = run_tokens_threads(report) && ok;
-    if (want("dist-vs-centralized")) ok = run_dist_vs_centralized(report) && ok;
-    if (want("steady-state")) ok = run_steady_state(report) && ok;
-    if (want("streaming-ingest")) ok = run_streaming_ingest(report) && ok;
-  }
-  if (g_huge_suite) {
-    if (want("huge-scale")) ok = run_huge_scale(report) && ok;
+  for (const Suite& s : kSuites) {
+    if (s.scale <= scale_index && (suite == "all" || suite == s.name)) {
+      ok = s.run(opt, report) && ok;
+    }
   }
   if (report.size() == 0) {
     std::cerr << "bench_runner: --suite " << suite

@@ -1,68 +1,77 @@
-// Shared scaffolding for the figure-reproduction benches.
+// Shared scaffolding for bench_runner's suites: the named topologies every
+// suite runs on, the default-scale scenario builder, and the score-bench/v1
+// record emitter.
 //
-// Default parameters are scaled down from the paper (2560-host canonical
-// tree / k = 16 fat-tree, GA population 1000) so every bench finishes in
-// minutes on one core while preserving the qualitative shapes. Set the
-// environment variable SCORE_BENCH_SCALE=paper to run closer to paper scale
-// (slower; intended for overnight runs).
+// Default-scale scenarios are scaled down from the paper (160-host canonical
+// tree / k = 8 fat-tree, 4 VM slots per host) so every figure suite finishes
+// in seconds on one core while preserving the qualitative shapes; the
+// paper-scale and huge suites build the §VI topologies by name instead.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "baselines/ga_optimizer.hpp"
 #include "baselines/placement.hpp"
 #include "core/cached_cost_model.hpp"
-#include "core/cost_model.hpp"
-#include "core/metrics.hpp"
-#include "driver/simulation.hpp"
 #include "topology/canonical_tree.hpp"
 #include "topology/fat_tree.hpp"
+#include "topology/leaf_spine.hpp"
 #include "traffic/generator.hpp"
-#include "util/csv.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace score::bench {
 
-/// SCORE_BENCH_SCALE=paper rescales the shared scenario configs (and GA
-/// budget) to the paper's §VI sizes — overnight runs. Independent of
-/// bench_runner's --scale flag, which only adds the self-contained
-/// paper-scale suite to the trajectory.
-inline bool paper_scale() {
-  static const bool paper = [] {
-    const char* env = std::getenv("SCORE_BENCH_SCALE");
-    return env != nullptr && std::string(env) == "paper";
-  }();
-  return paper;
-}
+/// Command-line settings the suites read.
+struct RunOptions {
+  bool quick = false;         ///< --quick: smaller GA budgets and rep counts
+  std::size_t threads = 4;    ///< --threads: widest tokens-ablation policy
+  std::string mode = "both";  ///< --mode: dist-vs-centralized restriction
+};
 
-inline topo::CanonicalTreeConfig canonical_config() {
-  if (paper_scale()) return topo::CanonicalTreeConfig::paper_scale();
-  topo::CanonicalTreeConfig cfg;  // 32 racks x 5 hosts = 160 hosts
-  cfg.racks = 32;
-  cfg.hosts_per_rack = 5;
-  cfg.racks_per_pod = 4;
-  cfg.cores = 4;
-  return cfg;
-}
-
-inline topo::FatTreeConfig fattree_config() {
-  if (paper_scale()) return topo::FatTreeConfig::paper_scale();
-  return topo::FatTreeConfig{.k = 8};  // 128 hosts
+/// Every topology a suite runs on, by the name its rows carry. Default
+/// scale: "canonical-tree" (160 hosts), "fat-tree" (k = 8, 128 hosts),
+/// "leaf-spine" (160 hosts). Paper §VI: "canonical-2560", "fat-tree-k16",
+/// "fat-tree-k32". Huge tier: "fat-tree-k48", "fat-tree-k64",
+/// "canonical-1m-vm" (128000 hosts).
+inline std::unique_ptr<topo::Topology> make_topology(const std::string& name) {
+  if (name == "canonical-tree") {
+    return std::make_unique<topo::CanonicalTree>(topo::CanonicalTreeConfig{
+        .racks = 32, .hosts_per_rack = 5, .racks_per_pod = 4, .cores = 4});
+  }
+  if (name == "fat-tree") {
+    return std::make_unique<topo::FatTree>(topo::FatTreeConfig{.k = 8});
+  }
+  if (name == "leaf-spine") {
+    return std::make_unique<topo::LeafSpine>(
+        topo::LeafSpineConfig{.leaves = 32, .hosts_per_leaf = 5, .spines = 4});
+  }
+  if (name == "canonical-2560") {
+    return std::make_unique<topo::CanonicalTree>(
+        topo::CanonicalTreeConfig::paper_scale());
+  }
+  if (name == "canonical-1m-vm") {
+    return std::make_unique<topo::CanonicalTree>(
+        topo::CanonicalTreeConfig::huge_scale());
+  }
+  for (const std::size_t k : {16, 32, 48, 64}) {
+    if (name == "fat-tree-k" + std::to_string(k)) {
+      return std::make_unique<topo::FatTree>(topo::FatTreeConfig{.k = k});
+    }
+  }
+  throw std::invalid_argument("bench_runner: unknown topology " + name);
 }
 
 inline core::ServerCapacity server_capacity() {
   core::ServerCapacity cap;
-  cap.vm_slots = paper_scale() ? 16 : 4;
+  cap.vm_slots = 4;
   cap.ram_mb = static_cast<double>(cap.vm_slots) * 256.0;
   cap.cpu_cores = static_cast<double>(cap.vm_slots);
   return cap;
@@ -85,14 +94,11 @@ struct Scenario {
   void bind_cache() { model->bind(*alloc, tm); }
 };
 
-inline Scenario make_scenario(bool fat_tree, traffic::Intensity intensity,
+inline Scenario make_scenario(const std::string& topology,
+                              traffic::Intensity intensity,
                               std::uint64_t seed = 42) {
   Scenario s;
-  if (fat_tree) {
-    s.topology = std::make_unique<topo::FatTree>(fattree_config());
-  } else {
-    s.topology = std::make_unique<topo::CanonicalTree>(canonical_config());
-  }
+  s.topology = make_topology(topology);
   s.model = std::make_unique<core::CachedCostModel>(
       *s.topology, core::LinkWeights::exponential(3));
   traffic::GeneratorConfig gen;
@@ -130,9 +136,8 @@ inline Scenario make_scenario(bool fat_tree, traffic::Intensity intensity,
 // --------------------------------------------------------------------------
 // Machine-readable results: every bench entry is one JSON object with the
 // common fields (suite, scenario, wall-time, cost reduction, migrations) plus
-// free-form numeric metrics. tools/bench_runner aggregates these into
-// BENCH_results.json so each PR can report a perf delta against the previous
-// trajectory file.
+// free-form numeric metrics. tools/bench_compare.py diffs two such files, so
+// each PR can report a perf delta against the committed BENCH_results.json.
 // --------------------------------------------------------------------------
 
 struct BenchRecord {
@@ -183,19 +188,15 @@ inline std::string json_number(double v) {
 ///   {"schema": "...", "scale": "...", "results": [ {...}, ... ]}
 class JsonReport {
  public:
-  void add(BenchRecord record) { records_.push_back(std::move(record)); }
+  /// `scale` is bench_runner's --scale value.
+  explicit JsonReport(std::string scale) : scale_(std::move(scale)) {}
 
-  /// Override the top-level "scale" field (bench_runner's --scale flag);
-  /// defaults to the process-wide bench scale.
-  void set_scale_label(std::string label) { scale_label_ = std::move(label); }
+  void add(BenchRecord record) { records_.push_back(std::move(record)); }
 
   void write(std::ostream& os) const {
     os << "{\n";
     os << "  \"schema\": \"score-bench/v1\",\n";
-    os << "  \"scale\": \""
-       << (scale_label_.empty() ? (paper_scale() ? "paper" : "default")
-                                : scale_label_)
-       << "\",\n";
+    os << "  \"scale\": \"" << scale_ << "\",\n";
     os << "  \"results\": [";
     for (std::size_t i = 0; i < records_.size(); ++i) {
       const BenchRecord& r = records_[i];
@@ -216,8 +217,8 @@ class JsonReport {
   std::size_t size() const { return records_.size(); }
 
  private:
+  std::string scale_;
   std::vector<BenchRecord> records_;
-  std::string scale_label_;
 };
 
 /// Monotonic wall-clock stopwatch for BenchRecord::wall_time_s.
@@ -233,19 +234,9 @@ class Stopwatch {
   std::chrono::steady_clock::time_point start_;
 };
 
-inline baselines::GaConfig ga_config() {
-  baselines::GaConfig cfg;
-  cfg.polish = baselines::GaPolish::kFinal;  // see GaPolish docs
-  if (paper_scale()) {
-    cfg.population = 1000;  // paper §VI-A
-    cfg.max_generations = 2000;
-    cfg.stop_window = 10;
-  } else {
-    cfg.population = 96;
-    cfg.max_generations = 400;
-    cfg.stop_window = 20;
-  }
-  return cfg;
-}
+/// The paper-figure and ablation suites (bench_figures.cpp): Fig. 3a-c, 4,
+/// 5a, 5b-d and control-plane overhead; ablations A1-A4, A6, A7.
+bool run_figures(const RunOptions& opt, JsonReport& report);
+bool run_ablations(const RunOptions& opt, JsonReport& report);
 
 }  // namespace score::bench

@@ -56,9 +56,6 @@ int main(int argc, char** argv) {
   flags.add_double("grace-s", 10.0,
                    "how long a dead daemon's hosts stay parked awaiting a "
                    "reconnect before redistribution to a survivor (seconds)");
-  flags.add_bool("pipeline", true,
-                 "overlap stateless probe-request tasks instead of "
-                 "round-tripping each one");
   flags.add_int("kill-after-tasks", 0,
                 "chaos hook: sever --kill-agent's connection after its Nth "
                 "task was sent; 0 disables");
@@ -100,7 +97,6 @@ int main(int argc, char** argv) {
         util::FaultProfile::chaos(flags.get_double("fault-rate"));
     config.result_timeout_s = flags.get_double("result-timeout");
     config.reconnect_grace_s = flags.get_double("grace-s");
-    config.pipeline_probes = flags.get_bool("pipeline");
     config.kill_after_tasks =
         static_cast<std::size_t>(flags.get_int("kill-after-tasks"));
     config.kill_agent = static_cast<std::uint32_t>(flags.get_int("kill-agent"));

@@ -9,7 +9,9 @@ through the CI `python-tools-test` step:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
+import io
 import json
 import os
 import sys
@@ -202,6 +204,36 @@ class CompareTests(unittest.TestCase):
         cand = [make_record(fold_p99_ns=60000.0)]  # +20%
         self.assertEqual(self.run_compare(base, cand, fold_tolerance=0.1), 1)
 
+    def test_null_gated_metric_fails_with_row_and_metric_named(self):
+        # bench_runner writes NaN/inf as null and --validate accepts it; an
+        # undefined value on either side must fail the gate, not crash it.
+        for field in bc.GATED_METRICS:
+            for null_side in ("baseline", "candidate", "both"):
+                with self.subTest(field=field, null_side=null_side):
+                    base = make_record(calls=10, **{field: 1000.0})
+                    cand = make_record(calls=10, **{field: 1000.0})
+                    if null_side in ("baseline", "both"):
+                        base[field] = None
+                    if null_side in ("candidate", "both"):
+                        cand[field] = None
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        status = self.run_compare([base], [cand])
+                    self.assertEqual(status, 1)
+                    self.assertIn(f"FAIL: micro/total_cost: {field} is null",
+                                  out.getvalue())
+
+    def test_null_metric_absent_from_other_side_still_fails(self):
+        base = [make_record(fold_p99_ns=None)]
+        cand = [make_record()]
+        with contextlib.redirect_stdout(io.StringIO()):
+            self.assertEqual(self.run_compare(base, cand), 1)
+
+    def test_null_ungated_metric_passes(self):
+        base = [make_record(final_ratio=None)]
+        cand = [make_record(final_ratio=None)]
+        self.assertEqual(self.run_compare(base, cand), 0)
+
     def test_sharded_ingest_row_validates_and_compares(self):
         row = make_record(suite="streaming-ingest",
                           scenario="canonical-2560/sharded-ingest",
@@ -273,6 +305,13 @@ class MainEndToEndTests(unittest.TestCase):
         base = self.write(make_doc([make_record(ns_per_call=1000.0)]))
         cand = self.write(make_doc([make_record(ns_per_call=2000.0)]))
         self.assertEqual(self.run_main(base, cand), 1)
+
+    def test_null_one_sided_gate_metric_fails_through_files(self):
+        base = self.write(make_doc([make_record(fold_p99_ns=None)]))
+        cand = self.write(make_doc([make_record(fold_p99_ns=1000.0)]))
+        self.assertEqual(self.run_main("--validate", base), 0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            self.assertEqual(self.run_main(base, cand), 1)
 
     def test_allow_new_flag_through_files(self):
         base = self.write(make_doc([make_record()]))
