@@ -11,6 +11,7 @@
 // then review the diff of tests/golden/ like any other code change.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -20,6 +21,8 @@
 #include "core/scenario_io.hpp"
 #include "driver/continuous.hpp"
 #include "driver/streaming.hpp"
+#include "helpers.hpp"
+#include "hypervisor/distributed_runtime.hpp"
 #include "topology/canonical_tree.hpp"
 #include "topology/fat_tree.hpp"
 
@@ -30,7 +33,6 @@
 #include <csignal>
 #include <vector>
 
-#include "hypervisor/distributed_runtime.hpp"
 #include "hypervisor/remote_executor.hpp"
 #include "hypervisor/wire.hpp"
 #include "util/socket.hpp"
@@ -242,6 +244,88 @@ TEST(GoldenTraces, StreamingDistributed) {
   driver::StreamingEngine engine(topology, cfg);
   check_or_regen("streaming-distributed",
                  render("streaming-distributed", engine.run()));
+}
+
+std::string hex16(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// Distributed-runtime rendering: the telemetry the token itself carries
+/// (epoch, ring position, the exact bits of the aggregate delta), the
+/// recovery counters and the trace hash. The cases below run with
+/// record_trace on, so the hash also folds in every payload's bytes: a
+/// single token byte changing on any hop moves it.
+std::string render(const std::string& name,
+                   const hypervisor::RuntimeResult& r) {
+  std::ostringstream out;
+  out << "score-golden v1\n";
+  out << "case " << name << "\n";
+  out << "rounds " << r.rounds() << " migrations " << r.total_migrations
+      << " evacuations " << r.evacuations << "\n";
+  out << "final_epoch " << r.final_epoch << " final_ring_pos "
+      << r.final_ring_pos << "\n";
+  out << "aggregate_delta_bits "
+      << hex16(std::bit_cast<std::uint64_t>(r.aggregate_delta)) << "\n";
+  out << "token_messages " << r.token_messages << " token_bytes "
+      << r.token_bytes << " control_bytes " << r.control_bytes << "\n";
+  out << "messages_lost " << r.messages_lost << " token_reinjections "
+      << r.token_reinjections << " probe_retransmits " << r.probe_retransmits
+      << " probe_timeouts " << r.probe_timeouts << "\n";
+  out << "initial_cost " << fmt6(r.initial_cost) << " final_cost "
+      << fmt6(r.final_cost) << "\n";
+  out << "trace_hash " << hex16(r.trace_hash) << "\n";
+  return out.str();
+}
+
+TEST(GoldenTraces, DistributedHighestLevelFirst) {
+  topo::CanonicalTree topology(canonical_config());
+  const core::CostModel model(topology, core::LinkWeights::exponential(3));
+  util::Rng rng(2014);
+  const traffic::TrafficMatrix tm = testing::random_tm(48, 3.0, rng);
+  core::Allocation alloc = testing::random_allocation(topology, 48, rng);
+
+  hypervisor::RuntimeConfig cfg;
+  cfg.policy = "highest-level-first";
+  cfg.iterations = 4;
+  cfg.record_trace = true;
+  const hypervisor::RuntimeResult r =
+      hypervisor::DistributedScoreRuntime(model, alloc, tm, cfg).run();
+  ASSERT_TRUE(alloc.check_consistency());
+  check_or_regen("distributed-hlf", render("distributed-hlf", r));
+}
+
+// Round-Robin under message loss and host churn. Two slots per host and 58
+// VMs leave six free slots, so when hosts 3, 9, 20 and 28 leave the drains
+// run out of targets and two VMs stay stranded on host 28 until it rejoins:
+// holders forward the token past them. Lost tokens are re-injected by the
+// watchdog. Host 25 leaves and rejoins while the token addressed to it waits
+// out a migration transfer, so the token lands on a host that no longer holds
+// its VM and the agent there redirects it.
+TEST(GoldenTraces, DistributedRoundRobinLossAndChurn) {
+  topo::CanonicalTree topology(canonical_config());
+  const core::CostModel model(topology, core::LinkWeights::exponential(3));
+  util::Rng rng(77);
+  const traffic::TrafficMatrix tm = testing::random_tm(58, 3.0, rng);
+  core::Allocation alloc =
+      testing::random_allocation(topology, 58, rng, /*slots_per_server=*/2);
+
+  hypervisor::RuntimeConfig cfg;
+  cfg.iterations = 4;
+  cfg.stop_when_stable = false;
+  cfg.message_loss_rate = 0.05;
+  cfg.retransmit_timeout_s = 2.0;
+  cfg.record_trace = true;
+  cfg.churn = {{0.3, 3, true},    {0.6, 9, true},    {0.9, 20, true},
+               {1.0, 28, true},   {60.0, 28, false}, {60.5, 20, false},
+               {61.0, 9, false},  {61.5, 3, false},  {67.0, 25, true},
+               {67.5, 25, false}};
+  const hypervisor::RuntimeResult r =
+      hypervisor::DistributedScoreRuntime(model, alloc, tm, cfg).run();
+  ASSERT_TRUE(alloc.check_consistency());
+  check_or_regen("distributed-rr-loss-churn",
+                 render("distributed-rr-loss-churn", r));
 }
 
 #ifdef SCORE_AGENT_BIN
