@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "hypervisor/wire.hpp"
@@ -13,56 +14,69 @@ namespace {
 using wire::get_u32;
 using wire::put_u32;
 
-// ---- token policies over pure token state -----------------------------------
+// ---- token policies over the held frame ------------------------------------
 
-std::size_t index_of(const std::vector<TokenWireEntry>& entries, Ipv4 vm) {
-  const auto it = std::lower_bound(
-      entries.begin(), entries.end(), vm,
-      [](const TokenWireEntry& e, Ipv4 v) { return e.vm_id < v; });
-  if (it == entries.end() || it->vm_id != vm) {
-    throw std::logic_error("token does not contain the holder VM");
-  }
-  return static_cast<std::size_t>(it - entries.begin());
-}
-
-Ipv4 next_round_robin(const std::vector<TokenWireEntry>& entries, Ipv4 holder) {
-  const std::size_t i = index_of(entries, holder);
-  return entries[(i + 1) % entries.size()].vm_id;
+Ipv4 next_round_robin(const TokenFrame& token, Ipv4 holder) {
+  const std::size_t i = token.index_of(holder);
+  return token.vm_id((i + 1) % token.size());
 }
 
 /// Algorithm 1 with the per-round checked bits carried in the token.
-Ipv4 next_highest_level_first(std::vector<TokenWireEntry>& entries, Ipv4 holder) {
-  const std::size_t n = entries.size();
-  const std::size_t h = index_of(entries, holder);
-  entries[h].checked = true;
+Ipv4 next_highest_level_first(TokenFrame& token, Ipv4 holder) {
+  const std::size_t n = token.size();
+  const std::size_t h = token.index_of(holder);
+  token.set_checked(h, true);
   if (n == 1) return holder;
 
-  const bool all_checked =
-      std::all_of(entries.begin(), entries.end(),
-                  [](const TokenWireEntry& e) { return e.checked; });
+  bool all_checked = true;
+  for (std::size_t i = 0; i < n && all_checked; ++i) {
+    all_checked = token.checked(i);
+  }
   if (!all_checked) {
-    for (int cl = entries[h].level; cl >= 0; --cl) {
+    for (int cl = token.level(h); cl >= 0; --cl) {
       for (std::size_t step = 1; step < n; ++step) {
-        const TokenWireEntry& z = entries[(h + step) % n];
-        if (!z.checked && z.level == cl) return z.vm_id;
+        const std::size_t z = (h + step) % n;
+        if (!token.checked(z) && token.level(z) == cl) return token.vm_id(z);
       }
     }
     // Unchecked VMs remain only above the holder's level.
-    const TokenWireEntry* best = nullptr;
-    for (const TokenWireEntry& e : entries) {
-      if (!e.checked && (best == nullptr || e.level > best->level)) best = &e;
+    std::size_t best = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (token.checked(i)) continue;
+      if (best == n || token.level(i) > token.level(best)) best = i;
     }
-    if (best != nullptr) return best->vm_id;
+    if (best != n) return token.vm_id(best);
   }
 
   // New round: clear checked, restart from the lowest-id max-level VM.
-  for (TokenWireEntry& e : entries) e.checked = false;
   std::uint8_t max_level = 0;
-  for (const TokenWireEntry& e : entries) max_level = std::max(max_level, e.level);
-  for (const TokenWireEntry& e : entries) {
-    if (e.level == max_level && e.vm_id != holder) return e.vm_id;
+  for (std::size_t i = 0; i < n; ++i) {
+    token.set_checked(i, false);
+    max_level = std::max(max_level, token.level(i));
   }
-  return entries[(h + 1) % n].vm_id;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (token.level(i) == max_level && token.vm_id(i) != holder) {
+      return token.vm_id(i);
+    }
+  }
+  return token.vm_id((h + 1) % n);
+}
+
+/// Fixed probe payload sizes (see the senders below).
+constexpr std::size_t kLocationRequestBytes = 8;    // subject VM, nonce
+constexpr std::size_t kLocationResponseBytes = 12;  // subject VM, dom0, nonce
+constexpr std::size_t kCapacityRequestBytes = 4;    // nonce
+constexpr std::size_t kCapacityResponseBytes = 24;  // nonce, dom0, 4 capacities
+
+/// Reject a probe whose payload does not have its fixed size: inside a
+/// score_agent daemon the payload is outside input, read at fixed offsets.
+void expect_payload(const sim::Message& msg, std::size_t bytes) {
+  if (msg.payload.size() != bytes) {
+    throw std::invalid_argument(
+        "Dom0Agent: control message type " + std::to_string(msg.type) +
+        " carries " + std::to_string(msg.payload.size()) +
+        " payload bytes, expected " + std::to_string(bytes));
+  }
 }
 
 }  // namespace
@@ -74,6 +88,7 @@ void Dom0Agent::on_message(const sim::Message& msg) {
       return;
     }
     case CtrlMsg::kLocationRequest: {
+      expect_payload(msg, kLocationRequestBytes);
       // A peer's dom0 asks where we are: answer with subject VM + our address
       // (the NAT redirect delivers the probe to dom0, which replies, §V-B.4).
       std::vector<std::uint8_t> payload;
@@ -85,6 +100,7 @@ void Dom0Agent::on_message(const sim::Message& msg) {
       return;
     }
     case CtrlMsg::kLocationResponse: {
+      expect_payload(msg, kLocationResponseBytes);
       if (!pending_ || pending_->stage != kLocations ||
           pending_->awaiting_locations == 0) {
         return;
@@ -98,6 +114,7 @@ void Dom0Agent::on_message(const sim::Message& msg) {
       return;
     }
     case CtrlMsg::kCapacityRequest: {
+      expect_payload(msg, kCapacityRequestBytes);
       // Report residual capacity (free slots + available RAM, extended with
       // CPU and NIC bandwidth, §V-B.5) for our server.
       const HostCapacity cap = env_->hv().host_capacity(host_);
@@ -114,6 +131,7 @@ void Dom0Agent::on_message(const sim::Message& msg) {
       return;
     }
     case CtrlMsg::kCapacityResponse: {
+      expect_payload(msg, kCapacityResponseBytes);
       if (!pending_ || pending_->stage != kCapacities ||
           pending_->awaiting_capacities == 0) {
         return;
@@ -131,26 +149,28 @@ void Dom0Agent::on_message(const sim::Message& msg) {
       return;
     }
   }
+  throw std::invalid_argument("Dom0Agent: unknown control message type " +
+                              std::to_string(msg.type));
 }
 
 void Dom0Agent::on_token(const sim::Message& msg) {
   if (env_->stopped()) return;
-  Token token = decode_token(msg.payload);
+  // The hop's one copy of the frame, validated once; from here on it is
+  // edited in place and forwarded by move.
+  TokenFrame token(msg.payload);
   const Ipam& ipam = env_->hv().ipam();
 
   // A token can land on a stale host when the holder VM was drained while the
   // token was in flight (churn): the NAT redirect forwards it to the VM's
   // current hypervisor.
-  const topo::HostId holder_host = ipam.vm_host(token.holder);
+  const topo::HostId holder_host = ipam.vm_host(token.holder());
   if (holder_host != host_) {
     env_->comm().send(CtrlMsg::kToken, host_, holder_host,
-                      std::vector<std::uint8_t>(msg.payload));
+                      std::move(token).bytes());
     return;
   }
 
-  PendingDecision p;
-  p.token = std::move(token);
-  p.nonce = next_nonce_++;
+  PendingDecision p(std::move(token), next_nonce_++);
 
   // §V-B.1/3: poll the datapath into the flow table, then aggregate the
   // per-peer throughput over the measurement window. Ground-truth byte
@@ -158,7 +178,7 @@ void Dom0Agent::on_token(const sim::Message& msg) {
   // predate the window — left by drained VMs or aborted decision attempts —
   // are expired first so they cannot skew the aggregation (and the table
   // stays bounded on long runs).
-  const Ipv4 holder = p.token.holder;
+  const Ipv4 holder = p.token.holder();
   const core::VmId u = vm_of_addr(holder);
   const double now = env_->comm().now();
   const double window = cfg_->measurement_window_s;
@@ -289,13 +309,14 @@ void Dom0Agent::on_locations_complete() {
     const Ipv4 peer_dom0 = p.peer_dom0.at(peer_ip);
     const int level = ipam.level_between(own_dom0, peer_dom0);
     own_level = std::max(own_level, level);
-    auto& entry = p.token.entries[index_of(p.token.entries, peer_ip)];
-    entry.level = std::max<std::uint8_t>(entry.level,
-                                         static_cast<std::uint8_t>(level));
+    const std::size_t entry = p.token.index_of(peer_ip);
+    p.token.set_level(entry, std::max<std::uint8_t>(
+                                 p.token.level(entry),
+                                 static_cast<std::uint8_t>(level)));
     if (level > 0) ranked.emplace_back(level, rate, peer_dom0);
   }
-  p.token.entries[index_of(p.token.entries, p.token.holder)].level =
-      static_cast<std::uint8_t>(own_level);
+  p.token.set_level(p.token.index_of(p.token.holder()),
+                    static_cast<std::uint8_t>(own_level));
 
   // §V-B.5: candidate hypervisors ranked from the highest communication
   // level (heaviest traffic first within a level), plus rack siblings as
@@ -340,7 +361,7 @@ void Dom0Agent::on_locations_complete() {
 void Dom0Agent::on_capacities_complete() {
   PendingDecision& p = *pending_;
   Hypervisor& hv = env_->hv();
-  const core::VmId u = vm_of_addr(p.token.holder);
+  const core::VmId u = vm_of_addr(p.token.holder());
   const core::VmSpec& spec = hv.vm_spec(u);
   const Ipam& ipam = hv.ipam();
   const Ipv4 own_dom0 = ipam.host_address(host_);
@@ -392,8 +413,9 @@ void Dom0Agent::on_capacities_complete() {
       finish_hold(false, 0.0);
       return;
     }
-    ++p.token.epoch;  // allocation epoch advances with every commit
-    p.token.aggregate_delta += best_delta;
+    // The allocation epoch advances with every commit.
+    p.token.set_epoch(p.token.epoch() + 1);
+    p.token.set_aggregate_delta(p.token.aggregate_delta() + best_delta);
     finish_hold(true, outcome.total_time_s);
   } else {
     finish_hold(false, 0.0);
@@ -402,27 +424,28 @@ void Dom0Agent::on_capacities_complete() {
 
 void Dom0Agent::finish_hold(bool migrated, double migration_time_s) {
   PendingDecision& p = *pending_;
+  TokenFrame& token = p.token;
   Hypervisor& hv = env_->hv();
   const Ipam& ipam = hv.ipam();
   const double busy = cfg_->decision_time_s + migration_time_s;
-  ++p.token.ring_pos;
-
-  // Token telemetry: the last completed hold's view is the final one.
-  env_->token_telemetry(p.token.epoch, p.token.ring_pos,
-                        p.token.aggregate_delta);
+  // Token telemetry after each completed hold: the last one is the final one.
+  const auto advance_ring = [&] {
+    token.set_ring_pos(token.ring_pos() + 1);
+    env_->token_telemetry(token.epoch(), token.ring_pos(),
+                          token.aggregate_delta());
+  };
+  advance_ring();
 
   bool run_on = env_->hold_complete(migrated);
-  Ipv4 next = p.token.holder;
+  Ipv4 next = token.holder();
   if (run_on) {
     // Forward past VMs stranded on departed hosts (drain failures): each
     // skipped VM's hold completes trivially at the forwarding agent.
-    for (std::size_t i = 0; run_on && i <= p.token.entries.size(); ++i) {
-      next = cfg_->use_hlf ? next_highest_level_first(p.token.entries, next)
-                           : next_round_robin(p.token.entries, next);
+    for (std::size_t i = 0; run_on && i <= token.size(); ++i) {
+      next = cfg_->use_hlf ? next_highest_level_first(token, next)
+                           : next_round_robin(token, next);
       if (hv.host_up(ipam.vm_host(next))) break;
-      ++p.token.ring_pos;
-      env_->token_telemetry(p.token.epoch, p.token.ring_pos,
-                            p.token.aggregate_delta);
+      advance_ring();
       run_on = env_->hold_complete(false);
     }
   }
@@ -438,12 +461,11 @@ void Dom0Agent::finish_hold(bool migrated, double migration_time_s) {
     return;
   }
 
-  p.token.holder = next;
-  auto payload = encode_token(p.token);
+  token.set_holder(next);
   const topo::HostId next_host = ipam.vm_host(next);
   // The token leaves after the dom0 work (and any migration) completes.
   env_->comm().send_after(busy, CtrlMsg::kToken, host_, next_host,
-                          std::move(payload));
+                          std::move(token).bytes());
   pending_.reset();
 }
 

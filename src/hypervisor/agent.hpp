@@ -92,7 +92,10 @@ class Dom0Agent {
   };
 
   struct PendingDecision {
-    Token token;              ///< the decoded frame being held
+    PendingDecision(TokenFrame held, std::uint32_t attempt)
+        : token(std::move(held)), nonce(attempt) {}
+
+    TokenFrame token;         ///< the frame being held, edited in place
     std::uint32_t nonce = 0;  ///< discriminates probe responses across
                               ///< restarted decision attempts (watchdog)
     Stage stage = kLocations;

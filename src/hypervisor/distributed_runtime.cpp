@@ -189,22 +189,22 @@ struct DistributedScoreRuntime::Impl final : AgentEnv, RuntimeCore {
       // VM's *current* host; the receiving agent restarts its decision
       // idempotently. A hold still retransmitting probes or waiting out a
       // migration transfer is progress, not loss — it is left alone.
-      Token tok = decode_token(communicator->last_token_payload());
-      topo::HostId dst = hvisor.ipam().vm_host(tok.holder);
+      TokenFrame tok(communicator->last_token_payload());
+      topo::HostId dst = hvisor.ipam().vm_host(tok.holder());
       if (!hvisor.host_up(dst)) {
         // The holder VM is stranded on a departed host (its drain found no
         // feasible target). Hand the token to the next reachable entry in
         // id order — the placement manager's recovery need not follow the
         // forwarding policy — or end the run when no host is left.
-        const std::size_t n = tok.entries.size();
+        const std::size_t n = tok.size();
         std::size_t start = 0;
-        while (start < n && tok.entries[start].vm_id != tok.holder) ++start;
+        while (start < n && tok.vm_id(start) != tok.holder()) ++start;
         bool found = false;
         for (std::size_t step = 1; step <= n && !found; ++step) {
-          const Ipv4 vm = tok.entries[(start + step) % n].vm_id;
+          const Ipv4 vm = tok.vm_id((start + step) % n);
           const topo::HostId h = hvisor.ipam().vm_host(vm);
           if (hvisor.host_up(h)) {
-            tok.holder = vm;
+            tok.set_holder(vm);
             dst = h;
             found = true;
           }
@@ -213,7 +213,7 @@ struct DistributedScoreRuntime::Impl final : AgentEnv, RuntimeCore {
           run_ctl.stop(queue.now());
           return;
         }
-        communicator->set_last_token_payload(encode_token(tok));
+        communicator->set_last_token_payload(std::move(tok).bytes());
       }
       ++result.token_reinjections;
       communicator->send(CtrlMsg::kToken, dst, dst,

@@ -5,36 +5,72 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "hypervisor/wire.hpp"
+
 namespace score::hypervisor {
+
+using wire::get_f64;
+using wire::get_u32;
+using wire::put_u32;
 
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& buf, std::uint32_t v) {
-  buf.push_back(static_cast<std::uint8_t>(v));
-  buf.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf.push_back(static_cast<std::uint8_t>(v >> 16));
-  buf.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void put_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  put_u32(buf, static_cast<std::uint32_t>(v));
-  put_u32(buf, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t get_u32(const std::vector<std::uint8_t>& buf, std::size_t pos) {
-  return static_cast<std::uint32_t>(buf[pos]) |
-         (static_cast<std::uint32_t>(buf[pos + 1]) << 8) |
-         (static_cast<std::uint32_t>(buf[pos + 2]) << 16) |
-         (static_cast<std::uint32_t>(buf[pos + 3]) << 24);
-}
-
-std::uint64_t get_u64(const std::vector<std::uint8_t>& buf, std::size_t pos) {
-  return static_cast<std::uint64_t>(get_u32(buf, pos)) |
-         (static_cast<std::uint64_t>(get_u32(buf, pos + 4)) << 32);
-}
-
 constexpr std::uint8_t kCheckedBit = 0x80;
+constexpr std::uint8_t kLevelMask = 0x7F;
 constexpr std::uint8_t kMagic[4] = {'S', 'C', 'T', 'K'};
+
+// Framed-token byte offsets.
+constexpr std::size_t kPolicyAt = 5;
+constexpr std::size_t kEpochAt = 6;
+constexpr std::size_t kRingPosAt = 10;
+constexpr std::size_t kDeltaAt = 14;
+constexpr std::size_t kHolderAt = 22;
+constexpr std::size_t kCountAt = 26;
+
+constexpr std::size_t entry_at(std::size_t i) {
+  return token_frame_header_bytes() + 5 * i;
+}
+
+/// The framed-token reject list, shared by decode_token and TokenFrame.
+/// Returns the entry count of a valid frame; throws std::invalid_argument.
+std::size_t validate_frame(const std::vector<std::uint8_t>& buf) {
+  if (buf.size() < token_frame_header_bytes()) {
+    throw std::invalid_argument("token frame: truncated header");
+  }
+  if (!std::equal(std::begin(kMagic), std::end(kMagic), buf.begin())) {
+    throw std::invalid_argument("token frame: bad magic");
+  }
+  if (buf[4] != kTokenFrameVersion) {
+    throw std::invalid_argument("token frame: unsupported version");
+  }
+  if (buf[kPolicyAt] >
+      static_cast<std::uint8_t>(TokenPolicyId::kHighestLevelFirst)) {
+    throw std::invalid_argument("token frame: unknown policy id");
+  }
+  if (!std::isfinite(get_f64(buf, kDeltaAt))) {
+    throw std::invalid_argument("token frame: aggregate delta not finite");
+  }
+  const std::uint32_t count = get_u32(buf, kCountAt);
+  if (buf.size() != token_frame_bytes(count)) {
+    throw std::invalid_argument(
+        "token frame: length does not match entry count");
+  }
+  const std::uint32_t holder = get_u32(buf, kHolderAt);
+  bool holder_present = count == 0;
+  std::uint32_t prev = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t id = get_u32(buf, entry_at(i));
+    if (i > 0 && id <= prev) {
+      throw std::invalid_argument("token frame: ids not ascending");
+    }
+    holder_present = holder_present || id == holder;
+    prev = id;
+  }
+  if (!holder_present) {
+    throw std::invalid_argument("token frame: holder not in entry list");
+  }
+  return count;
+}
 
 }  // namespace
 
@@ -124,7 +160,7 @@ std::vector<std::uint8_t> encode_token(const Token& token) {
     if (!first && e.vm_id <= prev) {
       throw std::invalid_argument("encode_token: ids must be strictly ascending");
     }
-    if (e.level > 0x7F) {
+    if (e.level > kLevelMask) {
       throw std::invalid_argument("encode_token: level exceeds 7 bits");
     }
     holder_present = holder_present || e.vm_id == token.holder;
@@ -142,7 +178,7 @@ std::vector<std::uint8_t> encode_token(const Token& token) {
   buf.push_back(static_cast<std::uint8_t>(token.policy));
   put_u32(buf, token.epoch);
   put_u32(buf, token.ring_pos);
-  put_u64(buf, std::bit_cast<std::uint64_t>(token.aggregate_delta));
+  wire::put_f64(buf, token.aggregate_delta);
   put_u32(buf, token.holder);
   put_u32(buf, static_cast<std::uint32_t>(token.entries.size()));
   for (const TokenWireEntry& e : token.entries) {
@@ -153,50 +189,101 @@ std::vector<std::uint8_t> encode_token(const Token& token) {
 }
 
 Token decode_token(const std::vector<std::uint8_t>& buf) {
-  if (buf.size() < token_frame_header_bytes()) {
-    throw std::invalid_argument("decode_token: truncated header");
-  }
-  if (!std::equal(std::begin(kMagic), std::end(kMagic), buf.begin())) {
-    throw std::invalid_argument("decode_token: bad magic");
-  }
-  if (buf[4] != kTokenFrameVersion) {
-    throw std::invalid_argument("decode_token: unsupported version");
-  }
-  if (buf[5] > static_cast<std::uint8_t>(TokenPolicyId::kHighestLevelFirst)) {
-    throw std::invalid_argument("decode_token: unknown policy id");
-  }
-
+  const std::size_t count = validate_frame(buf);
   Token token;
-  token.policy = static_cast<TokenPolicyId>(buf[5]);
-  token.epoch = get_u32(buf, 6);
-  token.ring_pos = get_u32(buf, 10);
-  token.aggregate_delta = std::bit_cast<double>(get_u64(buf, 14));
-  if (!std::isfinite(token.aggregate_delta)) {
-    throw std::invalid_argument("decode_token: aggregate delta not finite");
-  }
-  token.holder = get_u32(buf, 22);
-  const std::uint32_t count = get_u32(buf, 26);
-  if (buf.size() != token_frame_bytes(count)) {
-    throw std::invalid_argument("decode_token: length does not match entry count");
-  }
-
+  token.policy = static_cast<TokenPolicyId>(buf[kPolicyAt]);
+  token.epoch = get_u32(buf, kEpochAt);
+  token.ring_pos = get_u32(buf, kRingPosAt);
+  token.aggregate_delta = get_f64(buf, kDeltaAt);
+  token.holder = get_u32(buf, kHolderAt);
   token.entries.reserve(count);
-  bool holder_present = count == 0;
-  for (std::size_t pos = token_frame_header_bytes(); pos < buf.size(); pos += 5) {
-    TokenWireEntry e;
-    e.vm_id = get_u32(buf, pos);
-    e.level = buf[pos + 4] & static_cast<std::uint8_t>(~kCheckedBit);
-    e.checked = (buf[pos + 4] & kCheckedBit) != 0;
-    if (!token.entries.empty() && e.vm_id <= token.entries.back().vm_id) {
-      throw std::invalid_argument("decode_token: ids not ascending");
-    }
-    holder_present = holder_present || e.vm_id == token.holder;
-    token.entries.push_back(e);
-  }
-  if (!holder_present) {
-    throw std::invalid_argument("decode_token: holder not in entry list");
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint8_t status = buf[entry_at(i) + 4];
+    token.entries.push_back({get_u32(buf, entry_at(i)),
+                             static_cast<std::uint8_t>(status & kLevelMask),
+                             (status & kCheckedBit) != 0});
   }
   return token;
+}
+
+// ---------------------------------------------------------------------------
+// TokenFrame: the frame edited in place.
+// ---------------------------------------------------------------------------
+
+TokenFrame::TokenFrame(std::vector<std::uint8_t> bytes)
+    : bytes_(std::move(bytes)), size_(validate_frame(bytes_)) {}
+
+TokenPolicyId TokenFrame::policy() const {
+  return static_cast<TokenPolicyId>(bytes_[kPolicyAt]);
+}
+std::uint32_t TokenFrame::epoch() const { return get_u32(bytes_, kEpochAt); }
+std::uint32_t TokenFrame::ring_pos() const {
+  return get_u32(bytes_, kRingPosAt);
+}
+double TokenFrame::aggregate_delta() const {
+  return get_f64(bytes_, kDeltaAt);
+}
+std::uint32_t TokenFrame::holder() const { return get_u32(bytes_, kHolderAt); }
+
+std::uint32_t TokenFrame::vm_id(std::size_t i) const {
+  return get_u32(bytes_, entry_at(i));
+}
+std::uint8_t TokenFrame::level(std::size_t i) const {
+  return bytes_[entry_at(i) + 4] & kLevelMask;
+}
+bool TokenFrame::checked(std::size_t i) const {
+  return (bytes_[entry_at(i) + 4] & kCheckedBit) != 0;
+}
+
+std::size_t TokenFrame::find(std::uint32_t vm) const {
+  std::size_t lo = 0;
+  std::size_t hi = size_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (vm_id(mid) < vm) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo < size_ && vm_id(lo) == vm ? lo : size_;
+}
+
+std::size_t TokenFrame::index_of(std::uint32_t vm) const {
+  const std::size_t i = find(vm);
+  if (i == size_) throw std::logic_error("token does not contain the VM");
+  return i;
+}
+
+void TokenFrame::set_epoch(std::uint32_t epoch) {
+  wire::set_u32(bytes_, kEpochAt, epoch);
+}
+void TokenFrame::set_ring_pos(std::uint32_t ring_pos) {
+  wire::set_u32(bytes_, kRingPosAt, ring_pos);
+}
+void TokenFrame::set_aggregate_delta(double delta) {
+  if (!std::isfinite(delta)) {
+    throw std::invalid_argument("TokenFrame: aggregate delta must be finite");
+  }
+  wire::set_u64(bytes_, kDeltaAt, std::bit_cast<std::uint64_t>(delta));
+}
+void TokenFrame::set_holder(std::uint32_t vm) {
+  if (size_ > 0 && find(vm) == size_) {
+    throw std::invalid_argument("TokenFrame: holder not in entry list");
+  }
+  wire::set_u32(bytes_, kHolderAt, vm);
+}
+void TokenFrame::set_level(std::size_t i, std::uint8_t level) {
+  if (level > kLevelMask) {
+    throw std::invalid_argument("TokenFrame: level exceeds 7 bits");
+  }
+  std::uint8_t& status = bytes_[entry_at(i) + 4];
+  status = static_cast<std::uint8_t>((status & kCheckedBit) | level);
+}
+void TokenFrame::set_checked(std::size_t i, bool checked) {
+  std::uint8_t& status = bytes_[entry_at(i) + 4];
+  status = static_cast<std::uint8_t>((status & kLevelMask) |
+                                     (checked ? kCheckedBit : 0));
 }
 
 }  // namespace score::hypervisor

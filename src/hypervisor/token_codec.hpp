@@ -26,9 +26,17 @@
 // version, policy, exact length, finite aggregate delta, strictly ascending
 // ids, and holder membership — truncated or corrupted buffers throw
 // std::invalid_argument rather than decoding to garbage.
+//
+// A hold reads and writes only the header, the holder's entry and its peers'
+// levels, so the agents never decode the O(|V|) frame: TokenFrame keeps the
+// wire bytes, validates them once (the same reject list, one shared
+// validator), edits fields in place and hands the bytes on by move.
+// encode_token/decode_token build the injected token and serve the tests.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace score::hypervisor {
@@ -101,5 +109,50 @@ std::vector<std::uint8_t> encode_token(const Token& token);
 
 /// Decode and validate a frame (see header comment for the reject list).
 Token decode_token(const std::vector<std::uint8_t>& buf);
+
+/// A framed token held as its wire bytes. Construction validates exactly as
+/// decode_token does; every setter keeps encode_token's rules, so the bytes
+/// are a valid frame at all times and equal encode_token of the same token.
+/// Entry i (i < size()) is the i-th entry in ascending vm_id order.
+class TokenFrame {
+ public:
+  /// Take ownership of `bytes` and validate them; throws
+  /// std::invalid_argument on any frame decode_token rejects.
+  explicit TokenFrame(std::vector<std::uint8_t> bytes);
+
+  TokenPolicyId policy() const;
+  std::uint32_t epoch() const;
+  std::uint32_t ring_pos() const;
+  double aggregate_delta() const;
+  std::uint32_t holder() const;
+  std::size_t size() const { return size_; }
+
+  std::uint32_t vm_id(std::size_t i) const;
+  std::uint8_t level(std::size_t i) const;
+  bool checked(std::size_t i) const;
+  /// Binary search for `vm`'s entry; throws std::logic_error when absent.
+  std::size_t index_of(std::uint32_t vm) const;
+
+  void set_epoch(std::uint32_t epoch);
+  void set_ring_pos(std::uint32_t ring_pos);
+  /// Throws std::invalid_argument on a non-finite delta.
+  void set_aggregate_delta(double delta);
+  /// Throws std::invalid_argument unless `vm` is an entry (or there are none).
+  void set_holder(std::uint32_t vm);
+  /// Throws std::invalid_argument on a level above 127.
+  void set_level(std::size_t i, std::uint8_t level);
+  void set_checked(std::size_t i, bool checked);
+
+  const std::vector<std::uint8_t>& bytes() const& { return bytes_; }
+  /// Release the frame's bytes (forwarding the token by move).
+  std::vector<std::uint8_t> bytes() && { return std::move(bytes_); }
+
+ private:
+  /// Index of `vm`'s entry, or size() when it has none.
+  std::size_t find(std::uint32_t vm) const;
+
+  std::vector<std::uint8_t> bytes_;
+  std::size_t size_ = 0;
+};
 
 }  // namespace score::hypervisor

@@ -36,6 +36,21 @@ inline std::uint64_t get_u64(const std::vector<std::uint8_t>& buf,
          (static_cast<std::uint64_t>(get_u32(buf, pos + 4)) << 32);
 }
 
+/// Overwrite four bytes at `pos` in place (the buffer already holds them).
+inline void set_u32(std::vector<std::uint8_t>& buf, std::size_t pos,
+                    std::uint32_t v) {
+  buf[pos] = static_cast<std::uint8_t>(v);
+  buf[pos + 1] = static_cast<std::uint8_t>(v >> 8);
+  buf[pos + 2] = static_cast<std::uint8_t>(v >> 16);
+  buf[pos + 3] = static_cast<std::uint8_t>(v >> 24);
+}
+
+inline void set_u64(std::vector<std::uint8_t>& buf, std::size_t pos,
+                    std::uint64_t v) {
+  set_u32(buf, pos, static_cast<std::uint32_t>(v));
+  set_u32(buf, pos + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
 inline void put_f64(std::vector<std::uint8_t>& buf, double v) {
   put_u64(buf, std::bit_cast<std::uint64_t>(v));
 }

@@ -1,5 +1,6 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <limits>
 
 namespace score::sim {
@@ -8,22 +9,25 @@ void EventQueue::schedule_at(double when, EventFn fn) {
   if (when < now_) {
     throw std::invalid_argument("EventQueue::schedule_at: time in the past");
   }
-  heap_.push(Entry{when, next_seq_++, std::move(fn)});
+  heap_.push_back(Entry{when, next_seq_++, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 bool EventQueue::step() {
   if (heap_.empty()) return false;
-  // priority_queue::top() is const; move out via const_cast on the handle is
-  // UB-prone, so copy the function object instead (events are cheap).
-  Entry e = heap_.top();
-  heap_.pop();
+  // (when, seq) is a total order, so the event popped is the same whatever
+  // the heap layout. Moving it out spares copying the callback and whatever
+  // it captured (a message payload, the O(|V|) token frame).
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Entry e = std::move(heap_.back());
+  heap_.pop_back();
   now_ = e.when;
   e.fn();
   return true;
 }
 
 void EventQueue::run_until(double until) {
-  while (!heap_.empty() && heap_.top().when <= until) {
+  while (!heap_.empty() && heap_.front().when <= until) {
     step();
   }
   if (until != std::numeric_limits<double>::infinity() && now_ < until) {

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
@@ -59,7 +58,9 @@ class EventQueue {
 
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  /// Binary heap under Later (std::push_heap / std::pop_heap), so step()
+  /// can move the next event out instead of copying it.
+  std::vector<Entry> heap_;
 };
 
 }  // namespace score::sim

@@ -42,6 +42,22 @@ void expect_rejects(const std::vector<std::uint8_t>& buf, Decode decode) {
   EXPECT_THROW(decode(buf), std::invalid_argument);
 }
 
+// TokenFrame validates with decode_token's reject list: the two must agree
+// on every buffer, and an accepted frame keeps the input bytes verbatim.
+void expect_frame_agrees(const std::vector<std::uint8_t>& buf) {
+  bool decoded = true;
+  try {
+    hypervisor::decode_token(buf);
+  } catch (const std::invalid_argument&) {
+    decoded = false;
+  }
+  if (decoded) {
+    EXPECT_EQ(hypervisor::TokenFrame(buf).bytes(), buf);
+  } else {
+    EXPECT_THROW(hypervisor::TokenFrame{buf}, std::invalid_argument);
+  }
+}
+
 // A corpus of valid task frames covering every type and action kind, so the
 // mutators start from deep inside the accepted grammar.
 std::vector<TaskFrame> task_corpus() {
@@ -212,6 +228,7 @@ TEST(CodecFuzz, TokenEveryPrefixRejected) {
       expect_rejects_or_decodes(prefix, hypervisor::decode_rr_token);
       expect_rejects_or_decodes(prefix, hypervisor::decode_hlf_token);
       expect_rejects_or_decodes(prefix, hypervisor::decode_token);
+      expect_frame_agrees(prefix);
     }
   }
 }
@@ -225,6 +242,7 @@ TEST(CodecFuzz, FramedTokenPrefixRejected) {
     const std::vector<std::uint8_t> prefix(wire.begin(),
                                            wire.begin() + static_cast<long>(n));
     expect_rejects(prefix, hypervisor::decode_token);
+    EXPECT_THROW(hypervisor::TokenFrame{prefix}, std::invalid_argument);
   }
 }
 
@@ -252,6 +270,7 @@ TEST(CodecFuzz, TokenEveryBitFlipSafe) {
         expect_rejects_or_decodes(mut, hypervisor::decode_rr_token);
         expect_rejects_or_decodes(mut, hypervisor::decode_hlf_token);
         expect_rejects_or_decodes(mut, hypervisor::decode_token);
+        expect_frame_agrees(mut);
       }
     }
   }

@@ -7,6 +7,7 @@
 #include "driver/simulation.hpp"
 #include "core/token_policy.hpp"
 #include "helpers.hpp"
+#include "hypervisor/agent.hpp"
 #include "hypervisor/distributed_runtime.hpp"
 #include "hypervisor/ipam.hpp"
 #include "sim/network.hpp"
@@ -21,6 +22,8 @@ using score::core::RoundRobinPolicy;
 using score::driver::ScoreSimulation;
 using score::driver::SimConfig;
 using score::core::VmId;
+using score::hypervisor::CtrlMsg;
+using score::hypervisor::Dom0Agent;
 using score::hypervisor::DistributedScoreRuntime;
 using score::hypervisor::format_ipv4;
 using score::hypervisor::Ipam;
@@ -501,6 +504,104 @@ TEST_F(DistributedTest, StrandedVmsEndRunInsteadOfLivelock) {
   EXPECT_EQ(res.evacuations, 0u);
   EXPECT_TRUE(alloc.check_consistency());
   EXPECT_GE(res.iterations.size(), 1u);
+}
+
+// ------------------------------------------------- probe payload validation
+
+/// A world an agent can stand on outside any runtime: its sends are recorded
+/// instead of delivered, so one message can be handed to it directly.
+class ProbePayloadTest : public DistributedTest,
+                         public score::hypervisor::AgentEnv,
+                         public score::hypervisor::Communicator {
+ protected:
+  ProbePayloadTest()
+      : rng_(53),
+        tm_(random_tm(16, 2.0, rng_)),
+        alloc_(random_allocation(topo_, 16, rng_)),
+        hv_(model_, alloc_, tm_, {}) {
+    agent_.bind(this, &cfg_, 1);
+  }
+
+  /// Deliver one message of `type` with `bytes` payload bytes to host 1.
+  void deliver(CtrlMsg type, std::size_t bytes) {
+    deliver(static_cast<int>(type), bytes);
+  }
+  void deliver(int type, std::size_t bytes) {
+    Message msg;
+    msg.src = 0;
+    msg.dst = 1;
+    msg.type = type;
+    msg.payload.assign(bytes, 0);
+    agent_.on_message(msg);
+  }
+
+  // AgentEnv
+  score::hypervisor::Hypervisor& hv() override { return hv_; }
+  score::hypervisor::Communicator& comm() override { return *this; }
+  bool stopped() const override { return false; }
+  bool hold_complete(bool) override { return true; }
+  void stop_run() override {}
+  void token_telemetry(std::uint32_t, std::uint32_t, double) override {}
+  void note_probe_retransmits(std::size_t) override {}
+  void note_probe_timeout() override {}
+
+  // Communicator
+  double now() const override { return 0.0; }
+  void send(CtrlMsg type, score::topo::HostId, score::topo::HostId,
+            std::vector<std::uint8_t> payload) override {
+    sent_.emplace_back(type, payload.size());
+  }
+  void send_after(double, CtrlMsg type, score::topo::HostId from,
+                  score::topo::HostId to,
+                  std::vector<std::uint8_t> payload) override {
+    send(type, from, to, std::move(payload));
+  }
+  void arm_probe_timer(score::topo::HostId, double, std::uint32_t,
+                       int) override {}
+
+  Rng rng_;
+  score::traffic::TrafficMatrix tm_;
+  Allocation alloc_;
+  score::hypervisor::SimHypervisor hv_;
+  score::hypervisor::AgentConfig cfg_;
+  Dom0Agent agent_;
+  std::vector<std::pair<CtrlMsg, std::size_t>> sent_;
+};
+
+TEST_F(ProbePayloadTest, WellFormedRequestsAreAnswered) {
+  deliver(CtrlMsg::kLocationRequest, 8);
+  deliver(CtrlMsg::kCapacityRequest, 4);
+  const std::vector<std::pair<CtrlMsg, std::size_t>> expected = {
+      {CtrlMsg::kLocationResponse, 12}, {CtrlMsg::kCapacityResponse, 24}};
+  EXPECT_EQ(sent_, expected);
+  // Responses nobody asked for are stale, not malformed: dropped silently.
+  deliver(CtrlMsg::kLocationResponse, 12);
+  deliver(CtrlMsg::kCapacityResponse, 24);
+  EXPECT_EQ(sent_, expected);
+}
+
+// A score_agent daemon receives probe payloads from its socket; a payload of
+// the wrong length must be rejected, never read past its end.
+TEST_F(ProbePayloadTest, WrongLengthPayloadsAreRejected) {
+  const std::pair<CtrlMsg, std::size_t> probes[] = {
+      {CtrlMsg::kLocationRequest, 8},
+      {CtrlMsg::kLocationResponse, 12},
+      {CtrlMsg::kCapacityRequest, 4},
+      {CtrlMsg::kCapacityResponse, 24}};
+  for (const auto& [type, bytes] : probes) {
+    EXPECT_THROW(deliver(type, bytes - 1), std::invalid_argument)
+        << "type " << static_cast<int>(type) << " one byte short";
+    EXPECT_THROW(deliver(type, bytes + 1), std::invalid_argument)
+        << "type " << static_cast<int>(type) << " one byte long";
+  }
+  EXPECT_TRUE(sent_.empty());
+}
+
+TEST_F(ProbePayloadTest, UnknownMessageTypeIsRejected) {
+  for (const int type : {0, 6, 99, -1}) {
+    EXPECT_THROW(deliver(type, 8), std::invalid_argument) << "type " << type;
+  }
+  EXPECT_TRUE(sent_.empty());
 }
 
 TEST_F(DistributedTest, ChurnRejectsOutOfRangeHost) {

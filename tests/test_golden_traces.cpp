@@ -248,7 +248,8 @@ TEST(GoldenTraces, StreamingDistributed) {
 
 std::string hex16(std::uint64_t v) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
   return buf;
 }
 
