@@ -1,7 +1,8 @@
 // Golden-trace regression suite: canonical continuous-operation and
 // streaming runs are rendered to a stable text form (timeline, per-epoch net
 // migration logs, per-trigger re-optimisation outcomes, costs at 6
-// significant digits, structural trace hash) and compared byte for byte
+// significant digits or, for the ×50 cases, as exact bits, structural trace
+// hash) and compared byte for byte
 // against the expectations committed under tests/golden/. Any behavioural
 // drift — an extra migration, a reordered event, a cost shift — fails here
 // even when the aggregate cost gates would still pass.
@@ -55,10 +56,24 @@ std::string fmt6(double v) {
   return buf;
 }
 
+std::string hex16(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// A double's exact IEEE-754 bits, for cases where 6 significant digits
+/// would hide a last-ulp change.
+std::string bits(double v) { return hex16(std::bit_cast<std::uint64_t>(v)); }
+
+using Format = std::string (*)(double);
+
 /// Canonical rendering: every byte is either integer-derived (timeline,
-/// migration logs, counters, trace hash) or a cost at 6 significant digits.
+/// migration logs, counters, trace hash) or a cost printed by `fmt`.
 std::string render(const std::string& name,
-                   const driver::SteadyStateReport& report) {
+                   const driver::SteadyStateReport& report,
+                   Format fmt = fmt6) {
   std::ostringstream out;
   out << "score-golden v1\n";
   out << "case " << name << "\n";
@@ -75,8 +90,8 @@ std::string render(const std::string& name,
         << er.arrived_vms << " departed " << er.departed_vms << " rejected "
         << er.rejected_vms << " migrations " << er.migrations << " rounds "
         << er.rounds << "\n";
-    out << "  cost_before " << fmt6(er.cost_before) << " cost_after "
-        << fmt6(er.cost_after) << " fresh " << fmt6(er.fresh_cost) << "\n";
+    out << "  cost_before " << fmt(er.cost_before) << " cost_after "
+        << fmt(er.cost_after) << " fresh " << fmt(er.fresh_cost) << "\n";
     out << "  moves " << er.changes.size() << "\n";
     for (const driver::PlacementChange& mv : er.changes) {
       out << "  " << mv.world_vm << ' ' << mv.from << " -> " << mv.to << "\n";
@@ -130,19 +145,20 @@ void check_or_regen(const std::string& name, const std::string& actual) {
 /// Streaming rendering: only fields fixed by the seeds. Queue depths and
 /// fold/trigger latencies depend on thread timing and are left out.
 std::string render(const std::string& name,
-                   const driver::StreamingReport& report) {
+                   const driver::StreamingReport& report,
+                   Format fmt = fmt6) {
   std::ostringstream out;
   out << "score-golden v1\n";
   out << "case " << name << "\n";
   out << "triggers " << report.reopts.size() << "\n";
   for (const driver::ReoptEvent& ev : report.reopts) {
-    out << "tick " << ev.tick << " drift " << fmt6(ev.drift) << " migrations "
+    out << "tick " << ev.tick << " drift " << fmt(ev.drift) << " migrations "
         << ev.migrations << " rounds " << ev.rounds << " partial "
         << (ev.partial ? 1 : 0) << "\n";
-    out << "  cost_before " << fmt6(ev.cost_before) << " cost_after "
-        << fmt6(ev.cost_after) << " fresh " << fmt6(ev.fresh_cost) << "\n";
+    out << "  cost_before " << fmt(ev.cost_before) << " cost_after "
+        << fmt(ev.cost_after) << " fresh " << fmt(ev.fresh_cost) << "\n";
   }
-  out << "final_cost " << fmt6(report.final_cost) << " deltas_applied "
+  out << "final_cost " << fmt(report.final_cost) << " deltas_applied "
       << report.deltas_applied << " deltas_folded " << report.deltas_folded
       << " rebuilds " << report.cache_rebuilds << "\n";
   return out.str();
@@ -191,6 +207,18 @@ TEST(GoldenTraces, CanonicalTreeCentralizedMultiToken) {
                  render("canonical-centralized-tokens4", engine.run()));
 }
 
+// The paper's dense workload (×50). Every rate the epoch compaction writes
+// is scaled, so the costs are rendered as exact bits: a last-ulp change in
+// how the scaled matrix is built fails here.
+TEST(GoldenTraces, CanonicalTreeCentralizedDense) {
+  topo::CanonicalTree topology(canonical_config());
+  driver::ContinuousConfig cfg = base_config();
+  cfg.intensity_scale = 50.0;
+  driver::ContinuousEngine engine(topology, cfg);
+  check_or_regen("canonical-centralized-x50",
+                 render("canonical-centralized-x50", engine.run(), bits));
+}
+
 TEST(GoldenTraces, FatTreeDistributedZeroLoss) {
   topo::FatTree topology(topo::FatTreeConfig{.k = 4});
   driver::ContinuousConfig cfg = base_config();
@@ -227,6 +255,16 @@ TEST(GoldenTraces, StreamingCentralizedMultiToken) {
                  render("streaming-centralized-tokens4", engine.run()));
 }
 
+// Streaming on the ×50 matrix, with every cost and drift as exact bits.
+TEST(GoldenTraces, StreamingCentralizedDense) {
+  topo::CanonicalTree topology(canonical_config());
+  driver::StreamingConfig cfg = streaming_config();
+  cfg.intensity_scale = 50.0;
+  driver::StreamingEngine engine(topology, cfg);
+  check_or_regen("streaming-centralized-x50",
+                 render("streaming-centralized-x50", engine.run(), bits));
+}
+
 TEST(GoldenTraces, StreamingShardedPartialReopt) {
   topo::CanonicalTree topology(canonical_config());
   driver::StreamingConfig cfg = streaming_config();
@@ -246,13 +284,6 @@ TEST(GoldenTraces, StreamingDistributed) {
                  render("streaming-distributed", engine.run()));
 }
 
-std::string hex16(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 /// Distributed-runtime rendering: the telemetry the token itself carries
 /// (epoch, ring position, the exact bits of the aggregate delta), the
 /// recovery counters and the trace hash. The cases below run with
@@ -267,8 +298,7 @@ std::string render(const std::string& name,
       << " evacuations " << r.evacuations << "\n";
   out << "final_epoch " << r.final_epoch << " final_ring_pos "
       << r.final_ring_pos << "\n";
-  out << "aggregate_delta_bits "
-      << hex16(std::bit_cast<std::uint64_t>(r.aggregate_delta)) << "\n";
+  out << "aggregate_delta_bits " << bits(r.aggregate_delta) << "\n";
   out << "token_messages " << r.token_messages << " token_bytes "
       << r.token_bytes << " control_bytes " << r.control_bytes << "\n";
   out << "messages_lost " << r.messages_lost << " token_reinjections "
