@@ -57,7 +57,7 @@ int main() {
   // with heavy all-to-frontend traffic (ids 0..7 reused as the service).
   std::printf("\nPhase 2: new service deployed; traffic matrix changes\n");
   for (traffic::VmId member = 1; member < 8; ++member) {
-    tm.add(0, member, 5e6);  // 5 Mb/s to the service frontend
+    tm.apply(traffic::FlowDelta{0, member, 5e6});  // 5 Mb/s to the frontend
   }
   core::RoundRobinPolicy policy_b;
   driver::ScoreSimulation sim_b(engine, policy_b, alloc, tm);

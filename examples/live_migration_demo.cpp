@@ -43,11 +43,13 @@ int main() {
   }
 
   // --- 3. token message -------------------------------------------------------
-  const std::vector<hypervisor::TokenEntry> entries{
-      {vm0, 3}, {vm1, 1}, {vm2, 3}};
-  const auto wire = hypervisor::encode_hlf_token(entries);
-  std::printf("HLF token: %zu entries, %zu bytes on the wire\n", entries.size(),
-              wire.size());
+  hypervisor::Token token;
+  token.policy = hypervisor::TokenPolicyId::kHighestLevelFirst;
+  token.holder = vm0;
+  token.entries = {{vm0, 3}, {vm1, 1}, {vm2, 3}};
+  const auto wire = hypervisor::encode_token(token);
+  std::printf("HLF token: %zu entries, %zu bytes on the wire\n",
+              token.entries.size(), wire.size());
 
   // --- 4. migration decision --------------------------------------------------
   topo::CanonicalTreeConfig tcfg;
@@ -62,10 +64,10 @@ int main() {
   const core::VmId m = alloc.add_vm(core::VmSpec{}, 1);   // VM1 rack-local
   const core::VmId e = alloc.add_vm(core::VmSpec{}, 7);   // VM2 across the core
 
-  traffic::TrafficMatrix tm(3);
   // Feed the measured rates into the TM the decision consumes.
-  tm.set(u, e, flows.aggregate_rate_Bps(vm0, vm2, 60.0) * 8.0);
-  tm.set(u, m, flows.aggregate_rate_Bps(vm0, vm1, 60.0) * 8.0);
+  const traffic::TrafficMatrix tm(
+      3, {{u, e, flows.aggregate_rate_Bps(vm0, vm2, 60.0) * 8.0},
+          {u, m, flows.aggregate_rate_Bps(vm0, vm1, 60.0) * 8.0}});
 
   core::MigrationEngine engine(model);
   const core::Decision d = engine.evaluate(alloc, tm, u);

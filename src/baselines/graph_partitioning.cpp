@@ -1,6 +1,7 @@
 #include "baselines/graph_partitioning.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "baselines/exact_solver.hpp"
 
@@ -35,10 +36,11 @@ OvmaInstance reduce_gp_to_ovma(const GpInstance& gp) {
   // Pair at level 2 costs 2·λ·(c1+c2) = 4λ; colocated pairs cost 0.
   out.cut_cost_scale = 2.0 * weights.prefix(2);
 
-  out.tm = traffic::TrafficMatrix(gp.num_vertices);
-  for (const auto& [u, v, w] : gp.edges) {
-    out.tm.add(u, v, w);  // add: parallel edges fold into one λ
-  }
+  // Parallel edges sum into one λ.
+  traffic::FlowDeltaBatch edges;
+  edges.reserve(gp.edges.size());
+  for (const auto& [u, v, w] : gp.edges) edges.push(u, v, w);
+  out.tm = traffic::TrafficMatrix(gp.num_vertices, std::move(edges));
 
   core::ServerCapacity cap;
   cap.vm_slots = gp.capacity_k;  // rack capacity K

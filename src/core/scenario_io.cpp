@@ -1,12 +1,15 @@
 #include "core/scenario_io.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace score::core {
@@ -98,8 +101,11 @@ std::vector<ServerCapacity> read_servers(std::istream& in) {
 }
 
 traffic::TrafficMatrix read_pairs(std::istream& in, std::size_t num_vms) {
-  traffic::TrafficMatrix tm(num_vms == 0 ? 1 : num_vms);
   const std::size_t num_pairs = read_count(in, "pairs");
+  traffic::FlowDeltaBatch flows;
+  // (min id << 32 | max id, line): sorted, equal neighbours are a pair that
+  // repeats in either orientation.
+  std::vector<std::pair<std::uint64_t, std::size_t>> keys;
   for (std::size_t p = 0; p < num_pairs; ++p) {
     std::istringstream ls(next_line(in, "traffic pair"));
     traffic::VmId u = 0, v = 0;
@@ -113,12 +119,24 @@ traffic::TrafficMatrix read_pairs(std::istream& in, std::size_t num_vms) {
     if (u == v) {
       fail("pair line " + std::to_string(p) + " is a self-pair (u == v)");
     }
-    if (!(rate >= 0.0)) {
-      fail("pair line " + std::to_string(p) + " has a negative or NaN rate");
+    if (!(rate >= 0.0) || !std::isfinite(rate)) {
+      fail("pair line " + std::to_string(p) +
+           " has a negative or non-finite rate");
     }
-    tm.set(u, v, rate);
+    flows.push(u, v, rate);
+    keys.emplace_back(
+        (std::uint64_t{std::min(u, v)} << 32) | std::max(u, v), p);
   }
-  return tm;
+  std::sort(keys.begin(), keys.end());
+  for (std::size_t k = 1; k < keys.size(); ++k) {
+    if (keys[k].first == keys[k - 1].first) {
+      fail("pair lines " + std::to_string(keys[k - 1].second) + " and " +
+           std::to_string(keys[k].second) + " repeat the pair (" +
+           std::to_string(keys[k].first >> 32) + ", " +
+           std::to_string(keys[k].first & 0xFFFFFFFFu) + ")");
+    }
+  }
+  return traffic::TrafficMatrix(num_vms == 0 ? 1 : num_vms, std::move(flows));
 }
 
 }  // namespace

@@ -488,15 +488,16 @@ SteadyStateReport ContinuousEngine::drive(LifecycleSource& source) {
     }
 
     const traffic::TrafficMatrix& world_tm = dynamics.epoch(epoch);
-    traffic::TrafficMatrix tm(world_ids.size());
+    traffic::FlowDeltaBatch flows;
     for (const auto& [u, v, rate] : world_tm.pairs()) {
       const std::uint32_t cu = compact_of[u];
       const std::uint32_t cv = compact_of[v];
       if (cu == kDormant || cv == kDormant) {
         continue;  // at least one endpoint is dormant this epoch
       }
-      tm.set(cu, cv, rate * config_.intensity_scale);
+      flows.push(cu, cv, rate * config_.intensity_scale);
     }
+    traffic::TrafficMatrix tm(world_ids.size(), std::move(flows));
 
     // ---- token rounds on the carried state ---------------------------------
     core::CachedCostModel model(

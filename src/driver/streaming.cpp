@@ -180,7 +180,7 @@ StreamingReport StreamingEngine::run() {
 
   // ---- scenario: matrix, placement, bound cache ----------------------------
   traffic::TrafficMatrix tm = traffic::generate_traffic(config_.generator);
-  if (config_.intensity_scale != 1.0) tm.scale(config_.intensity_scale);
+  if (config_.intensity_scale != 1.0) tm = tm.scaled(config_.intensity_scale);
   util::Rng place_rng(config_.placement_seed);
   core::Allocation alloc =
       baselines::make_allocation(*topology_, config_.server_capacity,

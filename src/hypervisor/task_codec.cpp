@@ -74,6 +74,7 @@ class Reader {
   void expect_end() const {
     if (pos_ != buf_->size()) fail("trailing bytes after frame");
   }
+  std::size_t remaining() const { return buf_->size() - pos_; }
 
  private:
   void need(std::size_t n) const {
@@ -192,7 +193,7 @@ std::vector<TaskAction> decode_actions(Reader& r) {
   const std::uint32_t count = r.u32();
   // An action is at least 1 byte; a count past the buffer is corruption,
   // caught before allocating.
-  if (count > kMaxPayloadBytes) fail("action count out of range");
+  if (count > r.remaining()) fail("action count out of range");
   std::vector<TaskAction> actions;
   actions.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) actions.push_back(decode_action(r));

@@ -74,77 +74,6 @@ std::size_t validate_frame(const std::vector<std::uint8_t>& buf) {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_rr_token(const std::vector<std::uint32_t>& ids) {
-  std::vector<std::uint8_t> buf;
-  buf.reserve(rr_token_bytes(ids.size()));
-  std::uint32_t prev = 0;
-  bool first = true;
-  for (std::uint32_t id : ids) {
-    if (!first && id <= prev) {
-      throw std::invalid_argument("encode_rr_token: ids must be strictly ascending");
-    }
-    put_u32(buf, id);
-    prev = id;
-    first = false;
-  }
-  return buf;
-}
-
-std::vector<std::uint32_t> decode_rr_token(const std::vector<std::uint8_t>& buf) {
-  if (buf.size() % 4 != 0) {
-    throw std::invalid_argument("decode_rr_token: truncated buffer");
-  }
-  std::vector<std::uint32_t> ids;
-  ids.reserve(buf.size() / 4);
-  for (std::size_t pos = 0; pos < buf.size(); pos += 4) {
-    const std::uint32_t id = get_u32(buf, pos);
-    if (!ids.empty() && id <= ids.back()) {
-      throw std::invalid_argument("decode_rr_token: ids not ascending");
-    }
-    ids.push_back(id);
-  }
-  return ids;
-}
-
-std::vector<std::uint8_t> encode_hlf_token(const std::vector<TokenEntry>& entries) {
-  std::vector<std::uint8_t> buf;
-  buf.reserve(hlf_token_bytes(entries.size()));
-  std::uint32_t prev = 0;
-  bool first = true;
-  for (const TokenEntry& e : entries) {
-    if (!first && e.vm_id <= prev) {
-      throw std::invalid_argument("encode_hlf_token: ids must be strictly ascending");
-    }
-    put_u32(buf, e.vm_id);
-    buf.push_back(e.level);
-    prev = e.vm_id;
-    first = false;
-  }
-  return buf;
-}
-
-std::vector<TokenEntry> decode_hlf_token(const std::vector<std::uint8_t>& buf) {
-  if (buf.size() % 5 != 0) {
-    throw std::invalid_argument("decode_hlf_token: truncated buffer");
-  }
-  std::vector<TokenEntry> entries;
-  entries.reserve(buf.size() / 5);
-  for (std::size_t pos = 0; pos < buf.size(); pos += 5) {
-    TokenEntry e;
-    e.vm_id = get_u32(buf, pos);
-    e.level = buf[pos + 4];
-    if (!entries.empty() && e.vm_id <= entries.back().vm_id) {
-      throw std::invalid_argument("decode_hlf_token: ids not ascending");
-    }
-    entries.push_back(e);
-  }
-  return entries;
-}
-
-// ---------------------------------------------------------------------------
-// Framed token.
-// ---------------------------------------------------------------------------
-
 std::vector<std::uint8_t> encode_token(const Token& token) {
   if (token.policy != TokenPolicyId::kRoundRobin &&
       token.policy != TokenPolicyId::kHighestLevelFirst) {

@@ -6,21 +6,17 @@
 // communication level. Entries are stored in ascending order by VM id and the
 // token is transmitted as a packed block of unsigned integers.
 //
-// Two layers of codec live here:
-//
-//   * The legacy bare-array layouts (RR: 4 bytes/entry; HLF: 5 bytes/entry)
-//     the paper describes verbatim — encode_rr_token / encode_hlf_token.
-//
-//   * The framed token the distributed runtime passes between dom0 agents:
-//     a fixed header (magic, version, forwarding policy, allocation epoch,
-//     ring position, aggregate committed cost delta, current holder) followed
-//     by HLF-style entries whose status byte folds the per-round "checked"
-//     bit (Algorithm 1 bookkeeping) into bit 7 and the communication level
-//     into bits 0..6. The header is what makes the loop observable without
-//     global state: every hold increments ring_pos, every committed
-//     migration increments epoch and adds its Lemma-3 delta to
-//     aggregate_delta, so the token that returns to the placement manager
-//     carries the whole run's convergence telemetry.
+// The distributed runtime passes the token between dom0 agents as a frame:
+// a fixed header (magic, version, forwarding policy, allocation epoch, ring
+// position, aggregate committed cost delta, current holder) followed by the
+// paper's 5-byte HLF entries, whose status byte folds the per-round
+// "checked" bit (Algorithm 1 bookkeeping) into bit 7 and the communication
+// level into bits 0..6. Past the header the frame is the paper's array, so
+// its size is token_frame_header_bytes() + 5 bytes per VM. The header is
+// what makes the loop observable without global state: every hold
+// increments ring_pos, every committed migration increments epoch and adds
+// its Lemma-3 delta to aggregate_delta, so the token that returns to the
+// placement manager carries the whole run's convergence telemetry.
 //
 // All integers are little-endian. decode_token validates strictly: magic,
 // version, policy, exact length, finite aggregate delta, strictly ascending
@@ -40,29 +36,6 @@
 #include <vector>
 
 namespace score::hypervisor {
-
-struct TokenEntry {
-  std::uint32_t vm_id = 0;
-  std::uint8_t level = 0;
-
-  bool operator==(const TokenEntry&) const = default;
-};
-
-/// RR token: ids only. Ids must be strictly ascending.
-std::vector<std::uint8_t> encode_rr_token(const std::vector<std::uint32_t>& ids);
-std::vector<std::uint32_t> decode_rr_token(const std::vector<std::uint8_t>& buf);
-
-/// HLF token: (id, level) pairs. Ids must be strictly ascending.
-std::vector<std::uint8_t> encode_hlf_token(const std::vector<TokenEntry>& entries);
-std::vector<TokenEntry> decode_hlf_token(const std::vector<std::uint8_t>& buf);
-
-/// Wire size in bytes for |V| VMs (token size is O(|V|), paper §V-A).
-constexpr std::size_t rr_token_bytes(std::size_t num_vms) { return 4 * num_vms; }
-constexpr std::size_t hlf_token_bytes(std::size_t num_vms) { return 5 * num_vms; }
-
-// ---------------------------------------------------------------------------
-// Framed token (distributed runtime wire format).
-// ---------------------------------------------------------------------------
 
 /// Forwarding policy carried in the frame so a re-injected token resumes
 /// under the same rules it was launched with.

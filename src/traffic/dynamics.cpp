@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <stdexcept>
 
@@ -37,7 +38,10 @@ std::vector<std::pair<VmId, VmId>> TrafficDynamics::elephant_pairs(
 TrafficMatrix TrafficDynamics::advance(const TrafficMatrix& current,
                                        std::uint64_t epoch_seed) {
   util::Rng rng(epoch_seed);
-  TrafficMatrix next(current.num_vms());
+  // The next epoch's rates, keyed by the (min, max) pair: an elephant's rate
+  // overwrites its pair, a mouse's rate adds to it. Neighbour order is left
+  // to the map because epoch() reads only the result's pairs().
+  std::map<std::pair<VmId, VmId>, double> next;
 
   const auto elephants = elephant_pairs(current);
   std::set<std::pair<VmId, VmId>> elephant_set(elephants.begin(), elephants.end());
@@ -49,24 +53,27 @@ TrafficMatrix TrafficDynamics::advance(const TrafficMatrix& current,
       // Hotspots persist (and keep their endpoints); occasionally one dies
       // and a new elephant appears elsewhere.
       if (rng.chance(dyn_.elephant_persistence)) {
-        next.set(u, v, rate * jitter);
+        next[std::minmax(u, v)] = rate * jitter;
       } else {
         VmId a = static_cast<VmId>(rng.index(current.num_vms()));
         VmId b = static_cast<VmId>(rng.index(current.num_vms()));
-        if (a != b) next.set(a, b, rate * jitter);
+        if (a != b) next[std::minmax(a, b)] = rate * jitter;
       }
     } else {
       // Mice churn: a fraction of pairs is re-drawn with fresh endpoints.
       if (rng.chance(dyn_.mice_churn)) {
         VmId a = static_cast<VmId>(rng.index(current.num_vms()));
         VmId b = static_cast<VmId>(rng.index(current.num_vms()));
-        if (a != b) next.add(a, b, rate * jitter);
+        if (a != b) next[std::minmax(a, b)] += rate * jitter;
       } else {
-        next.add(u, v, rate * jitter);
+        next[std::minmax(u, v)] += rate * jitter;
       }
     }
   }
-  return next;
+  FlowDeltaBatch flows;
+  flows.reserve(next.size());
+  for (const auto& [pair, rate] : next) flows.push(pair.first, pair.second, rate);
+  return TrafficMatrix(current.num_vms(), std::move(flows));
 }
 
 const TrafficMatrix& TrafficDynamics::epoch(std::size_t k) {
@@ -114,14 +121,12 @@ TrafficMatrix average_tms(const std::vector<const TrafficMatrix*>& tms) {
   for (const TrafficMatrix* tm : tms) {
     if (tm->num_vms() != n) throw std::invalid_argument("average_tms: size mismatch");
   }
-  TrafficMatrix avg(n);
+  FlowDeltaBatch flows;
   const double w = 1.0 / static_cast<double>(tms.size());
   for (const TrafficMatrix* tm : tms) {
-    for (const auto& [u, v, rate] : tm->pairs()) {
-      avg.add(u, v, rate * w);
-    }
+    for (const auto& [u, v, rate] : tm->pairs()) flows.push(u, v, rate * w);
   }
-  return avg;
+  return TrafficMatrix(n, std::move(flows));
 }
 
 }  // namespace score::traffic

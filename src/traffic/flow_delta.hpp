@@ -5,20 +5,22 @@
 // λ matrix (and every cost cache derived from it) per event would be a global
 // pause. A FlowDelta is one additive rate change to a single unordered VM
 // pair; a FlowDeltaBatch is an ordered sequence of them, the unit the ingest
-// path hands to TrafficMatrix::apply.
+// path hands to TrafficMatrix::apply. A batch of non-negative rates is also
+// the pair list a TrafficMatrix is built from.
 //
-// TrafficObserver is the seam that makes deltas cheap downstream: every
-// mutation of a TrafficMatrix — delta applies *and* the legacy set/add/scale
-// mutators, which all funnel through one choke point — is announced to the
-// registered observers as either a per-pair rate change (foldable into
-// Eq. (1)/(2) sums in O(1)) or a bulk update (resync from scratch). The
-// matrix's version counter still bumps on every mutation, so an *unregistered*
-// consumer (a copied cache, a cache bound to a different matrix) falls back
-// to the counter-triggered rebuild path — observers are an optimisation,
-// never a correctness requirement (see ARCHITECTURE.md, "Streaming ingest").
+// TrafficObserver is the seam that makes deltas cheap downstream: a built
+// TrafficMatrix changes only through apply(), whose per-pair rate changes
+// are announced to the registered observers (foldable into Eq. (1)/(2) sums
+// in O(1)), and through assignment, announced as a bulk update (resync from
+// scratch). The matrix's version counter still bumps on every mutation, so
+// an *unregistered* consumer (a copied cache, a cache bound to a different
+// matrix) falls back to the counter-triggered rebuild path — observers are
+// an optimisation, never a correctness requirement (see ARCHITECTURE.md,
+// "Streaming ingest").
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 namespace score::traffic {
@@ -43,6 +45,9 @@ struct FlowDelta {
 /// per change and routed to per-shard sub-batches.
 class FlowDeltaBatch {
  public:
+  FlowDeltaBatch() = default;
+  FlowDeltaBatch(std::initializer_list<FlowDelta> deltas) : deltas_(deltas) {}
+
   void push(VmId u, VmId v, double delta) { deltas_.push_back({u, v, delta}); }
   void push(const FlowDelta& d) { deltas_.push_back(d); }
 
@@ -75,7 +80,7 @@ class TrafficObserver {
   virtual ~TrafficObserver() = default;
 
   /// λ(u,v) changed old_rate -> new_rate (both >= 0, old != new). Emitted by
-  /// every per-pair mutation: apply, set, add, and scale (per pair).
+  /// every apply() that changes a rate.
   virtual void on_rate_change(VmId u, VmId v, double old_rate,
                               double new_rate) = 0;
 

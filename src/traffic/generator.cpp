@@ -4,6 +4,7 @@
 #include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace score::traffic {
@@ -31,7 +32,7 @@ TrafficMatrix generate_traffic(const GeneratorConfig& config) {
     throw std::invalid_argument("generate_traffic: need at least 2 VMs");
   }
   util::Rng rng(config.seed);
-  TrafficMatrix tm(config.num_vms);
+  FlowDeltaBatch flows;
 
   // Partition VMs into services with geometric-ish size variation around the
   // mean: repeatedly carve a chunk of size U[1, 2*mean-1] off the remainder.
@@ -75,7 +76,7 @@ TrafficMatrix generate_traffic(const GeneratorConfig& config) {
         std::size_t j = rng.chance(0.5) ? rng.index(std::min<std::size_t>(3, svc.size()))
                                         : rng.index(svc.size());
         if (svc[j] == svc[i]) continue;
-        tm.add(svc[i], svc[j], draw_rate());
+        flows.push(svc[i], svc[j], draw_rate());
       }
     }
   }
@@ -85,16 +86,17 @@ TrafficMatrix generate_traffic(const GeneratorConfig& config) {
     if (!rng.chance(config.cross_service_prob)) continue;
     VmId v = static_cast<VmId>(rng.index(config.num_vms));
     if (v == u) continue;
-    tm.add(u, v, draw_rate());
+    flows.push(u, v, draw_rate());
   }
 
-  return tm;
+  // A pair drawn twice sums its draws in draw order.
+  return TrafficMatrix(config.num_vms, std::move(flows));
 }
 
 TrafficMatrix generate_traffic(const GeneratorConfig& config, Intensity intensity) {
-  TrafficMatrix tm = generate_traffic(config);
-  tm.scale(intensity_scale(intensity));
-  return tm;
+  // Scale the summed rates, not each draw: (r1 + r2) * s and r1 * s + r2 * s
+  // can differ in the last bit.
+  return generate_traffic(config).scaled(intensity_scale(intensity));
 }
 
 double top_pair_byte_share(const TrafficMatrix& tm, double fraction) {

@@ -1,16 +1,88 @@
 #include "traffic/traffic_matrix.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <tuple>
 
 namespace score::traffic {
 
-TrafficMatrix::TrafficMatrix(std::size_t num_vms)
+TrafficMatrix::TrafficMatrix(std::size_t num_vms, FlowDeltaBatch flows)
     : offsets_(num_vms + 1, 0),
       overflow_head_(num_vms, kNoChain),
       overflow_tail_(num_vms, kNoChain),
-      degree_(num_vms, 0) {}
+      degree_(num_vms, 0) {
+  // Count: offsets_[u + 1] bounds row u's length from above (a repeated
+  // pair counts once per listing). Zero rates are skipped, as apply() skips
+  // a zero delta, so they never fix a pair's position.
+  for (const FlowDelta& f : flows) {
+    check(f);
+    if (f.delta < 0.0) {
+      throw std::invalid_argument("TrafficMatrix: negative rate");
+    }
+    if (f.delta == 0.0) continue;
+    ++offsets_[f.u + 1];
+    ++offsets_[f.v + 1];
+  }
+  for (std::size_t u = 0; u < num_vms; ++u) offsets_[u + 1] += offsets_[u];
+  cols_.resize(offsets_[num_vms]);
+  rates_.resize(offsets_[num_vms]);
+
+  // Fill: rows grow from offsets_[u] in list order; degree_[u] is the fill.
+  // Both directions sum the same rates in the same order, so they agree bit
+  // for bit.
+  for (const FlowDelta& f : flows) {
+    if (f.delta == 0.0) continue;
+    accumulate(f.u, f.v, f.delta);
+    accumulate(f.v, f.u, f.delta);
+  }
+  flows = FlowDeltaBatch();
+
+  // Squeeze: slide each row down over the slack its repeats left behind
+  // (packed <= begin, so a forward copy is safe).
+  std::uint64_t packed = 0;
+  for (std::size_t u = 0; u < num_vms; ++u) {
+    const std::uint64_t begin = offsets_[u];
+    offsets_[u] = packed;
+    for (std::uint32_t k = 0; k < degree_[u]; ++k) {
+      cols_[packed + k] = cols_[begin + k];
+      rates_[packed + k] = rates_[begin + k];
+    }
+    packed += degree_[u];
+  }
+  offsets_[num_vms] = packed;
+  if (packed < cols_.size()) {
+    cols_.resize(packed);
+    rates_.resize(packed);
+    cols_.shrink_to_fit();
+    rates_.shrink_to_fit();
+  }
+  live_directed_ = packed;
+}
+
+void TrafficMatrix::accumulate(VmId u, VmId v, double rate) {
+  const std::uint64_t begin = offsets_[u];
+  const std::uint64_t end = begin + degree_[u];
+  for (std::uint64_t i = begin; i < end; ++i) {
+    if (cols_[i] == v) {
+      rates_[i] += rate;
+      return;
+    }
+  }
+  cols_[end] = v;
+  rates_[end] = rate;
+  ++degree_[u];
+}
+
+void TrafficMatrix::check(const FlowDelta& d) const {
+  if (d.u >= num_vms() || d.v >= num_vms()) {
+    throw std::out_of_range("TrafficMatrix: bad VM id");
+  }
+  if (d.u == d.v) throw std::invalid_argument("TrafficMatrix: u == v");
+  if (!std::isfinite(d.delta)) {
+    throw std::invalid_argument("TrafficMatrix: non-finite rate");
+  }
+}
 
 TrafficMatrix::TrafficMatrix(const TrafficMatrix& other)
     : offsets_(other.offsets_),
@@ -259,9 +331,7 @@ void TrafficMatrix::remove_observer(TrafficObserver* observer) const {
 }
 
 void TrafficMatrix::apply(const FlowDelta& delta) {
-  if (delta.u == delta.v) {
-    throw std::invalid_argument("TrafficMatrix::apply: u == v");
-  }
+  check(delta);
   if (delta.delta == 0.0) return;
   commit_rate(delta.u, delta.v, rate(delta.u, delta.v) + delta.delta);
 }
@@ -270,14 +340,35 @@ void TrafficMatrix::apply(const FlowDeltaBatch& batch) {
   for (const FlowDelta& d : batch) apply(d);
 }
 
-void TrafficMatrix::set(VmId u, VmId v, double rate) {
-  if (u == v) throw std::invalid_argument("TrafficMatrix::set: u == v");
-  if (rate < 0.0) throw std::invalid_argument("TrafficMatrix::set: negative rate");
-  commit_rate(u, v, rate);
-}
-
-void TrafficMatrix::add(VmId u, VmId v, double delta) {
-  set(u, v, rate(u, v) + delta);
+TrafficMatrix TrafficMatrix::scaled(double factor) const {
+  if (!std::isfinite(factor) || factor < 0.0) {
+    throw std::invalid_argument(
+        "TrafficMatrix::scaled: factor must be finite and >= 0");
+  }
+  TrafficMatrix out(*this);
+  // In place, slot by slot: both directions of a pair hold the same rate,
+  // so both get the same product. A product of zero is tombstoned, as
+  // apply() would remove the pair.
+  auto scale_entry = [&out, factor](VmId u, VmId& col, double& rate) {
+    if (col == kDead) return;
+    rate *= factor;
+    if (rate > 0.0) return;
+    col = kDead;
+    rate = 0.0;
+    --out.degree_[u];
+    --out.live_directed_;
+    ++out.dead_entries_;
+  };
+  for (VmId u = 0; u < out.num_vms(); ++u) {
+    for (std::uint64_t i = out.offsets_[u]; i < out.offsets_[u + 1]; ++i) {
+      scale_entry(u, out.cols_[i], out.rates_[i]);
+    }
+    for (std::uint32_t i = out.overflow_head_[u]; i != kNoChain;
+         i = out.overflow_[i].next) {
+      scale_entry(u, out.overflow_[i].col, out.overflow_[i].rate);
+    }
+  }
+  return out;
 }
 
 double TrafficMatrix::rate(VmId u, VmId v) const {
@@ -306,13 +397,6 @@ double TrafficMatrix::total_load() const {
     }
   }
   return total / 2.0;
-}
-
-void TrafficMatrix::scale(double factor) {
-  if (factor < 0.0) throw std::invalid_argument("TrafficMatrix::scale: negative factor");
-  // Through the per-pair choke point so observers fold each change exactly
-  // (the pairs() snapshot keeps the iteration stable while rows mutate).
-  for (const auto& [u, v, r] : pairs()) commit_rate(u, v, r * factor);
 }
 
 std::vector<std::tuple<VmId, VmId, double>> TrafficMatrix::pairs() const {

@@ -10,8 +10,15 @@
 // structure-of-arrays — one `offsets_` array plus packed `(cols_, rates_)`
 // columns — instead of one heap-allocated vector per VM, so a 1M-VM matrix
 // is three flat allocations, `neighbors(u)` is an O(degree) contiguous scan
-// and the whole edge set prefetches linearly. Mutations keep CSR compact
-// with two escape hatches:
+// and the whole edge set prefetches linearly.
+//
+// Build: the list constructor packs the CSR in one pass over a pair list
+// (count an upper bound per row, fill the rows in list order, squeeze out
+// the slack left by repeated pairs). Each row keeps its peers in order of
+// first appearance and a repeated pair is summed in list order, so the
+// result is bit-identical to applying the list to an empty matrix.
+//
+// Change: apply() keeps CSR compact with two escape hatches:
 //   * erasing an entry tombstones its column slot in place (relative order
 //     of the survivors is preserved — exactly what vector::erase did);
 //   * inserting a new pair appends to a per-row overflow chain in a shared
@@ -27,12 +34,12 @@
 // previous layout.
 //
 // Mutation model (see ARCHITECTURE.md, "Streaming ingest & drift trigger"):
-// every mutation — the streaming apply() entry points and the legacy
-// set/add/scale mutators alike — funnels through one private choke point
+// apply() is the only mutator. It funnels through one private choke point
 // that updates the storage, bumps the version counter and announces the
-// change to the registered TrafficObservers. Observers and the counter can
-// therefore never disagree: a registered consumer folds each per-pair change
-// incrementally, an unregistered one detects the counter move and rebuilds.
+// change to the registered TrafficObservers; assignment bumps the counter
+// and announces a bulk update. Observers and the counter can therefore never
+// disagree: a registered consumer folds each per-pair change incrementally,
+// an unregistered one detects the counter move and rebuilds.
 #pragma once
 
 #include <cstdint>
@@ -159,7 +166,15 @@ class NeighborView {
 
 class TrafficMatrix {
  public:
-  explicit TrafficMatrix(std::size_t num_vms);
+  /// λ over `num_vms` VMs, built in one pass from `flows` (empty by
+  /// default). The result equals applying `flows` in order to an empty
+  /// matrix: a pair listed twice, in either orientation, is summed in list
+  /// order, each row keeps its peers in order of first appearance, and a
+  /// pair whose rates sum to zero is absent. An out-of-range id throws
+  /// std::out_of_range; u == v or a negative or non-finite rate throws
+  /// std::invalid_argument. The list is taken by value so the build can
+  /// free it before squeezing the rows.
+  explicit TrafficMatrix(std::size_t num_vms, FlowDeltaBatch flows = {});
 
   // Observers are registered against this object's identity, so they are
   // deliberately NOT carried across copies or moves: a copy starts with no
@@ -176,11 +191,13 @@ class TrafficMatrix {
 
   std::size_t num_vms() const { return degree_.size(); }
 
-  // ---- streaming mutation API ----------------------------------------------
+  // ---- mutation -------------------------------------------------------------
 
   /// Fold one flow delta: λ(u,v) += delta, clamped at 0 (a pair driven to or
-  /// below zero is removed). u != v. O(|Vu| + |Vv|) storage update plus one
-  /// O(1) observer notification per registered observer.
+  /// below zero is removed). An out-of-range id throws std::out_of_range;
+  /// u == v or a non-finite delta throws std::invalid_argument. O(|Vu| +
+  /// |Vv|) storage update plus one O(1) observer notification per
+  /// registered observer.
   void apply(const FlowDelta& delta);
 
   /// Fold a batch in order (deltas to the same pair accumulate).
@@ -194,25 +211,13 @@ class TrafficMatrix {
   void add_observer(TrafficObserver* observer) const;
   void remove_observer(TrafficObserver* observer) const;
 
-  // ---- legacy mutators ------------------------------------------------------
-  // DEPRECATED for hot paths: set/add/scale predate the delta API and are
-  // kept for scenario construction and tests. They route through the same
-  // choke point as apply(), so observers see them as per-pair rate changes —
-  // but prefer apply(FlowDeltaBatch) for event-driven updates: it is the
-  // entry point the streaming ingest/bench path exercises and documents.
-
-  /// Set λ(u,v) = λ(v,u) = rate (rate >= 0; 0 removes the pair). u != v.
-  void set(VmId u, VmId v, double rate);
-
-  /// Add `delta` to λ(u,v) (creates the pair if absent). Unlike apply(), a
-  /// negative resulting rate throws instead of clamping.
-  void add(VmId u, VmId v, double delta);
-
-  /// Multiply every rate by `factor` (the paper scales its base TM ×10, ×50).
-  /// Emitted to observers as one rate change per pair.
-  void scale(double factor);
-
   // ---- queries --------------------------------------------------------------
+
+  /// A copy with every rate multiplied by `factor` (the paper scales its
+  /// base TM ×10, ×50). Each rate is scaled in its slot, so neighbour order
+  /// is unchanged; a product of zero removes the pair. Throws
+  /// std::invalid_argument on a negative or non-finite factor.
+  TrafficMatrix scaled(double factor) const;
 
   /// λ(u,v); 0 when the VMs do not communicate.
   double rate(VmId u, VmId v) const;
@@ -250,9 +255,9 @@ class TrafficMatrix {
   /// (sorted) order. Output is reserved up front — one allocation.
   std::vector<std::tuple<VmId, VmId, double>> pairs() const;
 
-  /// Mutation counter: bumped by every effective mutation (apply, set, add,
-  /// scale, assignment). CachedCostModel uses it as the fallback/cross-check
-  /// path: a consumer that missed the observer notifications (it was never
+  /// Mutation counter: bumped by every apply() that changes a rate and by
+  /// assignment. CachedCostModel uses it as the fallback/cross-check path: a
+  /// consumer that missed the observer notifications (it was never
   /// registered, or the change was a bulk update) detects the counter move
   /// and rebuilds its sums.
   std::uint64_t version() const { return version_; }
@@ -270,6 +275,14 @@ class TrafficMatrix {
   static constexpr VmId kDead = detail::kDead;
   static constexpr std::uint32_t kNoChain = detail::kNoChain;
   using OverflowEntry = detail::OverflowEntry;
+
+  /// Throws unless `d` names two distinct in-range VMs and a finite delta.
+  /// Shared by apply() and the list constructor.
+  void check(const FlowDelta& d) const;
+
+  /// List-constructor fill step: add `rate` to row u's entry for v in the
+  /// unsqueezed build layout, appending the entry if the row lacks it.
+  void accumulate(VmId u, VmId v, double rate);
 
   /// The single mutation choke point: writes both directed entries, bumps
   /// the version and notifies observers. No-op (no bump, no notification)

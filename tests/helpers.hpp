@@ -3,6 +3,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 
 #include "baselines/placement.hpp"
 #include "core/cost_model.hpp"
@@ -26,15 +27,15 @@ inline topo::CanonicalTreeConfig tiny_tree_config() {
 /// Random TM over `num_vms` VMs where every VM gets ~degree random peers.
 inline traffic::TrafficMatrix random_tm(std::size_t num_vms, double degree,
                                         util::Rng& rng) {
-  traffic::TrafficMatrix tm(num_vms);
+  traffic::FlowDeltaBatch flows;
   for (traffic::VmId u = 0; u < num_vms; ++u) {
     for (int d = 0; d < static_cast<int>(degree); ++d) {
       auto v = static_cast<traffic::VmId>(rng.index(num_vms));
       if (v == u) continue;
-      tm.add(u, v, rng.uniform(0.1, 100.0));
+      flows.push(u, v, rng.uniform(0.1, 100.0));
     }
   }
-  return tm;
+  return traffic::TrafficMatrix(num_vms, std::move(flows));
 }
 
 /// Random feasible allocation of `num_vms` identical VMs over the topology.

@@ -30,6 +30,7 @@ using score::core::VmSpec;
 using score::testing::random_tm;
 using score::testing::tiny_tree_config;
 using score::topo::CanonicalTree;
+using score::traffic::FlowDelta;
 using score::traffic::TrafficMatrix;
 using score::util::Rng;
 
@@ -163,9 +164,7 @@ TEST_F(GaTest, FindsExactOptimumOnTinyInstance) {
   initial.add_vm(VmSpec{}, 31);
   initial.add_vm(VmSpec{}, 5);
   initial.add_vm(VmSpec{}, 27);
-  TrafficMatrix tm(4);
-  tm.set(0, 1, 10.0);
-  tm.set(2, 3, 10.0);
+  TrafficMatrix tm(4, {{0, 1, 10.0}, {2, 3, 10.0}});
 
   GaConfig cfg;
   cfg.population = 16;
@@ -278,7 +277,8 @@ TEST_F(RemedyTest, ReducesMaxUtilizationUnderHotspot) {
   for (VmId i = 8; i < 16; ++i) {
     alloc.add_vm(VmSpec{}, static_cast<ServerId>(28 + i % 2));  // rack 7
   }
-  for (VmId i = 0; i < 8; ++i) tm.set(i, i + 8, 3e8);  // cross-core elephants
+  // Cross-core elephants.
+  for (VmId i = 0; i < 8; ++i) tm.apply(FlowDelta{i, i + 8, 3e8});
 
   RemedyConfig cfg;
   cfg.congestion_threshold = 0.3;
@@ -296,8 +296,7 @@ TEST_F(RemedyTest, ReducesMaxUtilizationUnderHotspot) {
 
 TEST_F(RemedyTest, QuietNetworkNeedsNoMigrations) {
   Rng rng(20);
-  auto tm = random_tm(16, 2.0, rng);
-  tm.scale(1e-6);  // negligible load
+  const auto tm = random_tm(16, 2.0, rng).scaled(1e-6);  // negligible load
   auto alloc = score::testing::random_allocation(topo_, 16, rng);
   RemedyConfig cfg;
   cfg.rounds = 5;
@@ -322,10 +321,9 @@ TEST_F(RemedyTest, SeriesHasOnePointPerRoundPlusStart) {
 
 TEST_F(RemedyTest, AccountsMigrationBytes) {
   Allocation alloc(topo_.num_hosts(), cap4());
-  TrafficMatrix tm(2);
   alloc.add_vm(VmSpec{}, 0);
   alloc.add_vm(VmSpec{}, 31);
-  tm.set(0, 1, 9e8);  // saturates the core path
+  TrafficMatrix tm(2, {{0, 1, 9e8}});  // saturates the core path
   RemedyConfig cfg;
   cfg.congestion_threshold = 0.3;
   cfg.rounds = 3;

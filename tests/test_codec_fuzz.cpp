@@ -190,9 +190,17 @@ std::vector<TaskFrame> task_corpus() {
 
 std::vector<std::vector<std::uint8_t>> token_corpus() {
   std::vector<std::vector<std::uint8_t>> out;
-  out.push_back(hypervisor::encode_rr_token({1, 5, 9, 200, 4000000000u}));
-  out.push_back(hypervisor::encode_hlf_token(
-      {{1, 0}, {2, 3}, {70, 127}, {4096, 64}}));
+  hypervisor::Token rr;
+  rr.holder = 9;
+  rr.entries = {{1, 0, false}, {5, 0, false}, {9, 0, true},
+                {200, 0, false}, {4000000000u, 0, false}};
+  out.push_back(hypervisor::encode_token(rr));
+  hypervisor::Token hlf;
+  hlf.holder = 70;
+  hlf.policy = hypervisor::TokenPolicyId::kHighestLevelFirst;
+  hlf.entries = {{1, 0, false}, {2, 3, false}, {70, 127, true},
+                 {4096, 64, false}};
+  out.push_back(hypervisor::encode_token(hlf));
   hypervisor::Token tok;
   tok.epoch = 12;
   tok.ring_pos = 80;
@@ -222,12 +230,7 @@ TEST(CodecFuzz, TokenEveryPrefixRejected) {
     for (std::size_t n = 0; n < wire.size(); ++n) {
       const std::vector<std::uint8_t> prefix(wire.begin(),
                                              wire.begin() + static_cast<long>(n));
-      // The bare-array layouts accept any multiple of their stride, so only
-      // the framed decoder gives a universal prefix guarantee; all three
-      // must at minimum not crash.
-      expect_rejects_or_decodes(prefix, hypervisor::decode_rr_token);
-      expect_rejects_or_decodes(prefix, hypervisor::decode_hlf_token);
-      expect_rejects_or_decodes(prefix, hypervisor::decode_token);
+      expect_rejects(prefix, hypervisor::decode_token);
       expect_frame_agrees(prefix);
     }
   }
@@ -267,8 +270,6 @@ TEST(CodecFuzz, TokenEveryBitFlipSafe) {
       for (int bit = 0; bit < 8; ++bit) {
         std::vector<std::uint8_t> mut = wire;
         mut[byte] = static_cast<std::uint8_t>(mut[byte] ^ (1u << bit));
-        expect_rejects_or_decodes(mut, hypervisor::decode_rr_token);
-        expect_rejects_or_decodes(mut, hypervisor::decode_hlf_token);
         expect_rejects_or_decodes(mut, hypervisor::decode_token);
         expect_frame_agrees(mut);
       }
@@ -341,8 +342,6 @@ TEST(CodecFuzz, RandomMutationsNeverCrash) {
       }
     }
     expect_rejects_or_decodes(wire, hypervisor::decode_task);
-    expect_rejects_or_decodes(wire, hypervisor::decode_rr_token);
-    expect_rejects_or_decodes(wire, hypervisor::decode_hlf_token);
     expect_rejects_or_decodes(wire, hypervisor::decode_token);
   }
 }
@@ -353,8 +352,6 @@ TEST(CodecFuzz, RandomGarbageNeverCrashes) {
     std::vector<std::uint8_t> wire(rng() % 256);
     for (std::uint8_t& b : wire) b = static_cast<std::uint8_t>(rng());
     expect_rejects_or_decodes(wire, hypervisor::decode_task);
-    expect_rejects_or_decodes(wire, hypervisor::decode_rr_token);
-    expect_rejects_or_decodes(wire, hypervisor::decode_hlf_token);
     expect_rejects_or_decodes(wire, hypervisor::decode_token);
   }
 }

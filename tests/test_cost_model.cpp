@@ -27,6 +27,7 @@ using score::testing::tiny_tree_config;
 using score::topo::CanonicalTree;
 using score::topo::FatTree;
 using score::topo::FatTreeConfig;
+using score::traffic::FlowDelta;
 using score::traffic::TrafficMatrix;
 using score::util::Rng;
 
@@ -96,8 +97,7 @@ TEST_F(CostModelTest, LevelTracksAllocation) {
   Allocation alloc(topo_.num_hosts(), ServerCapacity{});
   const VmId a = alloc.add_vm(VmSpec{}, 0);
   const VmId b = alloc.add_vm(VmSpec{}, 0);
-  TrafficMatrix tm(2);
-  tm.set(a, b, 1.0);
+  const TrafficMatrix tm(2, {{a, b, 1.0}});
   EXPECT_EQ(model_.level(alloc, a, b), 0);
   alloc.migrate(b, 1);  // same rack
   EXPECT_EQ(model_.level(alloc, a, b), 1);
@@ -112,9 +112,7 @@ TEST_F(CostModelTest, VmCostMatchesEq1) {
   const VmId u = alloc.add_vm(VmSpec{}, 0);
   const VmId v = alloc.add_vm(VmSpec{}, 1);   // level 1
   const VmId w = alloc.add_vm(VmSpec{}, 31);  // level 3 (last host)
-  TrafficMatrix tm(3);
-  tm.set(u, v, 2.0);
-  tm.set(u, w, 5.0);
+  const TrafficMatrix tm(3, {{u, v, 2.0}, {u, w, 5.0}});
   const auto& lw = model_.weights();
   const double expected = 2.0 * 2.0 * lw.prefix(1) + 2.0 * 5.0 * lw.prefix(3);
   EXPECT_DOUBLE_EQ(model_.vm_cost(alloc, tm, u), expected);
@@ -125,9 +123,7 @@ TEST_F(CostModelTest, HighestLevelOverNeighbors) {
   const VmId u = alloc.add_vm(VmSpec{}, 0);
   const VmId v = alloc.add_vm(VmSpec{}, 1);
   const VmId w = alloc.add_vm(VmSpec{}, 5);
-  TrafficMatrix tm(3);
-  tm.set(u, v, 1.0);
-  tm.set(u, w, 1.0);
+  const TrafficMatrix tm(3, {{u, v, 1.0}, {u, w, 1.0}});
   EXPECT_EQ(model_.highest_level(alloc, tm, u), 2);
   EXPECT_EQ(model_.highest_level(alloc, tm, v), 1);
   TrafficMatrix empty(3);
@@ -147,10 +143,8 @@ TEST_F(CostModelTest, TotalCostEqualsHalfSumOfVmCosts) {
 
 TEST_F(CostModelTest, ColocatedEverythingIsFree) {
   Allocation alloc(topo_.num_hosts(), ServerCapacity{});
-  TrafficMatrix tm(4);
+  const TrafficMatrix tm(4, {{0, 1, 10.0}, {2, 3, 20.0}});
   for (VmId i = 0; i < 4; ++i) alloc.add_vm(VmSpec{}, 7);
-  tm.set(0, 1, 10.0);
-  tm.set(2, 3, 20.0);
   EXPECT_DOUBLE_EQ(model_.total_cost(alloc, tm), 0.0);
 }
 
@@ -185,8 +179,7 @@ TEST_F(CostModelTest, MigrationDeltaPositiveWhenLocalizing) {
   Allocation alloc(topo_.num_hosts(), ServerCapacity{});
   const VmId u = alloc.add_vm(VmSpec{}, 0);
   const VmId v = alloc.add_vm(VmSpec{}, static_cast<ServerId>(topo_.num_hosts() - 1));
-  TrafficMatrix tm(2);
-  tm.set(u, v, 10.0);
+  const TrafficMatrix tm(2, {{u, v, 10.0}});
   // Moving u next to v removes a level-3 pair entirely.
   const double delta = model_.migration_delta(alloc, tm, u, alloc.server_of(v));
   EXPECT_DOUBLE_EQ(delta, model_.pair_cost(10.0, 3));
@@ -319,11 +312,10 @@ TEST_F(CachedCostModelTest, ZeroTrafficVmAgreesWithMigrationDelta) {
   // Edge case: a VM with no communicating peers. Its migration changes no
   // pair level, so delta is 0 and the cached total must not move.
   Allocation alloc(topo_.num_hosts(), ServerCapacity{});
-  TrafficMatrix tm(3);
   const VmId a = alloc.add_vm(VmSpec{}, 0);
   const VmId b = alloc.add_vm(VmSpec{}, 1);
   const VmId quiet = alloc.add_vm(VmSpec{}, 2);
-  tm.set(a, b, 5.0);  // `quiet` has an empty neighbour set
+  TrafficMatrix tm(3, {{a, b, 5.0}});  // `quiet` has an empty neighbour set
   cached_.bind(alloc, tm);
   const double before = cached_.total_cost(alloc, tm);
   const auto far = static_cast<ServerId>(topo_.num_hosts() - 1);
@@ -337,7 +329,7 @@ TEST_F(CachedCostModelTest, ZeroTrafficVmAgreesWithMigrationDelta) {
 
   // A zero-rate entry is removed from the TM entirely; the pair then behaves
   // exactly like no traffic.
-  tm.set(a, b, 0.0);
+  tm.apply(FlowDelta{a, b, -5.0});
   EXPECT_DOUBLE_EQ(cached_.migration_delta(alloc, tm, a, far), 0.0);
   EXPECT_DOUBLE_EQ(cached_.total_cost(alloc, tm), 0.0);
 }
@@ -359,8 +351,8 @@ TEST_F(CachedCostModelTest, OutOfBandMutationsTriggerRebuild) {
               1e-9);
 
   // Bypass the cache: mutate the traffic matrix (dynamics).
-  tm.add(0, 1, 7.5);
-  tm.scale(1.5);
+  tm.apply(FlowDelta{0, 1, 7.5});
+  tm = tm.scaled(1.5);
   EXPECT_NEAR(cached_.total_cost(alloc, tm), brute_.total_cost(alloc, tm),
               1e-9);
 }

@@ -2,15 +2,19 @@
 // overflow-side-buffer layout against a straight per-VM-vector reference
 // implementing the documented iteration-order contract (in-place overwrite
 // keeps position, erase preserves survivor order, inserts append at the row
-// tail). Random delta streams — flow up, drop-to-zero, rate jitter, whole-
-// matrix rescales — must leave the two bit-identical at every step:
-// neighbors() sequences, pairs(), rate(), num_pairs(), and the per-row
-// total_load() fold. Compaction (tombstone/overflow repacking) must be
-// invisible to all of it, and a bound CachedCostModel must fold the whole
-// stream without a single rebuild.
+// tail). Random apply() streams — flow up, drop-to-zero, rate jitter,
+// absolute-rate moves, whole-matrix rescales as per-pair deltas — must leave
+// the two bit-identical at every step: neighbors() sequences, pairs(),
+// rate(), num_pairs(), and the per-row total_load() fold. Compaction
+// (tombstone/overflow repacking) must be invisible to all of it, and a bound
+// CachedCostModel must fold the whole stream without a single rebuild.
+// The one-pass list constructor must equal applying its list to an empty
+// reference, and scaled(f) must equal multiplying every slot by f in place.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -30,6 +34,7 @@ using score::testing::random_allocation;
 using score::testing::tiny_tree_config;
 using score::topo::CanonicalTree;
 using score::traffic::FlowDelta;
+using score::traffic::FlowDeltaBatch;
 using score::traffic::TrafficMatrix;
 using score::traffic::VmId;
 
@@ -58,9 +63,12 @@ class RefMatrix {
     commit(d.u, d.v, rate(d.u, d.v) + d.delta);
   }
 
-  void scale(double factor) {
-    // Snapshot-then-commit in sorted-pair order, as TrafficMatrix::scale.
-    for (const auto& [u, v, r] : pairs()) commit(u, v, r * factor);
+  /// r *= factor in every slot; a zero product erases the entry.
+  void scale_in_place(double factor) {
+    for (auto& row : rows_) {
+      for (auto& entry : row) entry.second *= factor;
+      std::erase_if(row, [](const auto& entry) { return entry.second <= 0.0; });
+    }
   }
 
   const std::vector<std::pair<VmId, double>>& row(VmId u) const {
@@ -180,14 +188,11 @@ TEST(CsrDifferential, RandomDeltaStreamStaysBitIdenticalToReference) {
       } else if (draw < 0.60) {
         // Drop to exactly zero: retract the current rate as a delta so the
         // tombstone/erase path runs on a live entry (no-op when absent).
+        // On an absent pair the negative delta clamps to a no-op.
         const double r = tm.rate(u, v);
-        if (r > 0.0) {
-          tm.apply(FlowDelta{u, v, -r});
-          ref.apply(FlowDelta{u, v, -r});
-        } else {
-          tm.set(u, v, 0.0);
-          ref.commit(u, v, 0.0);
-        }
+        const double d = r > 0.0 ? -r : -1.0;
+        tm.apply(FlowDelta{u, v, d});
+        ref.apply(FlowDelta{u, v, d});
       } else if (draw < 0.95) {
         // Rate jitter, signed: exercises overwrite-in-place and the
         // clamp-to-zero path when the delta overshoots.
@@ -195,16 +200,19 @@ TEST(CsrDifferential, RandomDeltaStreamStaysBitIdenticalToReference) {
         tm.apply(FlowDelta{u, v, d});
         ref.apply(FlowDelta{u, v, d});
       } else {
-        // Set to a fresh absolute rate through the non-delta mutator.
-        const double r = rng.uniform() * 3.0;
-        tm.set(u, v, r);
-        ref.commit(u, v, r);
+        // Move to a fresh absolute rate (zero removes the pair).
+        const double d = rng.uniform() * 3.0 - tm.rate(u, v);
+        tm.apply(FlowDelta{u, v, d});
+        ref.apply(FlowDelta{u, v, d});
       }
     }
-    // Occasional whole-matrix rescale (the pairs()-snapshot mutator).
+    // Occasional whole-matrix rescale, one delta per pair in sorted-pair
+    // order, so the bound cache folds it.
     if (tick % 16 == 9) {
-      tm.scale(1.25);
-      ref.scale(1.25);
+      for (const auto& [u, v, r] : tm.pairs()) {
+        tm.apply(FlowDelta{u, v, r * 1.25 - r});
+        ref.apply(FlowDelta{u, v, r * 1.25 - r});
+      }
     }
     expect_identical(tm, ref, tick);
 
@@ -230,6 +238,24 @@ TEST(CsrDifferential, RandomDeltaStreamStaysBitIdenticalToReference) {
     ASSERT_EQ(a, b) << "vm " << u;
   }
   EXPECT_EQ(brute.total_cost(alloc, tm), brute.total_cost(alloc, copy));
+
+  // scaled() on a layout with live tombstones and an overflow chain: empty
+  // VM 0's row, then give it one new peer.
+  TrafficMatrix grown = tm;
+  RefMatrix grown_ref = ref;
+  const std::vector<std::pair<VmId, double>> row0 = ref.row(0);
+  for (const auto& [v, r] : row0) {
+    grown.apply(FlowDelta{0, v, -r});
+    grown_ref.apply(FlowDelta{0, v, -r});
+  }
+  grown.apply(FlowDelta{0, 1, 2.5});
+  grown_ref.apply(FlowDelta{0, 1, 2.5});
+  ASSERT_GT(grown.overflow_entries(), 0u);
+  for (const double f : {50.0, 0.1, 0.0}) {
+    RefMatrix scaled_ref = grown_ref;
+    scaled_ref.scale_in_place(f);
+    expect_identical(grown.scaled(f), scaled_ref, kTicks);
+  }
 }
 
 TEST(CsrDifferential, TombstoneHeavyStreamNeverResurrectsErasedFlows) {
@@ -245,21 +271,87 @@ TEST(CsrDifferential, TombstoneHeavyStreamNeverResurrectsErasedFlows) {
     const VmId hub = static_cast<VmId>(round % 3);
     for (VmId v = 0; v < kNumVms; ++v) {
       if (v == hub) continue;
-      const double r = 1.0 + rng.uniform();
-      tm.set(hub, v, r);
-      ref.commit(hub, v, r);
+      const double d = 1.0 + rng.uniform() - tm.rate(hub, v);
+      tm.apply(FlowDelta{hub, v, d});
+      ref.apply(FlowDelta{hub, v, d});
     }
     std::size_t i = 0;
     for (VmId v = 0; v < kNumVms; ++v) {
       if (v == hub) continue;
       if (i++ % 2 == round % 2) {
-        tm.set(hub, v, 0.0);
-        ref.commit(hub, v, 0.0);
+        const double d = -tm.rate(hub, v);
+        tm.apply(FlowDelta{hub, v, d});
+        ref.apply(FlowDelta{hub, v, d});
       }
     }
     expect_identical(tm, ref, round);
   }
   EXPECT_GT(tm.compactions(), 0u);
+}
+
+TEST(CsrDifferential, ListBuildEqualsApplyingTheListToAnEmptyMatrix) {
+  score::util::Rng rng(31);
+  for (const std::size_t n : {2u, 3u, 7u, 40u, 257u}) {
+    for (std::size_t trial = 0; trial < 20; ++trial) {
+      FlowDeltaBatch flows;
+      RefMatrix ref(n);
+      const std::size_t len = rng.index(6 * n + 1);
+      for (std::size_t i = 0; i < len; ++i) {
+        auto u = static_cast<VmId>(rng.index(n));
+        auto v = static_cast<VmId>(rng.index(n));
+        if (u == v) v = static_cast<VmId>((v + 1) % n);
+        const double draw = rng.uniform();
+        if (draw < 0.4 && !flows.empty()) {
+          // Repeat an earlier pair, in either orientation.
+          const FlowDelta& earlier = flows[rng.index(flows.size())];
+          u = earlier.u;
+          v = earlier.v;
+          if (rng.chance(0.5)) std::swap(u, v);
+        }
+        // Zero rates never fix a pair's position.
+        const double r = rng.chance(0.15) ? 0.0 : rng.lognormal(0.0, 1.0);
+        flows.push(u, v, r);
+        ref.apply(FlowDelta{u, v, r});
+      }
+      const TrafficMatrix tm(n, flows);
+      expect_identical(tm, ref, trial);
+      EXPECT_EQ(tm.overflow_entries(), 0u);
+      EXPECT_EQ(tm.csr_entries(), 2 * tm.num_pairs());  // squeezed
+      EXPECT_EQ(tm.compactions(), 0u);
+
+      for (const double f : {10.0, 50.0, 0.3, 0.0}) {
+        RefMatrix scaled_ref = ref;
+        scaled_ref.scale_in_place(f);
+        expect_identical(tm.scaled(f), scaled_ref, trial);
+      }
+    }
+  }
+}
+
+TEST(CsrDifferential, ListBuildAndApplyRejectTheSameMalformedEntries) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<FlowDelta> bad_range = {{0, 4, 1.0}, {4, 0, 1.0},
+                                            {7, 9, 1.0}};
+  const std::vector<FlowDelta> bad_value = {
+      {1, 1, 1.0}, {0, 1, nan}, {0, 1, inf}, {0, 1, -inf}};
+  for (const FlowDelta& bad : bad_range) {
+    FlowDeltaBatch flows{{0, 1, 1.0}, {2, 3, 2.0}};
+    flows.push(bad);
+    EXPECT_THROW(TrafficMatrix(4, flows), std::out_of_range);
+    TrafficMatrix tm(4);
+    EXPECT_THROW(tm.apply(bad), std::out_of_range);
+  }
+  for (const FlowDelta& bad : bad_value) {
+    FlowDeltaBatch flows{{0, 1, 1.0}, {2, 3, 2.0}};
+    flows.push(bad);
+    EXPECT_THROW(TrafficMatrix(4, flows), std::invalid_argument);
+    TrafficMatrix tm(4);
+    EXPECT_THROW(tm.apply(bad), std::invalid_argument);
+  }
+  // A negative rate is a valid delta but not a valid list entry.
+  EXPECT_THROW(TrafficMatrix(4, {{0, 1, 1.0}, {0, 1, -0.5}}),
+               std::invalid_argument);
 }
 
 }  // namespace

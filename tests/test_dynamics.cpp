@@ -81,10 +81,8 @@ TEST(Dynamics, TotalLoadRoughlyConserved) {
 }
 
 TEST(Dynamics, AverageTmsIsElementwiseMean) {
-  TrafficMatrix a(4), b(4);
-  a.set(0, 1, 10.0);
-  a.set(2, 3, 4.0);
-  b.set(0, 1, 20.0);
+  const TrafficMatrix a(4, {{0, 1, 10.0}, {2, 3, 4.0}});
+  const TrafficMatrix b(4, {{0, 1, 20.0}});
   const auto avg = average_tms({&a, &b});
   EXPECT_DOUBLE_EQ(avg.rate(0, 1), 15.0);
   EXPECT_DOUBLE_EQ(avg.rate(2, 3), 2.0);

@@ -38,8 +38,7 @@ TEST_F(EngineTest, MigratesTowardHeavyPeer) {
   Allocation alloc(topo_.num_hosts(), ServerCapacity{});
   const VmId u = alloc.add_vm(VmSpec{}, 0);
   const VmId v = alloc.add_vm(VmSpec{}, static_cast<ServerId>(topo_.num_hosts() - 1));
-  TrafficMatrix tm(2);
-  tm.set(u, v, 100.0);
+  TrafficMatrix tm(2, {{u, v, 100.0}});
 
   MigrationEngine engine(model_);
   const Decision d = engine.evaluate(alloc, tm, u);
@@ -52,8 +51,7 @@ TEST_F(EngineTest, NoMigrationWhenAlreadyColocated) {
   Allocation alloc(topo_.num_hosts(), ServerCapacity{});
   const VmId u = alloc.add_vm(VmSpec{}, 3);
   const VmId v = alloc.add_vm(VmSpec{}, 3);
-  TrafficMatrix tm(2);
-  tm.set(u, v, 100.0);
+  TrafficMatrix tm(2, {{u, v, 100.0}});
   MigrationEngine engine(model_);
   EXPECT_FALSE(engine.evaluate(alloc, tm, u).migrate);
 }
@@ -62,8 +60,7 @@ TEST_F(EngineTest, Theorem1MigrationCostGate) {
   Allocation alloc(topo_.num_hosts(), ServerCapacity{});
   const VmId u = alloc.add_vm(VmSpec{}, 0);
   const VmId v = alloc.add_vm(VmSpec{}, 4);  // same pod, level 2
-  TrafficMatrix tm(2);
-  tm.set(u, v, 1.0);
+  TrafficMatrix tm(2, {{u, v, 1.0}});
   const double gain = model_.pair_cost(1.0, 2);  // full delta if colocated
 
   EngineConfig below;
@@ -98,8 +95,7 @@ TEST_F(EngineTest, RespectsSlotCapacity) {
   Allocation alloc(topo_.num_hosts(), one_slot);
   const VmId u = alloc.add_vm(VmSpec{}, 0);
   const VmId v = alloc.add_vm(VmSpec{}, static_cast<ServerId>(topo_.num_hosts() - 1));
-  TrafficMatrix tm(2);
-  tm.set(u, v, 100.0);
+  TrafficMatrix tm(2, {{u, v, 100.0}});
 
   EngineConfig cfg;
   cfg.probe_rack_siblings = true;
@@ -122,8 +118,7 @@ TEST_F(EngineTest, NoFeasibleTargetMeansNoMigration) {
   for (std::size_t i = 0; i < 4; ++i) {
     v = alloc.add_vm(VmSpec{}, static_cast<ServerId>(rack_first + i));
   }
-  TrafficMatrix tm(alloc.num_vms());
-  tm.set(u, v, 100.0);
+  TrafficMatrix tm(alloc.num_vms(), {{u, v, 100.0}});
 
   EngineConfig cfg;
   cfg.max_candidates = 5;  // only the full rack is probed
@@ -140,8 +135,7 @@ TEST_F(EngineTest, BandwidthHeadroomBlocksBusyTargets) {
   chatty.net_bps = 0.5e9;
   const VmId u = alloc.add_vm(chatty, 0);
   const VmId v = alloc.add_vm(chatty, static_cast<ServerId>(topo_.num_hosts() - 1));
-  TrafficMatrix tm(2);
-  tm.set(u, v, 100.0);
+  TrafficMatrix tm(2, {{u, v, 100.0}});
 
   EngineConfig cfg;
   cfg.bandwidth_headroom_bps = 0.2e9;  // 0.5 used + 0.5 vm + 0.2 headroom > 1.0
@@ -163,11 +157,10 @@ TEST_F(EngineTest, CandidateOrderPrefersHighestLevelHeaviestPeers) {
   const VmId podmate = alloc.add_vm(VmSpec{}, 4);      // level 2
   const VmId far_light = alloc.add_vm(VmSpec{}, 28);   // level 3
   const VmId far_heavy = alloc.add_vm(VmSpec{}, 31);   // level 3
-  TrafficMatrix tm(5);
-  tm.set(u, rackmate, 50.0);
-  tm.set(u, podmate, 10.0);
-  tm.set(u, far_light, 1.0);
-  tm.set(u, far_heavy, 5.0);
+  TrafficMatrix tm(5, {{u, rackmate, 50.0},
+                       {u, podmate, 10.0},
+                       {u, far_light, 1.0},
+                       {u, far_heavy, 5.0}});
 
   EngineConfig cfg;
   cfg.probe_rack_siblings = false;

@@ -52,8 +52,7 @@ TEST(ExactSolver, TrivialPairColocates) {
   Allocation alloc(topo.num_hosts(), ServerCapacity{});
   alloc.add_vm(VmSpec{}, 0);
   alloc.add_vm(VmSpec{}, 3);
-  TrafficMatrix tm(2);
-  tm.set(0, 1, 5.0);
+  TrafficMatrix tm(2, {{0, 1, 5.0}});
 
   const ExactResult res = ExactSolver(model).solve(alloc, tm);
   EXPECT_TRUE(res.proven_optimal);
@@ -102,9 +101,7 @@ TEST(ExactSolver, RespectsCapacity) {
   one_slot.vm_slots = 1;
   Allocation alloc(topo.num_hosts(), one_slot);
   for (int i = 0; i < 4; ++i) alloc.add_vm(VmSpec{}, static_cast<ServerId>(i));
-  TrafficMatrix tm(4);
-  tm.set(0, 1, 10.0);
-  tm.set(2, 3, 10.0);
+  TrafficMatrix tm(4, {{0, 1, 10.0}, {2, 3, 10.0}});
 
   const ExactResult res = ExactSolver(model).solve(alloc, tm);
   EXPECT_TRUE(res.proven_optimal);

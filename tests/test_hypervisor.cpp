@@ -1,26 +1,20 @@
-// Hypervisor-substrate tests: flow table CRUD and throughput (paper §V-B.1),
-// token wire codec (§V-A/B.2), and the pre-copy live-migration model
-// (Fig. 5b-d quantities).
+// Hypervisor-substrate tests: flow table CRUD and throughput (paper §V-B.1)
+// and the pre-copy live-migration model (Fig. 5b-d quantities). The token
+// wire codec has its own suite, test_token_codec.
 #include <gtest/gtest.h>
 
 #include "hypervisor/flow_table.hpp"
 #include "hypervisor/live_migration.hpp"
-#include "hypervisor/token_codec.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace {
 
-using score::hypervisor::decode_hlf_token;
-using score::hypervisor::decode_rr_token;
-using score::hypervisor::encode_hlf_token;
-using score::hypervisor::encode_rr_token;
 using score::hypervisor::FlowKey;
 using score::hypervisor::FlowTable;
 using score::hypervisor::MigrationModelConfig;
 using score::hypervisor::MigrationOutcome;
 using score::hypervisor::PreCopyMigrationModel;
-using score::hypervisor::TokenEntry;
 using score::util::Rng;
 
 FlowKey key(std::uint32_t src, std::uint32_t dst, std::uint16_t sport = 1000,
@@ -217,65 +211,6 @@ TEST(FlowTable, Type1AndType2Populations) {
   EXPECT_EQ(type2.size(), n);
   EXPECT_EQ(type1.flows_for_ip(42).size(), 1u);
   EXPECT_EQ(type2.flows_for_ip(42).size(), 100u);
-}
-
-// ----------------------------------------------------------------- TokenCodec
-
-TEST(TokenCodec, RrRoundTrip) {
-  const std::vector<std::uint32_t> ids{1, 5, 100, 4'000'000'000u};
-  EXPECT_EQ(decode_rr_token(encode_rr_token(ids)), ids);
-}
-
-TEST(TokenCodec, RrWireSize) {
-  const std::vector<std::uint32_t> ids{1, 2, 3};
-  EXPECT_EQ(encode_rr_token(ids).size(), score::hypervisor::rr_token_bytes(3));
-}
-
-TEST(TokenCodec, RrRejectsUnsortedAndDuplicates) {
-  EXPECT_THROW(encode_rr_token({5, 3}), std::invalid_argument);
-  EXPECT_THROW(encode_rr_token({5, 5}), std::invalid_argument);
-}
-
-TEST(TokenCodec, RrRejectsTruncatedBuffer) {
-  auto buf = encode_rr_token({1, 2});
-  buf.pop_back();
-  EXPECT_THROW(decode_rr_token(buf), std::invalid_argument);
-}
-
-TEST(TokenCodec, RrDecodeRejectsUnsorted) {
-  std::vector<std::uint8_t> buf{2, 0, 0, 0, 1, 0, 0, 0};  // ids 2 then 1
-  EXPECT_THROW(decode_rr_token(buf), std::invalid_argument);
-}
-
-TEST(TokenCodec, HlfRoundTrip) {
-  const std::vector<TokenEntry> entries{{1, 0}, {7, 3}, {4'294'967'000u, 2}};
-  EXPECT_EQ(decode_hlf_token(encode_hlf_token(entries)), entries);
-}
-
-TEST(TokenCodec, HlfWireSizeIsFiveBytesPerEntry) {
-  const std::vector<TokenEntry> entries{{1, 0}, {2, 1}};
-  EXPECT_EQ(encode_hlf_token(entries).size(),
-            score::hypervisor::hlf_token_bytes(2));
-}
-
-TEST(TokenCodec, HlfRejectsBadInput) {
-  EXPECT_THROW(encode_hlf_token({{5, 0}, {3, 0}}), std::invalid_argument);
-  auto buf = encode_hlf_token({{1, 2}, {2, 3}});
-  buf.pop_back();
-  EXPECT_THROW(decode_hlf_token(buf), std::invalid_argument);
-}
-
-TEST(TokenCodec, EmptyTokensAreValid) {
-  EXPECT_TRUE(decode_rr_token(encode_rr_token({})).empty());
-  EXPECT_TRUE(decode_hlf_token(encode_hlf_token({})).empty());
-}
-
-TEST(TokenCodec, LargeFleetRoundTrip) {
-  std::vector<TokenEntry> entries;
-  for (std::uint32_t i = 0; i < 10'000; ++i) {
-    entries.push_back({i * 3 + 1, static_cast<std::uint8_t>(i % 4)});
-  }
-  EXPECT_EQ(decode_hlf_token(encode_hlf_token(entries)), entries);
 }
 
 // ------------------------------------------------------------ MigrationModel

@@ -14,7 +14,6 @@
 #include "baselines/remedy.hpp"
 #include "driver/simulation.hpp"
 #include "helpers.hpp"
-#include "hypervisor/token_codec.hpp"
 
 namespace {
 
@@ -210,18 +209,6 @@ TEST(Integration, ScoreBeatsRemedyOnCostAndCoreRelief) {
   const auto util_after =
       remedy_probe.link_loads(*s_score.alloc, s_score.tm).max_utilization(3);
   EXPECT_LT(util_after, util_before);
-}
-
-TEST(Integration, TokenWireSizeScalesWithFleet) {
-  // End-to-end sanity for §V-A: encode a token for the whole fleet.
-  auto s = make_scenario(false, Intensity::kSparse, 64, 48);
-  std::vector<score::hypervisor::TokenEntry> entries;
-  for (std::uint32_t vm = 0; vm < 64; ++vm) {
-    entries.push_back({vm, 0});
-  }
-  const auto buf = score::hypervisor::encode_hlf_token(entries);
-  EXPECT_EQ(buf.size(), 5u * 64u);
-  EXPECT_EQ(score::hypervisor::decode_hlf_token(buf).size(), 64u);
 }
 
 }  // namespace

@@ -31,9 +31,7 @@ TEST_F(MetricsTest, TorMatrixAggregatesByRack) {
   alloc_.add_vm(VmSpec{}, 0);   // rack 0
   alloc_.add_vm(VmSpec{}, 5);   // rack 1
   alloc_.add_vm(VmSpec{}, 6);   // rack 1
-  TrafficMatrix tm(3);
-  tm.set(0, 1, 10.0);
-  tm.set(0, 2, 5.0);
+  TrafficMatrix tm(3, {{0, 1, 10.0}, {0, 2, 5.0}});
   const auto m = tor_level_matrix(topo_, alloc_, tm);
   ASSERT_EQ(m.size(), 8u);
   EXPECT_DOUBLE_EQ(m[0][1], 15.0);  // both pairs aggregate into (rack0, rack1)
@@ -44,8 +42,7 @@ TEST_F(MetricsTest, TorMatrixAggregatesByRack) {
 TEST_F(MetricsTest, IntraRackTrafficExcluded) {
   alloc_.add_vm(VmSpec{}, 0);
   alloc_.add_vm(VmSpec{}, 1);  // same rack
-  TrafficMatrix tm(2);
-  tm.set(0, 1, 100.0);
+  TrafficMatrix tm(2, {{0, 1, 100.0}});
   const auto m = tor_level_matrix(topo_, alloc_, tm);
   EXPECT_DOUBLE_EQ(tor_matrix_peak(m), 0.0);
   EXPECT_DOUBLE_EQ(tor_matrix_fill(m), 0.0);
@@ -55,9 +52,7 @@ TEST_F(MetricsTest, PeakAndFill) {
   alloc_.add_vm(VmSpec{}, 0);    // rack 0
   alloc_.add_vm(VmSpec{}, 4);    // rack 1
   alloc_.add_vm(VmSpec{}, 8);    // rack 2
-  TrafficMatrix tm(3);
-  tm.set(0, 1, 4.0);
-  tm.set(1, 2, 12.0);
+  TrafficMatrix tm(3, {{0, 1, 4.0}, {1, 2, 12.0}});
   const auto m = tor_level_matrix(topo_, alloc_, tm);
   EXPECT_DOUBLE_EQ(tor_matrix_peak(m), 12.0);
   // 2 non-zero unordered rack pairs out of 8*7/2 = 28 -> counted directed/total.
@@ -67,8 +62,7 @@ TEST_F(MetricsTest, PeakAndFill) {
 TEST_F(MetricsTest, LinkLoadsMatchManualAccumulation) {
   alloc_.add_vm(VmSpec{}, 0);
   alloc_.add_vm(VmSpec{}, 1);
-  TrafficMatrix tm(2);
-  tm.set(0, 1, 3e8);
+  TrafficMatrix tm(2, {{0, 1, 3e8}});
   const auto loads = link_loads_for(topo_, alloc_, tm);
   EXPECT_DOUBLE_EQ(loads.load_bps(topo_.host_uplink(0)), 3e8);
   EXPECT_DOUBLE_EQ(loads.load_bps(topo_.host_uplink(1)), 3e8);
@@ -80,8 +74,7 @@ TEST_F(MetricsTest, LinkLoadsUseConsistentEcmpHash) {
   // per-pair hash pins ECMP paths deterministically).
   alloc_.add_vm(VmSpec{}, 0);
   alloc_.add_vm(VmSpec{}, 31);
-  TrafficMatrix tm(2);
-  tm.set(0, 1, 1e9);
+  TrafficMatrix tm(2, {{0, 1, 1e9}});
   const auto a = link_loads_for(topo_, alloc_, tm);
   const auto b = link_loads_for(topo_, alloc_, tm);
   for (const auto& link : topo_.links()) {

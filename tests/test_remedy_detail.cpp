@@ -21,6 +21,7 @@ using score::core::VmId;
 using score::core::VmSpec;
 using score::testing::tiny_tree_config;
 using score::topo::CanonicalTree;
+using score::traffic::FlowDelta;
 using score::traffic::TrafficMatrix;
 
 ServerCapacity cap4() {
@@ -44,7 +45,7 @@ class RemedyDetail : public ::testing::Test {
     for (VmId i = 8; i < 16; ++i) {
       alloc.add_vm(VmSpec{}, static_cast<ServerId>(28 + i % 2));
     }
-    for (VmId i = 0; i < 8; ++i) tm.set(i, i + 8, rate);
+    for (VmId i = 0; i < 8; ++i) tm.apply(FlowDelta{i, i + 8, rate});
   }
 
   CanonicalTree topo_;

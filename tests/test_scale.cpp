@@ -134,7 +134,9 @@ TEST(PaperScaleRun, FatTreeK16WithCachedCostModel) {
 TEST(PaperScaleRun, TokenWireSizeAtPaperScale) {
   // 40960 VM slots -> a full-fleet HLF token is ~200 KB, the O(|V|) message
   // §V-A describes ("of the order of the number of VMs in the network").
-  EXPECT_EQ(score::hypervisor::hlf_token_bytes(40960), 204800u);
+  EXPECT_EQ(score::hypervisor::token_frame_bytes(40960) -
+                score::hypervisor::token_frame_header_bytes(),
+            204800u);
 }
 
 }  // namespace

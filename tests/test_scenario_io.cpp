@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/scenario_io.hpp"
 #include "helpers.hpp"
@@ -55,8 +56,7 @@ TEST(ScenarioIo, RatePrecisionSurvives) {
   Allocation alloc(1, ServerCapacity{});
   alloc.add_vm(VmSpec{}, 0);
   alloc.add_vm(VmSpec{}, 0);
-  TrafficMatrix tm(2);
-  tm.set(0, 1, 1.2345678901234567e8);
+  TrafficMatrix tm(2, {{0, 1, 1.2345678901234567e8}});
   std::stringstream buf;
   save_scenario(buf, alloc, tm);
   const Scenario loaded = load_scenario(buf);
@@ -101,6 +101,25 @@ TEST(ScenarioIo, RejectsOutOfRangeReferences) {
       "score-scenario v1\nservers 1\n4 1000 4 1e9\nvms 2\n0 196 1 0\n0 196 1 0\n"
       "pairs 1\n0 9 5.0\n");
   EXPECT_THROW(load_scenario(bad_pair), std::runtime_error);
+}
+
+// A pair listed twice used to keep its last rate silently. Either
+// orientation is the same unordered pair, and both lines are named.
+TEST(ScenarioIo, RejectsRepeatedPairInEitherOrientation) {
+  for (const std::string repeat : {"0 1 7\n", "1 0 7\n"}) {
+    std::stringstream in(
+        "score-scenario v1\nservers 1\n4 1000 4 1e9\nvms 3\n0 196 1 0\n"
+        "0 196 1 0\n0 196 1 0\npairs 3\n0 1 5\n1 2 1\n" +
+        repeat);
+    try {
+      (void)load_scenario(in);
+      ADD_FAILURE() << "repeated pair accepted: " << repeat;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("pair lines 0 and 2"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioIo, RejectsInfeasiblePlacement) {

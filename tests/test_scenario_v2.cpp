@@ -6,6 +6,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenario_io.hpp"
@@ -27,10 +28,8 @@ WorldScenario sample_world() {
   w.servers.assign(4, cap);
   w.vm_specs.assign(6, core::VmSpec{});
   w.placement = {0, 1, core::kInvalidServer, core::kInvalidServer, 2, 3};
-  w.tm = traffic::TrafficMatrix(6);
-  w.tm.set(0, 1, 3.5);
-  w.tm.set(2, 3, 1.25);  // dormant VMs may carry world traffic
-  w.tm.set(4, 5, 7.0);
+  // Dormant VMs (2 and 3) may carry world traffic.
+  w.tm = traffic::TrafficMatrix(6, {{0, 1, 3.5}, {2, 3, 1.25}, {4, 5, 7.0}});
   w.timeline = {
       {1, TimelineEventKind::kArrive, 2, 2},
       {2, TimelineEventKind::kDepart, 0, 2},
@@ -90,13 +89,14 @@ TEST(ScenarioV2, RandomWorldsSurviveSaveLoadSaveByteIdentically) {
       }
     }
 
-    w.tm = traffic::TrafficMatrix(vms);
+    traffic::FlowDeltaBatch flows;
     for (std::size_t p = 0; p < vms; ++p) {
       const auto u = static_cast<traffic::VmId>(rng.index(vms));
       const auto v = static_cast<traffic::VmId>(rng.index(vms));
       if (u == v) continue;
-      w.tm.set(u, v, rng.uniform(0.001, 1e7));
+      flows.push(u, v, rng.uniform(0.001, 1e7));
     }
+    w.tm = traffic::TrafficMatrix(vms, std::move(flows));
 
     // A valid nontrivial timeline: flip whole single-VM "tenants", in the
     // canonical per-epoch order (all departures before the first arrival).
@@ -163,6 +163,8 @@ TEST(ScenarioV2, CorruptedInputsAreRejectedWithDiagnostics) {
       {"negative rate", replace_once(good, "0 1 3.5", "0 1 -3.5"), "negative"},
       {"pair references unknown vm", replace_once(good, "4 5 7", "4 50 7"),
        "unknown VM"},
+      {"repeated pair", replace_once(good, "4 5 7", "1 0 7"),
+       "pair lines 0 and 2 repeat the pair (0, 1)"},
       {"unknown event kind", replace_once(good, "1 arrive 2 2", "1 vanish 2 2"),
        "unknown kind"},
       {"event epoch zero", replace_once(good, "1 arrive 2 2", "0 arrive 2 2"),

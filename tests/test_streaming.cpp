@@ -77,14 +77,13 @@ TEST(FlowDelta, ApplyAddsClampsAndRemoves) {
   EXPECT_THROW(tm.apply(FlowDelta{2, 2, 1.0}), std::invalid_argument);
 }
 
-TEST(FlowDelta, ZeroDeltaAndNoOpSetDoNotBumpVersion) {
-  TrafficMatrix tm(4);
-  tm.set(0, 1, 5.0);
+TEST(FlowDelta, ZeroDeltaAndNoOpApplyDoNotBumpVersion) {
+  TrafficMatrix tm(4, {{0, 1, 5.0}});
   const std::uint64_t v = tm.version();
   tm.apply(FlowDelta{0, 1, 0.0});
-  tm.set(0, 1, 5.0);  // same rate: true no-op
+  tm.apply(FlowDelta{0, 1, 1e-300});  // 5.0 + 1e-300 == 5.0: true no-op
   EXPECT_EQ(tm.version(), v);
-  tm.set(0, 1, 6.0);
+  tm.apply(FlowDelta{0, 1, 1.0});
   EXPECT_EQ(tm.version(), v + 1);
 }
 
@@ -153,7 +152,7 @@ TEST(ObserverSeam, PureDeltaPathNeverRebuilds) {
   EXPECT_GE(cached.deltas_folded(), applied / 2);
 }
 
-TEST(ObserverSeam, LegacyMutatorsFoldThroughTheSameChokePoint) {
+TEST(ObserverSeam, RescaleAppliedAsADiffBatchFoldsPerPair) {
   CanonicalTree topo(tiny_tree_config());
   Rng rng(7);
   TrafficMatrix tm = random_tm(32, 2.0, rng);
@@ -162,11 +161,11 @@ TEST(ObserverSeam, LegacyMutatorsFoldThroughTheSameChokePoint) {
   CostModel brute(topo, LinkWeights::exponential(3));
   cached.bind(alloc, tm);
 
-  tm.set(0, 1, 42.0);
-  tm.add(2, 3, 17.0);
-  tm.scale(1.5);
+  const TrafficMatrix target = tm.scaled(1.5);
+  tm.apply(diff_batch(tm, target));
+  EXPECT_EQ(tm.pairs(), target.pairs());
   expect_matches_brute(brute, cached, alloc, tm);
-  EXPECT_EQ(cached.rebuilds(), 1u);  // set/add/scale all folded per pair
+  EXPECT_EQ(cached.rebuilds(), 1u);  // every pair folded, no rebuild
   EXPECT_GT(cached.deltas_folded(), 0u);
 }
 
@@ -181,7 +180,7 @@ TEST(ObserverSeam, UnregisteredConsumerFallsBackToVersionCounter) {
   // Deregister by hand: the cache must now detect mutations through the
   // version counter and rebuild instead of serving stale sums.
   tm.remove_observer(&cached);
-  tm.set(0, 1, 999.0);
+  tm.apply(FlowDelta{0, 1, 999.0});
   expect_matches_brute(brute, cached, alloc, tm);
   EXPECT_EQ(cached.rebuilds(), 2u);
 }
@@ -252,8 +251,8 @@ TEST(ObserverSeam, ShardCachesFoldDeltasAfterBeginPass) {
   }
 }
 
-// The ISSUE's property test: a random interleaving of single applies,
-// batches, legacy mutators and token-round re-opts keeps the folded total
+// A random interleaving of single applies, batches, absolute-rate applies,
+// rescales (bulk assignment) and token-round re-opts keeps the folded total
 // equal to a from-scratch rebuild at every step.
 TEST(ObserverSeam, FuzzInterleavedMutationsAndReopts) {
   CanonicalTree topo(tiny_tree_config());
@@ -285,9 +284,10 @@ TEST(ObserverSeam, FuzzInterleavedMutationsAndReopts) {
         }
         tm.apply(batch);
       } else if (pick < 0.7) {
-        tm.set(static_cast<VmId>(rng.index(39)), 39, rng.uniform(0.0, 50.0));
+        const auto u = static_cast<VmId>(rng.index(39));
+        tm.apply(FlowDelta{u, 39, rng.uniform(0.0, 50.0) - tm.rate(u, 39)});
       } else if (pick < 0.8) {
-        tm.scale(rng.uniform(0.8, 1.25));
+        tm = tm.scaled(rng.uniform(0.8, 1.25));
       } else {
         // Token-round re-opt through the cached model's migration hook.
         score::driver::MultiTokenConfig mcfg;
@@ -703,15 +703,16 @@ TEST(StreamingBugfix, DiffBatchWithLiveOverflowEntries) {
   TrafficMatrix to = base;
   // Overflow inserts on both sides (new pairs go to the side-buffer), plus
   // removals (tombstones) and rate changes on existing pairs.
-  from.set(60, 63, 7.5);
-  from.set(1, 62, 0.25);
-  to.set(61, 63, 3.25);
-  to.set(0, 63, 1.5);
+  from.apply(FlowDelta{60, 63, 7.5});
+  from.apply(FlowDelta{1, 62, 0.25});
+  to.apply(FlowDelta{61, 63, 3.25});
+  to.apply(FlowDelta{0, 63, 1.5});
   const auto existing = base.pairs();
   ASSERT_GE(existing.size(), 4u);
-  to.set(std::get<0>(existing[0]), std::get<1>(existing[0]), 0.0);  // vanish
-  to.set(std::get<0>(existing[1]), std::get<1>(existing[1]),
-         std::get<2>(existing[1]) * 3.0);
+  const auto& [u0, v0, r0] = existing[0];
+  const auto& [u1, v1, r1] = existing[1];
+  to.apply(FlowDelta{u0, v0, -r0});  // vanish
+  to.apply(FlowDelta{u1, v1, r1 * 2.0});
   ASSERT_GT(from.overflow_entries(), 0u);  // the regression's precondition:
   ASSERT_GT(to.overflow_entries(), 0u);    // live, uncompacted side-buffers
 

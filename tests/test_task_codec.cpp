@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "hypervisor/task_codec.hpp"
+#include "hypervisor/wire.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -24,6 +27,21 @@ using score::hypervisor::TaskAction;
 using score::hypervisor::TaskActionKind;
 using score::hypervisor::TaskFrame;
 using score::util::Rng;
+
+/// This process's peak virtual memory size (VmPeak in /proc/self/status).
+std::size_t vm_peak_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmPeak:") {
+      std::size_t kib = 0;
+      status >> kib;
+      return kib;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
 
 TaskAction send_action() {
   TaskAction a;
@@ -279,6 +297,22 @@ TEST(TaskCodec, DecodeRejectsLengthMismatch) {
   const std::size_t len_at = task_frame_header_bytes() + 4 + 18;
   sbuf[len_at] = static_cast<std::uint8_t>(one.actions[0].payload.size() + 1);
   EXPECT_THROW(decode_task(sbuf), std::invalid_argument);
+}
+
+// A frame's action count used to be checked only against a 2^28 cap, and
+// decode reserved that many actions before reading them: a few hostile
+// bytes from an agent socket cost gigabytes of address space.
+TEST(TaskCodec, InflatedActionCountIsRejectedBeforeAllocating) {
+  TaskFrame f;
+  f.type = score::hypervisor::TaskType::kResult;
+  f.actions = {hold_action()};
+  std::vector<std::uint8_t> buf = encode_task(f);
+  score::hypervisor::wire::set_u32(buf, task_frame_header_bytes(),
+                                   (1u << 28) - 1);
+  const std::size_t peak_before = vm_peak_kib();
+  ASSERT_GT(peak_before, 0u);
+  EXPECT_THROW(decode_task(buf), std::invalid_argument);
+  EXPECT_LT(vm_peak_kib() - peak_before, std::size_t{1} << 20);  // < 1 GiB
 }
 
 TEST(TaskCodec, DecodeRejectsInconsistentInit) {

@@ -307,46 +307,4 @@ TEST(TokenFrame, RejectsExactlyWhatDecodeRejects) {
   EXPECT_GT(accepted, 100u);
 }
 
-// Fuzz the legacy bare-array layouts the same way: truncations and random
-// buffers must throw or round-trip.
-TEST(LegacyTokenFuzz, RrMutationsAndTruncations) {
-  const auto base = score::hypervisor::encode_rr_token({3, 9, 27, 81, 243});
-  for (std::size_t len = 0; len < base.size(); ++len) {
-    const std::vector<std::uint8_t> prefix(base.begin(),
-                                           base.begin() + static_cast<long>(len));
-    if (len % 4 != 0) {
-      EXPECT_THROW(score::hypervisor::decode_rr_token(prefix),
-                   std::invalid_argument);
-    } else {
-      // Whole-entry prefixes are themselves valid ascending arrays.
-      EXPECT_EQ(score::hypervisor::encode_rr_token(
-                    score::hypervisor::decode_rr_token(prefix)),
-                prefix);
-    }
-  }
-  Rng rng(9);
-  for (int trial = 0; trial < 2000; ++trial) {
-    std::vector<std::uint8_t> buf(rng.index(64));
-    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    try {
-      const auto ids = score::hypervisor::decode_rr_token(buf);
-      EXPECT_EQ(score::hypervisor::encode_rr_token(ids), buf);
-    } catch (const std::invalid_argument&) {
-    }
-  }
-}
-
-TEST(LegacyTokenFuzz, HlfRandomBuffers) {
-  Rng rng(10);
-  for (int trial = 0; trial < 2000; ++trial) {
-    std::vector<std::uint8_t> buf(rng.index(64));
-    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    try {
-      const auto entries = score::hypervisor::decode_hlf_token(buf);
-      EXPECT_EQ(score::hypervisor::encode_hlf_token(entries), buf);
-    } catch (const std::invalid_argument&) {
-    }
-  }
-}
-
 }  // namespace

@@ -59,16 +59,13 @@ class HlfTest : public ::testing::Test {
       : topo_(tiny_tree_config()),
         model_(topo_, LinkWeights::exponential(3)),
         alloc_(topo_.num_hosts(), ServerCapacity{}),
-        tm_(4) {
+        tm_(4, {{0, 1, 1.0}, {0, 2, 1.0}, {0, 3, 1.0}}) {
     // VM 0 on host 0; VM 1 on host 1 (level 1); VM 2 on host 4 (level 2);
     // VM 3 on the last host (level 3 from host 0).
     alloc_.add_vm(VmSpec{}, 0);
     alloc_.add_vm(VmSpec{}, 1);
     alloc_.add_vm(VmSpec{}, 4);
     alloc_.add_vm(VmSpec{}, static_cast<ServerId>(topo_.num_hosts() - 1));
-    tm_.set(0, 1, 1.0);
-    tm_.set(0, 2, 1.0);
-    tm_.set(0, 3, 1.0);
   }
 
   CanonicalTree topo_;
@@ -196,9 +193,7 @@ TEST(HighestTrafficFirst, OrdersByObservedVolume) {
   CostModel model(topo, LinkWeights::exponential(3));
   Allocation alloc(topo.num_hosts(), ServerCapacity{});
   for (int i = 0; i < 3; ++i) alloc.add_vm(VmSpec{}, static_cast<ServerId>(i));
-  TrafficMatrix tm(3);
-  tm.set(0, 1, 1.0);
-  tm.set(1, 2, 10.0);
+  TrafficMatrix tm(3, {{0, 1, 1.0}, {1, 2, 10.0}});
 
   HighestTrafficFirstPolicy htf;
   VmId holder = htf.start(3);

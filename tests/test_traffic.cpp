@@ -2,11 +2,15 @@
 // paper's ×10/×50 intensities), determinism and the long-tail byte share.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "traffic/generator.hpp"
 #include "traffic/traffic_matrix.hpp"
 
 namespace {
 
+using score::traffic::FlowDelta;
 using score::traffic::generate_traffic;
 using score::traffic::GeneratorConfig;
 using score::traffic::Intensity;
@@ -15,75 +19,78 @@ using score::traffic::top_pair_byte_share;
 using score::traffic::TrafficMatrix;
 using score::traffic::VmId;
 
-TEST(TrafficMatrix, SetAndGetSymmetric) {
-  TrafficMatrix tm(4);
-  tm.set(0, 1, 10.0);
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(TrafficMatrix, BuildAndGetSymmetric) {
+  const TrafficMatrix tm(4, {{0, 1, 10.0}});
   EXPECT_DOUBLE_EQ(tm.rate(0, 1), 10.0);
   EXPECT_DOUBLE_EQ(tm.rate(1, 0), 10.0);
   EXPECT_DOUBLE_EQ(tm.rate(0, 2), 0.0);
 }
 
-TEST(TrafficMatrix, SetOverwrites) {
-  TrafficMatrix tm(3);
-  tm.set(0, 1, 10.0);
-  tm.set(0, 1, 4.0);
-  EXPECT_DOUBLE_EQ(tm.rate(1, 0), 4.0);
-  EXPECT_EQ(tm.num_pairs(), 1u);
+TEST(TrafficMatrix, BuildSumsRepeatedPairsInFirstAppearanceOrder) {
+  const TrafficMatrix tm(4, {{0, 2, 3.0}, {0, 1, 1.0}, {2, 0, 2.0}, {3, 1, 0.0}});
+  EXPECT_DOUBLE_EQ(tm.rate(0, 2), 5.0);
+  EXPECT_EQ(tm.num_pairs(), 2u);  // the zero-rate pair is absent
+  std::vector<VmId> order;
+  for (const auto& [v, r] : tm.neighbors(0)) order.push_back(v);
+  EXPECT_EQ(order, (std::vector<VmId>{2, 1}));
+  EXPECT_EQ(tm.overflow_entries(), 0u);  // built straight into CSR
 }
 
-TEST(TrafficMatrix, SetZeroRemovesPair) {
-  TrafficMatrix tm(3);
-  tm.set(0, 1, 10.0);
-  tm.set(0, 1, 0.0);
+TEST(TrafficMatrix, ApplyAddsAndClampsAtZero) {
+  TrafficMatrix tm(3, {{0, 1, 10.0}});
+  tm.apply(FlowDelta{1, 0, -6.0});
+  EXPECT_DOUBLE_EQ(tm.rate(0, 1), 4.0);
+  EXPECT_EQ(tm.num_pairs(), 1u);
+  tm.apply(FlowDelta{0, 1, -20.0});
   EXPECT_EQ(tm.num_pairs(), 0u);
   EXPECT_TRUE(tm.neighbors(0).empty());
   EXPECT_TRUE(tm.neighbors(1).empty());
 }
 
-TEST(TrafficMatrix, AddAccumulates) {
-  TrafficMatrix tm(3);
-  tm.add(0, 1, 3.0);
-  tm.add(1, 0, 2.0);
-  EXPECT_DOUBLE_EQ(tm.rate(0, 1), 5.0);
-}
-
-TEST(TrafficMatrix, RejectsSelfAndNegative) {
-  TrafficMatrix tm(3);
-  EXPECT_THROW(tm.set(1, 1, 5.0), std::invalid_argument);
-  EXPECT_THROW(tm.set(0, 1, -1.0), std::invalid_argument);
+// apply() once range-checked only u (inside rate()): an out-of-range v read
+// and wrote past the row arrays, and a non-finite delta became a stored rate.
+TEST(TrafficMatrix, ApplyRejectsMalformedDeltas) {
+  TrafficMatrix tm(10, {{0, 1, 1.0}});
+  EXPECT_THROW(tm.apply(FlowDelta{0, 1000, 1.0}), std::out_of_range);
+  EXPECT_THROW(tm.apply(FlowDelta{1000, 0, 1.0}), std::out_of_range);
+  EXPECT_THROW(tm.apply(FlowDelta{1, 1, 1.0}), std::invalid_argument);
+  EXPECT_THROW(tm.apply(FlowDelta{0, 1, kNaN}), std::invalid_argument);
+  EXPECT_THROW(tm.apply(FlowDelta{0, 2, kInf}), std::invalid_argument);
+  EXPECT_THROW(tm.apply(FlowDelta{0, 1, -kInf}), std::invalid_argument);
+  EXPECT_EQ(tm.pairs(), TrafficMatrix(10, {{0, 1, 1.0}}).pairs());
+  EXPECT_EQ(tm.version(), 0u);
 }
 
 TEST(TrafficMatrix, NeighborsListsBothEndpoints) {
-  TrafficMatrix tm(4);
-  tm.set(0, 1, 1.0);
-  tm.set(0, 2, 2.0);
+  const TrafficMatrix tm(4, {{0, 1, 1.0}, {0, 2, 2.0}});
   EXPECT_EQ(tm.neighbors(0).size(), 2u);
   EXPECT_EQ(tm.neighbors(1).size(), 1u);
   EXPECT_EQ(tm.neighbors(3).size(), 0u);
 }
 
 TEST(TrafficMatrix, TotalLoadCountsPairsOnce) {
-  TrafficMatrix tm(4);
-  tm.set(0, 1, 1.0);
-  tm.set(2, 3, 2.0);
+  const TrafficMatrix tm(4, {{0, 1, 1.0}, {2, 3, 2.0}});
   EXPECT_DOUBLE_EQ(tm.total_load(), 3.0);
   EXPECT_EQ(tm.num_pairs(), 2u);
 }
 
-TEST(TrafficMatrix, ScaleMultipliesAllRates) {
-  TrafficMatrix tm(3);
-  tm.set(0, 1, 1.0);
-  tm.set(1, 2, 2.0);
-  tm.scale(10.0);
-  EXPECT_DOUBLE_EQ(tm.rate(0, 1), 10.0);
-  EXPECT_DOUBLE_EQ(tm.rate(1, 2), 20.0);
-  EXPECT_THROW(tm.scale(-1.0), std::invalid_argument);
+TEST(TrafficMatrix, ScaledMultipliesAllRates) {
+  const TrafficMatrix tm(3, {{0, 1, 1.0}, {1, 2, 2.0}});
+  const TrafficMatrix x10 = tm.scaled(10.0);
+  EXPECT_DOUBLE_EQ(x10.rate(0, 1), 10.0);
+  EXPECT_DOUBLE_EQ(x10.rate(1, 2), 20.0);
+  EXPECT_DOUBLE_EQ(tm.rate(1, 2), 2.0);  // the source is untouched
+  EXPECT_EQ(tm.scaled(0.0).num_pairs(), 0u);
+  EXPECT_THROW(tm.scaled(-1.0), std::invalid_argument);
+  EXPECT_THROW(tm.scaled(kNaN), std::invalid_argument);
+  EXPECT_THROW(tm.scaled(kInf), std::invalid_argument);
 }
 
 TEST(TrafficMatrix, PairsSortedAndUnique) {
-  TrafficMatrix tm(4);
-  tm.set(2, 1, 5.0);
-  tm.set(0, 3, 1.0);
+  const TrafficMatrix tm(4, {{2, 1, 5.0}, {0, 3, 1.0}});
   auto pairs = tm.pairs();
   ASSERT_EQ(pairs.size(), 2u);
   EXPECT_EQ(std::get<0>(pairs[0]), 0u);
