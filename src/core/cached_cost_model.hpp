@@ -15,11 +15,10 @@
 //
 // Coherence contract (see ARCHITECTURE.md, "Incremental cost cache"):
 //   * Migrations committed through apply_migration are folded incrementally.
-//   * Traffic mutations on the bound matrix (TrafficMatrix::apply and the
-//     legacy set/add/scale, which share one choke point) arrive as
-//     on_rate_change callbacks — bind() registers the cache as an observer —
-//     and are folded in O(1): ΔC = 2·(λ' − λ)·prefix(ℓ(u,v)) on vm_cost_[u],
-//     vm_cost_[v] and total_.
+//   * Traffic mutations on the bound matrix (TrafficMatrix::apply, its only
+//     mutator) arrive as on_rate_change callbacks — bind() registers the
+//     cache as an observer — and are folded in O(1):
+//     ΔC = 2·(λ' − λ)·prefix(ℓ(u,v)) on vm_cost_[u], vm_cost_[v] and total_.
 //   * The version counters on both containers remain the fallback and
 //     cross-check path: a cache that missed the notifications (an
 //     unregistered copy, a bulk update such as wholesale assignment, or an

@@ -7,6 +7,22 @@
 
 namespace score::traffic {
 
+namespace {
+
+/// Throws unless `d` names two distinct VMs below `num_vms` and a finite
+/// delta. Shared by apply() and the list constructor.
+void check(const FlowDelta& d, std::size_t num_vms) {
+  if (d.u >= num_vms || d.v >= num_vms) {
+    throw std::out_of_range("TrafficMatrix: bad VM id");
+  }
+  if (d.u == d.v) throw std::invalid_argument("TrafficMatrix: u == v");
+  if (!std::isfinite(d.delta)) {
+    throw std::invalid_argument("TrafficMatrix: non-finite rate");
+  }
+}
+
+}  // namespace
+
 TrafficMatrix::TrafficMatrix(std::size_t num_vms, FlowDeltaBatch flows)
     : offsets_(num_vms + 1, 0),
       overflow_head_(num_vms, kNoChain),
@@ -16,7 +32,7 @@ TrafficMatrix::TrafficMatrix(std::size_t num_vms, FlowDeltaBatch flows)
   // pair counts once per listing). Zero rates are skipped, as apply() skips
   // a zero delta, so they never fix a pair's position.
   for (const FlowDelta& f : flows) {
-    check(f);
+    check(f, num_vms);
     if (f.delta < 0.0) {
       throw std::invalid_argument("TrafficMatrix: negative rate");
     }
@@ -31,6 +47,19 @@ TrafficMatrix::TrafficMatrix(std::size_t num_vms, FlowDeltaBatch flows)
   // Fill: rows grow from offsets_[u] in list order; degree_[u] is the fill.
   // Both directions sum the same rates in the same order, so they agree bit
   // for bit.
+  auto accumulate = [this](VmId u, VmId v, double rate) {
+    const std::uint64_t begin = offsets_[u];
+    const std::uint64_t end = begin + degree_[u];
+    for (std::uint64_t i = begin; i < end; ++i) {
+      if (cols_[i] == v) {
+        rates_[i] += rate;
+        return;
+      }
+    }
+    cols_[end] = v;
+    rates_[end] = rate;
+    ++degree_[u];
+  };
   for (const FlowDelta& f : flows) {
     if (f.delta == 0.0) continue;
     accumulate(f.u, f.v, f.delta);
@@ -58,30 +87,6 @@ TrafficMatrix::TrafficMatrix(std::size_t num_vms, FlowDeltaBatch flows)
     rates_.shrink_to_fit();
   }
   live_directed_ = packed;
-}
-
-void TrafficMatrix::accumulate(VmId u, VmId v, double rate) {
-  const std::uint64_t begin = offsets_[u];
-  const std::uint64_t end = begin + degree_[u];
-  for (std::uint64_t i = begin; i < end; ++i) {
-    if (cols_[i] == v) {
-      rates_[i] += rate;
-      return;
-    }
-  }
-  cols_[end] = v;
-  rates_[end] = rate;
-  ++degree_[u];
-}
-
-void TrafficMatrix::check(const FlowDelta& d) const {
-  if (d.u >= num_vms() || d.v >= num_vms()) {
-    throw std::out_of_range("TrafficMatrix: bad VM id");
-  }
-  if (d.u == d.v) throw std::invalid_argument("TrafficMatrix: u == v");
-  if (!std::isfinite(d.delta)) {
-    throw std::invalid_argument("TrafficMatrix: non-finite rate");
-  }
 }
 
 TrafficMatrix::TrafficMatrix(const TrafficMatrix& other)
@@ -331,7 +336,7 @@ void TrafficMatrix::remove_observer(TrafficObserver* observer) const {
 }
 
 void TrafficMatrix::apply(const FlowDelta& delta) {
-  check(delta);
+  check(delta, num_vms());
   if (delta.delta == 0.0) return;
   commit_rate(delta.u, delta.v, rate(delta.u, delta.v) + delta.delta);
 }

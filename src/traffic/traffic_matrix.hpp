@@ -276,14 +276,6 @@ class TrafficMatrix {
   static constexpr std::uint32_t kNoChain = detail::kNoChain;
   using OverflowEntry = detail::OverflowEntry;
 
-  /// Throws unless `d` names two distinct in-range VMs and a finite delta.
-  /// Shared by apply() and the list constructor.
-  void check(const FlowDelta& d) const;
-
-  /// List-constructor fill step: add `rate` to row u's entry for v in the
-  /// unsqueezed build layout, appending the entry if the row lacks it.
-  void accumulate(VmId u, VmId v, double rate);
-
   /// The single mutation choke point: writes both directed entries, bumps
   /// the version and notifies observers. No-op (no bump, no notification)
   /// when the new rate equals the old. Negative rates are clamped to 0.

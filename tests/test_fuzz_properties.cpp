@@ -105,8 +105,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FlowTableFuzz,
 // Property: across a long randomized migration sequence, the incrementally
 // maintained CachedCostModel total always equals brute-force
 // CostModel::total_cost — including when migrations bypass apply_migration
-// (direct Allocation::migrate) or the TM drifts (set/add/scale), which the
-// cache must absorb via version-triggered rebuilds. Runs on both topologies.
+// (direct Allocation::migrate), the TM drifts through apply or is replaced
+// by a rescaled copy; the cache folds the drift and absorbs the rest via
+// version-triggered rebuilds. Runs on both topologies.
 class CachedCostFuzz
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
 

@@ -1,6 +1,6 @@
 // Streaming ingest tests: the FlowDelta API and observer seam (folded costs
 // must agree with a from-scratch rebuild under any interleaving of applies,
-// batches, legacy mutators and re-opts), the ulp-exact diff/reconstruction
+// batches, rescales and re-opts), the ulp-exact diff/reconstruction
 // path TrafficDynamics materialises epochs through, the drift trigger
 // (below threshold => no re-opt, above => exactly one), the IngestQueue
 // producer/consumer handoff, and the StreamingEngine end to end — including
