@@ -327,6 +327,46 @@ TEST(GoldenTraces, DistributedHighestLevelFirst) {
   check_or_regen("distributed-hlf", render("distributed-hlf", r));
 }
 
+/// Decisions only: per-round migrations and end-of-round cost, the token's
+/// telemetry and the final cost, every cost as exact bits. No message or
+/// byte count, duration or trace hash, so the case pins what the agents
+/// decide and not how many messages they send to decide it.
+std::string render_decisions(const std::string& name,
+                             const hypervisor::RuntimeResult& r) {
+  std::ostringstream out;
+  out << "score-golden v1\n";
+  out << "case " << name << "\n";
+  out << "rounds " << r.rounds() << "\n";
+  for (std::size_t i = 0; i < r.iterations.size(); ++i) {
+    out << "round " << i << " migrations " << r.iterations[i].migrations
+        << " cost_at_end " << bits(r.iterations[i].cost_at_end) << "\n";
+  }
+  out << "final_epoch " << r.final_epoch << " final_ring_pos "
+      << r.final_ring_pos << "\n";
+  out << "aggregate_delta_bits " << bits(r.aggregate_delta) << "\n";
+  out << "final_cost_bits " << bits(r.final_cost) << "\n";
+  return out.str();
+}
+
+// Round-Robin at loss 0 without churn, run until a round commits nothing.
+TEST(GoldenTraces, DistributedRoundRobinZeroLoss) {
+  topo::CanonicalTree topology(canonical_config());
+  const core::CostModel model(topology, core::LinkWeights::exponential(3));
+  util::Rng rng(4242);
+  const traffic::TrafficMatrix tm = testing::random_tm(56, 3.0, rng);
+  core::Allocation alloc = testing::random_allocation(topology, 56, rng);
+
+  hypervisor::RuntimeConfig cfg;
+  cfg.iterations = 50;
+  const hypervisor::RuntimeResult r =
+      hypervisor::DistributedScoreRuntime(model, alloc, tm, cfg).run();
+  ASSERT_TRUE(alloc.check_consistency());
+  ASSERT_LT(r.rounds(), cfg.iterations);
+  ASSERT_EQ(r.iterations.back().migrations, 0u);
+  check_or_regen("distributed-rr-loss0",
+                 render_decisions("distributed-rr-loss0", r));
+}
+
 // Round-Robin under message loss and host churn. Two slots per host and 58
 // VMs leave six free slots, so when hosts 3, 9, 20 and 28 leave the drains
 // run out of targets and two VMs stay stranded on host 28 until it rejoins:
