@@ -70,8 +70,9 @@ int main() {
               hypervisor::token_frame_bytes(tm.num_vms()));
   std::printf("  location messages : %llu (request+response per peer probe)\n",
               static_cast<unsigned long long>(res.location_messages));
-  std::printf("  capacity messages : %llu (request+response per candidate)\n",
-              static_cast<unsigned long long>(res.capacity_messages));
+  std::printf(
+      "  capacity messages : %llu (request+response per candidate above c_m)\n",
+      static_cast<unsigned long long>(res.capacity_messages));
   std::printf("  control bytes     : %llu (%.1f KB per iteration)\n",
               static_cast<unsigned long long>(res.control_bytes),
               static_cast<double>(res.control_bytes) /

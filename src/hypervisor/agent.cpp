@@ -230,12 +230,13 @@ void Dom0Agent::send_location_probes() {
   arm_probe_timer(kLocations);
 }
 
-/// Send capacity requests for every candidate still missing a response and
-/// arm the stage timeout.
+/// Send capacity requests for every candidate above c_m still missing a
+/// response and arm the stage timeout.
 void Dom0Agent::send_capacity_probes() {
   PendingDecision& p = *pending_;
   p.awaiting_capacities = 0;
-  for (Ipv4 dom0 : p.candidates) {
+  for (const auto& [dom0, delta] : p.candidates) {
+    (void)delta;
     if (p.capacities.count(dom0)) continue;  // already answered
     ++p.awaiting_capacities;
     std::vector<std::uint8_t> payload;
@@ -294,6 +295,7 @@ void Dom0Agent::on_probe_timer(std::uint32_t nonce, int stage) {
 void Dom0Agent::on_locations_complete() {
   PendingDecision& p = *pending_;
   const Ipam& ipam = env_->hv().ipam();
+  const auto& weights = env_->hv().weights();
   const Ipv4 own_dom0 = ipam.host_address(host_);
 
   if (p.peer_rates.empty()) {  // every location probe timed out
@@ -302,7 +304,16 @@ void Dom0Agent::on_locations_complete() {
   }
 
   // Update the token's communication-level entries (Algorithm 1 lines 1-5):
-  // own entry exactly, peers' entries raised only.
+  // own entry exactly, peers' entries raised only. Each peer's Lemma-3 term
+  // for the holder's current host is the same for every candidate, so it is
+  // read here once.
+  struct Peer {
+    Ipv4 dom0;
+    double rate;
+    double own_prefix;
+  };
+  std::vector<Peer> peers;
+  peers.reserve(p.peer_rates.size());
   int own_level = 0;
   std::vector<std::tuple<int, double, Ipv4>> ranked;  // (level, rate, dom0)
   for (const auto& [peer_ip, rate] : p.peer_rates) {
@@ -314,6 +325,7 @@ void Dom0Agent::on_locations_complete() {
                                  p.token.level(entry),
                                  static_cast<std::uint8_t>(level)));
     if (level > 0) ranked.emplace_back(level, rate, peer_dom0);
+    peers.push_back({peer_dom0, rate, weights.prefix(level)});
   }
   p.token.set_level(p.token.index_of(p.token.holder()),
                     static_cast<std::uint8_t>(own_level));
@@ -327,12 +339,14 @@ void Dom0Agent::on_locations_complete() {
   });
   const auto& topo = env_->hv().topology();
   const std::size_t hosts_per_rack = topo.num_hosts() / topo.num_racks();
-  auto push_unique = [&p, &ipam, this](Ipv4 dom0) {
-    if (p.candidates.size() >= cfg_->engine.max_candidates) return;
-    if (dom0 == ipam.host_address(host_)) return;
-    if (std::find(p.candidates.begin(), p.candidates.end(), dom0) ==
-        p.candidates.end()) {
-      p.candidates.push_back(dom0);
+  const std::size_t max_candidates = cfg_->engine.max_candidates;
+  std::vector<Ipv4> candidates;
+  auto push_unique = [&candidates, own_dom0, max_candidates](Ipv4 dom0) {
+    if (candidates.size() >= max_candidates) return;
+    if (dom0 == own_dom0) return;
+    if (std::find(candidates.begin(), candidates.end(), dom0) ==
+        candidates.end()) {
+      candidates.push_back(dom0);
     }
   };
   for (const auto& [level, rate, dom0] : ranked) {
@@ -346,9 +360,23 @@ void Dom0Agent::on_locations_complete() {
             static_cast<topo::HostId>(rack * hosts_per_rack + i)));
       }
     }
-    if (p.candidates.size() >= cfg_->engine.max_candidates) break;
+    if (candidates.size() >= max_candidates) break;
   }
 
+  // Lemma 3, from purely local data: measured λ, probed peer locations. The
+  // delta needs no capacity, and Theorem 1 moves only when it exceeds c_m,
+  // so only those candidates are probed. A hold with none ends here.
+  for (const Ipv4 cand : candidates) {
+    double delta = 0.0;
+    for (const Peer& peer : peers) {
+      delta += 2.0 * peer.rate *
+               (peer.own_prefix -
+                weights.prefix(ipam.level_between(peer.dom0, cand)));
+    }
+    if (delta > cfg_->engine.migration_cost) {
+      p.candidates.emplace_back(cand, delta);
+    }
+  }
   if (p.candidates.empty()) {
     finish_hold(false, 0.0);
     return;
@@ -363,15 +391,12 @@ void Dom0Agent::on_capacities_complete() {
   Hypervisor& hv = env_->hv();
   const core::VmId u = vm_of_addr(p.token.holder());
   const core::VmSpec& spec = hv.vm_spec(u);
-  const Ipam& ipam = hv.ipam();
-  const Ipv4 own_dom0 = ipam.host_address(host_);
-  const auto& weights = hv.weights();
 
-  Ipv4 best_dom0 = 0;
-  double best_delta = 0.0;
-  bool have_best = false;
-  for (Ipv4 cand : p.candidates) {
-    const auto cap_it = p.capacities.find(cand);
+  // The first feasible candidate with the largest delta. Every stored delta
+  // already exceeds c_m (Theorem 1).
+  const std::pair<Ipv4, double>* best = nullptr;
+  for (const auto& cand : p.candidates) {
+    const auto cap_it = p.capacities.find(cand.first);
     if (cap_it == p.capacities.end()) continue;  // probe lost / host gone
     const CapInfo& cap = cap_it->second;
     if (cap.free_slots == 0 || cap.free_ram_mb < spec.ram_mb ||
@@ -379,47 +404,34 @@ void Dom0Agent::on_capacities_complete() {
         cap.free_net_bps < spec.net_bps + cfg_->engine.bandwidth_headroom_bps) {
       continue;
     }
-    // Lemma 3, from purely local data: measured λ, probed peer locations.
-    double delta = 0.0;
-    for (const auto& [peer_ip, rate] : p.peer_rates) {
-      const Ipv4 peer_dom0 = p.peer_dom0.at(peer_ip);
-      delta += 2.0 * rate *
-               (weights.prefix(ipam.level_between(peer_dom0, own_dom0)) -
-                weights.prefix(ipam.level_between(peer_dom0, cand)));
-    }
-    if (!have_best || delta > best_delta) {
-      best_dom0 = cand;
-      best_delta = delta;
-      have_best = true;
-    }
+    if (best == nullptr || cand.second > best->second) best = &cand;
+  }
+  if (best == nullptr) {
+    finish_hold(false, 0.0);
+    return;
   }
 
-  // Theorem 1, then the migration-cost budget: a win that would overrun the
-  // remaining pre-copy byte budget is rejected (strictly cost-reducing moves
-  // only, and only as many as the operator priced in).
-  if (have_best && best_delta > cfg_->engine.migration_cost) {
-    // The capacity response may be stale by commit time (the target left, or
-    // a churn drain consumed its last slot while we waited on other probes):
-    // in that case the live-migration handshake with the target hypervisor
-    // fails and the hold ends without a move.
-    const topo::HostId target = ipam.host_of_address(best_dom0);
-    if (!hv.host_up(target) || !hv.can_host(target, spec)) {
-      finish_hold(false, 0.0);
-      return;
-    }
-    MigrationOutcome outcome;
-    if (hv.migrate(u, target, &outcome) !=
-        Hypervisor::MigrateStatus::kCommitted) {
-      finish_hold(false, 0.0);
-      return;
-    }
-    // The allocation epoch advances with every commit.
-    p.token.set_epoch(p.token.epoch() + 1);
-    p.token.set_aggregate_delta(p.token.aggregate_delta() + best_delta);
-    finish_hold(true, outcome.total_time_s);
-  } else {
+  // The capacity response may be stale by commit time (the target left, or a
+  // churn drain consumed its last slot while we waited on other probes): in
+  // that case the live-migration handshake with the target hypervisor fails
+  // and the hold ends without a move. A win that would overrun the remaining
+  // pre-copy byte budget is rejected the same way (strictly cost-reducing
+  // moves only, and only as many as the operator priced in).
+  const topo::HostId target = hv.ipam().host_of_address(best->first);
+  if (!hv.host_up(target) || !hv.can_host(target, spec)) {
     finish_hold(false, 0.0);
+    return;
   }
+  MigrationOutcome outcome;
+  if (hv.migrate(u, target, &outcome) !=
+      Hypervisor::MigrateStatus::kCommitted) {
+    finish_hold(false, 0.0);
+    return;
+  }
+  // The allocation epoch advances with every commit.
+  p.token.set_epoch(p.token.epoch() + 1);
+  p.token.set_aggregate_delta(p.token.aggregate_delta() + best->second);
+  finish_hold(true, outcome.total_time_s);
 }
 
 void Dom0Agent::finish_hold(bool migrated, double migration_time_s) {

@@ -104,7 +104,10 @@ class Dom0Agent {
     std::vector<std::pair<Ipv4, double>> peer_rates;
     std::unordered_map<Ipv4, Ipv4> peer_dom0;  ///< peer VM -> its dom0 addr
     std::size_t awaiting_locations = 0;
-    std::vector<Ipv4> candidates;  ///< candidate dom0 addresses, probe order
+    /// (dom0 address, Lemma-3 delta) of each candidate whose delta exceeds
+    /// c_m, in candidate order: the only hosts probed for capacity, since
+    /// Theorem 1 cannot pass anywhere else.
+    std::vector<std::pair<Ipv4, double>> candidates;
     std::unordered_map<Ipv4, CapInfo> capacities;
     std::size_t awaiting_capacities = 0;
   };

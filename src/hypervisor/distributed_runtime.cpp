@@ -1,7 +1,9 @@
 #include "hypervisor/distributed_runtime.hpp"
 
 #include <bit>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "hypervisor/agent.hpp"
@@ -14,6 +16,13 @@ namespace score::hypervisor {
 
 namespace {
 
+void require(bool ok, const char* field, const char* rule) {
+  if (!ok) {
+    throw std::invalid_argument(std::string("DistributedScoreRuntime: ") +
+                                field + " must be " + rule);
+  }
+}
+
 RuntimeConfig validated(RuntimeConfig cfg, const core::CostModel& model,
                         const core::Allocation& alloc,
                         const traffic::TrafficMatrix& tm) {
@@ -25,6 +34,25 @@ RuntimeConfig validated(RuntimeConfig cfg, const core::CostModel& model,
     throw std::invalid_argument("DistributedScoreRuntime: unknown policy '" +
                                 cfg.policy + "'");
   }
+  // A value outside these ranges hangs the run (a token that is always lost,
+  // a watchdog that re-arms at the same instant) or quietly disables it.
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  const auto non_negative = [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  };
+  require(non_negative(cfg.message_loss_rate) && cfg.message_loss_rate < 1.0,
+          "message_loss_rate", "finite and in [0, 1)");
+  require(positive(cfg.measurement_window_s), "measurement_window_s",
+          "finite and > 0");
+  require(positive(cfg.probe_timeout_s), "probe_timeout_s", "finite and > 0");
+  require(positive(cfg.retransmit_timeout_s), "retransmit_timeout_s",
+          "finite and > 0");
+  require(non_negative(cfg.decision_time_s), "decision_time_s",
+          "finite and >= 0");
+  require(non_negative(cfg.per_hop_latency_s), "per_hop_latency_s",
+          "finite and >= 0");
+  require(non_negative(cfg.loopback_latency_s), "loopback_latency_s",
+          "finite and >= 0");
   for (const ChurnEvent& ev : cfg.churn) {
     if (ev.host >= model.topology().num_hosts()) {
       throw std::invalid_argument(

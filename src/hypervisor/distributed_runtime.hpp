@@ -113,15 +113,15 @@ struct RuntimeConfig {
 
   // ---- failure model --------------------------------------------------------
   /// Independent drop probability for every control message (token, probes,
-  /// responses).
+  /// responses), in [0, 1).
   double message_loss_rate = 0.0;
   std::uint64_t loss_seed = 9;
   /// Token retransmission timeout: the placement manager re-injects its last
   /// token snapshot (at the holder's current host) when no hold completes for
-  /// this long. Must exceed the longest legal hold (decision + probe
-  /// timeouts + one migration transfer).
+  /// this long. Must be > 0 and should exceed the longest legal hold
+  /// (decision + probe timeouts + one migration transfer).
   double retransmit_timeout_s = 5.0;
-  /// Per-decision probe timeout: a holder missing location/capacity
+  /// Per-decision probe timeout (> 0): a holder missing location/capacity
   /// responses after this long retransmits the unanswered probes; once the
   /// retry budget is spent it decides from what it has.
   double probe_timeout_s = 1.0;

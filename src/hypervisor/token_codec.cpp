@@ -31,6 +31,23 @@ constexpr std::size_t entry_at(std::size_t i) {
   return token_frame_header_bytes() + 5 * i;
 }
 
+/// Binary search for `vm` among a frame's `count` ascending ids: its entry
+/// index, or `count` when it has none.
+std::size_t find_entry(const std::vector<std::uint8_t>& buf, std::size_t count,
+                       std::uint32_t vm) {
+  std::size_t lo = 0;
+  std::size_t hi = count;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (get_u32(buf, entry_at(mid)) < vm) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo < count && get_u32(buf, entry_at(lo)) == vm ? lo : count;
+}
+
 /// The framed-token reject list, shared by decode_token and TokenFrame.
 /// Returns the entry count of a valid frame; throws std::invalid_argument.
 std::size_t validate_frame(const std::vector<std::uint8_t>& buf) {
@@ -55,18 +72,17 @@ std::size_t validate_frame(const std::vector<std::uint8_t>& buf) {
     throw std::invalid_argument(
         "token frame: length does not match entry count");
   }
-  const std::uint32_t holder = get_u32(buf, kHolderAt);
-  bool holder_present = count == 0;
-  std::uint32_t prev = 0;
-  for (std::size_t i = 0; i < count; ++i) {
+  // One load and one compare per entry; with the ids known ascending, the
+  // holder is found by binary search.
+  std::uint32_t prev = count > 0 ? get_u32(buf, entry_at(0)) : 0;
+  for (std::size_t i = 1; i < count; ++i) {
     const std::uint32_t id = get_u32(buf, entry_at(i));
-    if (i > 0 && id <= prev) {
+    if (id <= prev) {
       throw std::invalid_argument("token frame: ids not ascending");
     }
-    holder_present = holder_present || id == holder;
     prev = id;
   }
-  if (!holder_present) {
+  if (count > 0 && find_entry(buf, count, get_u32(buf, kHolderAt)) == count) {
     throw std::invalid_argument("token frame: holder not in entry list");
   }
   return count;
@@ -164,22 +180,8 @@ bool TokenFrame::checked(std::size_t i) const {
   return (bytes_[entry_at(i) + 4] & kCheckedBit) != 0;
 }
 
-std::size_t TokenFrame::find(std::uint32_t vm) const {
-  std::size_t lo = 0;
-  std::size_t hi = size_;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (vm_id(mid) < vm) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo < size_ && vm_id(lo) == vm ? lo : size_;
-}
-
 std::size_t TokenFrame::index_of(std::uint32_t vm) const {
-  const std::size_t i = find(vm);
+  const std::size_t i = find_entry(bytes_, size_, vm);
   if (i == size_) throw std::logic_error("token does not contain the VM");
   return i;
 }
@@ -197,7 +199,7 @@ void TokenFrame::set_aggregate_delta(double delta) {
   wire::set_u64(bytes_, kDeltaAt, std::bit_cast<std::uint64_t>(delta));
 }
 void TokenFrame::set_holder(std::uint32_t vm) {
-  if (size_ > 0 && find(vm) == size_) {
+  if (size_ > 0 && find_entry(bytes_, size_, vm) == size_) {
     throw std::invalid_argument("TokenFrame: holder not in entry list");
   }
   wire::set_u32(bytes_, kHolderAt, vm);

@@ -121,9 +121,6 @@ class TokenFrame {
   std::vector<std::uint8_t> bytes() && { return std::move(bytes_); }
 
  private:
-  /// Index of `vm`'s entry, or size() when it has none.
-  std::size_t find(std::uint32_t vm) const;
-
   std::vector<std::uint8_t> bytes_;
   std::size_t size_ = 0;
 };

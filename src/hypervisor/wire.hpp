@@ -17,12 +17,15 @@ inline void put_u32(std::vector<std::uint8_t>& buf, std::uint32_t v) {
   buf.push_back(static_cast<std::uint8_t>(v >> 24));
 }
 
+/// Read through a plain pointer: GCC then folds the four byte reads into one
+/// 32-bit load, which it does not do through vector::operator[].
 inline std::uint32_t get_u32(const std::vector<std::uint8_t>& buf,
                              std::size_t pos) {
-  return static_cast<std::uint32_t>(buf[pos]) |
-         (static_cast<std::uint32_t>(buf[pos + 1]) << 8) |
-         (static_cast<std::uint32_t>(buf[pos + 2]) << 16) |
-         (static_cast<std::uint32_t>(buf[pos + 3]) << 24);
+  const std::uint8_t* p = buf.data() + pos;
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 inline void put_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {

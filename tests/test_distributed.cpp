@@ -4,12 +4,19 @@
 // same quality of allocation as the centralized evaluation loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "driver/simulation.hpp"
 #include "core/token_policy.hpp"
 #include "helpers.hpp"
 #include "hypervisor/agent.hpp"
 #include "hypervisor/distributed_runtime.hpp"
 #include "hypervisor/ipam.hpp"
+#include "hypervisor/token_codec.hpp"
+#include "hypervisor/wire.hpp"
 #include "sim/network.hpp"
 
 namespace {
@@ -28,6 +35,8 @@ using score::hypervisor::DistributedScoreRuntime;
 using score::hypervisor::format_ipv4;
 using score::hypervisor::Ipam;
 using score::hypervisor::RuntimeConfig;
+using score::hypervisor::wire::get_u32;
+using score::hypervisor::wire::put_u32;
 using score::sim::EventQueue;
 using score::sim::Message;
 using score::sim::Network;
@@ -255,6 +264,11 @@ TEST_F(DistributedTest, MigrationCostGateHonored) {
   EXPECT_GT(res0.total_migrations, 0u);
   EXPECT_EQ(res1.total_migrations, 0u);
   EXPECT_DOUBLE_EQ(res1.final_cost, res1.initial_cost);
+  // Theorem 1 cannot pass anywhere under the prohibitive c_m, so no holder
+  // probes capacity; at c_m = 0 some do.
+  EXPECT_GT(res0.capacity_messages, 0u);
+  EXPECT_EQ(res1.capacity_messages, 0u);
+  EXPECT_GT(res1.location_messages, 0u);
 }
 
 TEST_F(DistributedTest, StableStopEndsRunEarly) {
@@ -294,6 +308,52 @@ TEST_F(DistributedTest, RejectsBadConfig) {
                std::invalid_argument);
   score::traffic::TrafficMatrix wrong(9);
   EXPECT_THROW(DistributedScoreRuntime(model_, alloc, wrong), std::invalid_argument);
+
+  // Each of these used to hang the run, silently disable it, or throw late
+  // from the event queue.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    const char* field;
+    double RuntimeConfig::*member;
+    std::vector<double> values;
+  };
+  const Bad bad[] = {
+      {"message_loss_rate", &RuntimeConfig::message_loss_rate,
+       {1.0, 1.5, -0.1, nan, inf}},
+      {"measurement_window_s", &RuntimeConfig::measurement_window_s,
+       {0.0, -1.0, nan, inf}},
+      {"probe_timeout_s", &RuntimeConfig::probe_timeout_s,
+       {0.0, -1.0, nan, inf}},
+      {"retransmit_timeout_s", &RuntimeConfig::retransmit_timeout_s,
+       {0.0, -1.0, nan, inf}},
+      {"decision_time_s", &RuntimeConfig::decision_time_s,
+       {-0.01, nan, inf}},
+      {"per_hop_latency_s", &RuntimeConfig::per_hop_latency_s,
+       {-1e-6, nan, inf}},
+      {"loopback_latency_s", &RuntimeConfig::loopback_latency_s,
+       {-1e-6, nan, inf}},
+  };
+  for (const Bad& b : bad) {
+    for (const double v : b.values) {
+      RuntimeConfig c;
+      c.*b.member = v;
+      try {
+        DistributedScoreRuntime runtime(model_, alloc, tm, c);
+        ADD_FAILURE() << b.field << " = " << v << " accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(b.field), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // The edges of the legal ranges still run.
+  RuntimeConfig edge;
+  edge.decision_time_s = 0.0;
+  edge.per_hop_latency_s = 0.0;
+  edge.loopback_latency_s = 0.0;
+  edge.message_loss_rate = 0.0;
+  EXPECT_NO_THROW(DistributedScoreRuntime(model_, alloc, tm, edge).run());
 }
 
 TEST_F(DistributedTest, SimulatedTimeAdvances) {
@@ -514,6 +574,12 @@ class ProbePayloadTest : public DistributedTest,
                          public score::hypervisor::AgentEnv,
                          public score::hypervisor::Communicator {
  protected:
+  struct Sent {
+    CtrlMsg type;
+    score::topo::HostId to;
+    std::vector<std::uint8_t> payload;
+  };
+
   ProbePayloadTest()
       : rng_(53),
         tm_(random_tm(16, 2.0, rng_)),
@@ -545,11 +611,52 @@ class ProbePayloadTest : public DistributedTest,
   void note_probe_retransmits(std::size_t) override {}
   void note_probe_timeout() override {}
 
+  /// Hand the agent on `vm`'s host the token held by `vm`, with c_m set to
+  /// `migration_cost`, and answer every location probe it sends. Returns the
+  /// messages the agent sent after the last location response.
+  std::vector<Sent> hold_after_locations(VmId vm, double migration_cost) {
+    const Ipam& ipam = hv_.ipam();
+    const score::topo::HostId host = alloc_.server_of(vm);
+    cfg_.engine.migration_cost = migration_cost;
+    Dom0Agent agent;
+    agent.bind(this, &cfg_, host);
+
+    score::hypervisor::Token token;
+    token.holder = score::hypervisor::addr_of_vm(vm);
+    for (VmId v = 0; v < alloc_.num_vms(); ++v) {
+      token.entries.push_back({score::hypervisor::addr_of_vm(v), 0, false});
+    }
+    Message msg;
+    msg.src = host;
+    msg.dst = host;
+    msg.type = static_cast<int>(CtrlMsg::kToken);
+    msg.payload = score::hypervisor::encode_token(token);
+    log_.clear();
+    agent.on_message(msg);
+
+    const std::vector<Sent> requests = log_;
+    EXPECT_EQ(requests.size(), tm_.neighbors(vm).size());
+    log_.clear();
+    for (const Sent& req : requests) {
+      EXPECT_EQ(req.type, CtrlMsg::kLocationRequest);
+      Message resp;
+      resp.src = req.to;
+      resp.dst = host;
+      resp.type = static_cast<int>(CtrlMsg::kLocationResponse);
+      put_u32(resp.payload, get_u32(req.payload, 0));  // subject VM
+      put_u32(resp.payload, ipam.host_address(req.to));
+      put_u32(resp.payload, get_u32(req.payload, 4));  // nonce
+      agent.on_message(resp);
+    }
+    return log_;
+  }
+
   // Communicator
   double now() const override { return 0.0; }
-  void send(CtrlMsg type, score::topo::HostId, score::topo::HostId,
+  void send(CtrlMsg type, score::topo::HostId, score::topo::HostId to,
             std::vector<std::uint8_t> payload) override {
     sent_.emplace_back(type, payload.size());
+    log_.push_back({type, to, std::move(payload)});
   }
   void send_after(double, CtrlMsg type, score::topo::HostId from,
                   score::topo::HostId to,
@@ -566,6 +673,7 @@ class ProbePayloadTest : public DistributedTest,
   score::hypervisor::AgentConfig cfg_;
   Dom0Agent agent_;
   std::vector<std::pair<CtrlMsg, std::size_t>> sent_;
+  std::vector<Sent> log_;  ///< every send with its destination and payload
 };
 
 TEST_F(ProbePayloadTest, WellFormedRequestsAreAnswered) {
@@ -595,6 +703,70 @@ TEST_F(ProbePayloadTest, WrongLengthPayloadsAreRejected) {
         << "type " << static_cast<int>(type) << " one byte long";
   }
   EXPECT_TRUE(sent_.empty());
+}
+
+// Theorem 1 moves a VM only when its Lemma-3 delta exceeds c_m, and the delta
+// needs only the peers' probed locations: a holder asks for capacity exactly
+// at the candidates above c_m, in candidate order, and a hold with none
+// forwards the token without a capacity stage.
+TEST_F(ProbePayloadTest, CapacityProbesOnlyCandidatesAboveMigrationCost) {
+  VmId u = 0;
+  for (VmId v = 1; v < alloc_.num_vms(); ++v) {
+    if (tm_.neighbors(v).size() > tm_.neighbors(u).size()) u = v;
+  }
+  const Ipam& ipam = hv_.ipam();
+  const auto capacity_targets = [](const std::vector<Sent>& sent) {
+    std::vector<score::topo::HostId> to;
+    for (const Sent& s : sent) {
+      if (s.type == CtrlMsg::kCapacityRequest) to.push_back(s.to);
+    }
+    return to;
+  };
+
+  // Under the lowest c_m every candidate is probed, in the order
+  // MigrationEngine ranks them.
+  const std::vector<score::topo::HostId> candidates = capacity_targets(
+      hold_after_locations(u, std::numeric_limits<double>::lowest()));
+  const MigrationEngine engine(model_, cfg_.engine);
+  ASSERT_EQ(candidates, engine.candidate_servers(alloc_, tm_, u));
+  ASSERT_GE(candidates.size(), 4u);
+
+  // Put c_m in the widest gap between the candidates' deltas, far from the
+  // flow table's byte-counter rounding of the measured rates.
+  std::vector<double> deltas;
+  for (const score::topo::HostId c : candidates) {
+    deltas.push_back(model_.migration_delta(alloc_, tm_, u, c));
+  }
+  std::vector<double> sorted = deltas;
+  std::sort(sorted.begin(), sorted.end());
+  std::size_t gap = 0;
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    if (sorted[i] - sorted[i - 1] > sorted[gap + 1] - sorted[gap]) gap = i - 1;
+  }
+  ASSERT_GT(sorted[gap + 1] - sorted[gap], 50.0);
+  const double c_m = (sorted[gap] + sorted[gap + 1]) / 2.0;
+  std::vector<score::topo::HostId> above;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (deltas[i] > c_m) above.push_back(candidates[i]);
+  }
+  ASSERT_FALSE(above.empty());
+  ASSERT_LT(above.size(), candidates.size());
+
+  const std::vector<Sent> sent = hold_after_locations(u, c_m);
+  EXPECT_EQ(capacity_targets(sent), above);
+  for (const Sent& s : sent) EXPECT_EQ(s.type, CtrlMsg::kCapacityRequest);
+
+  // Above every delta: no capacity request, and the token moves on.
+  const std::vector<Sent> none = hold_after_locations(u, sorted.back() + 50.0);
+  ASSERT_EQ(none.size(), 1u);
+  EXPECT_EQ(none[0].type, CtrlMsg::kToken);
+  const score::hypervisor::Token next =
+      score::hypervisor::decode_token(none[0].payload);
+  EXPECT_EQ(none[0].to, ipam.vm_host(next.holder));
+  EXPECT_EQ(next.holder, score::hypervisor::addr_of_vm(
+                             static_cast<VmId>((u + 1) % alloc_.num_vms())));
+  EXPECT_EQ(next.epoch, 0u);
+  EXPECT_EQ(next.ring_pos, 1u);
 }
 
 TEST_F(ProbePayloadTest, UnknownMessageTypeIsRejected) {
