@@ -8,6 +8,7 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "core/cached_cost_model.hpp"
 #include "core/sharded_cost_oracle.hpp"
@@ -18,8 +19,10 @@
 namespace score::driver {
 
 DriftTrigger::DriftTrigger(double threshold) : threshold_(threshold) {
-  if (threshold < 0.0) {
-    throw std::invalid_argument("DriftTrigger: negative threshold");
+  if (!(threshold >= 0.0)) {  // also rejects NaN
+    throw std::invalid_argument(
+        "DriftTrigger: drift threshold must be >= 0, got " +
+        std::to_string(threshold));
   }
 }
 
@@ -82,15 +85,17 @@ double ns_since(SteadyClock::time_point start) {
                                  .count());
 }
 
-/// Records every effective rate transition an apply commits (post-clamp
-/// new − old, the exact amount the bound cache folded) and stages it into
-/// one sub-batch per ingest shard. A transition reaches every shard that
-/// owns one of its endpoints, so per-shard folds can attribute both
-/// endpoints' Eq. (1) movement without writing across shards.
+/// Attributes every effective rate transition an apply commits (post-clamp
+/// new − old, the exact amount the bound cache folded) to the ingest shards
+/// owning its endpoints: each endpoint adds ½·pair_cost(|Δλ|, ℓ(u,v)) to its
+/// shard's batch total, so a pair inside one shard adds twice that once.
+/// Levels are read from the allocation, which no apply moves.
 class DriftRecorder final : public traffic::TrafficObserver {
  public:
-  DriftRecorder(traffic::TrafficMatrix& tm, const traffic::ShardMap& map)
-      : tm_(&tm), map_(&map), staged_(map.num_shards()) {
+  DriftRecorder(traffic::TrafficMatrix& tm, const traffic::ShardMap& map,
+                const core::CostModel& model, const core::Allocation& alloc)
+      : tm_(&tm), map_(&map), model_(&model), alloc_(&alloc),
+        batch_drift_(map.num_shards(), 0.0) {
     tm.add_observer(this);
   }
   ~DriftRecorder() override {
@@ -101,28 +106,39 @@ class DriftRecorder final : public traffic::TrafficObserver {
 
   void on_rate_change(traffic::VmId u, traffic::VmId v, double old_rate,
                       double new_rate) override {
-    const double eff = new_rate - old_rate;
+    const int level = model_->level(*alloc_, u, v);
+    const double per_endpoint =
+        0.5 * model_->pair_cost(std::abs(new_rate - old_rate), level);
     const std::size_t su = map_->shard_of(u);
     const std::size_t sv = map_->shard_of(v);
-    staged_[su].push(u, v, eff);
-    if (sv != su) staged_[sv].push(u, v, eff);
+    if (su == sv) {
+      batch_drift_[su] += 2.0 * per_endpoint;
+    } else {
+      batch_drift_[su] += per_endpoint;
+      batch_drift_[sv] += per_endpoint;
+    }
   }
   void on_bulk_update() override { bulk_ = true; }
   void on_matrix_destroyed() override { tm_ = nullptr; }
 
-  /// True once since the last call if a bulk (non-attributable) mutation
-  /// landed; the engine then treats every shard as drifted.
-  bool take_bulk() {
-    const bool b = bulk_;
-    bulk_ = false;
-    return b;
+  /// Adds each shard's attribution since the last drain into `acc` and
+  /// zeroes the batch totals. True if a bulk (non-attributable) mutation
+  /// landed since the last drain; the engine then treats every shard as
+  /// drifted.
+  bool drain_into(std::vector<double>& acc) {
+    for (std::size_t t = 0; t < batch_drift_.size(); ++t) {
+      acc[t] += batch_drift_[t];
+      batch_drift_[t] = 0.0;
+    }
+    return std::exchange(bulk_, false);
   }
-  std::vector<traffic::FlowDeltaBatch>& staged() { return staged_; }
 
  private:
   traffic::TrafficMatrix* tm_;
   const traffic::ShardMap* map_;
-  std::vector<traffic::FlowDeltaBatch> staged_;
+  const core::CostModel* model_;
+  const core::Allocation* alloc_;
+  std::vector<double> batch_drift_;
   bool bulk_ = false;
 };
 
@@ -165,14 +181,7 @@ StreamingEngine::StreamingEngine(const topo::Topology& topology,
     throw std::invalid_argument("StreamingEngine: need at least 2 VMs");
   }
   config_.validate();
-  if (config_.partial_reopt && config_.ingest_shards <= 1) {
-    throw std::invalid_argument(
-        "StreamingEngine: partial_reopt requires ingest_shards > 1");
-  }
-  if (config_.partial_reopt && config_.distributed()) {
-    throw std::invalid_argument(
-        "StreamingEngine: partial_reopt is centralized-only");
-  }
+  DriftTrigger{config_.drift_threshold};  // reject a bad threshold up front
 }
 
 StreamingReport StreamingEngine::run() {
@@ -204,21 +213,19 @@ StreamingReport StreamingEngine::run() {
   std::vector<core::VmRange> shard_ranges;
   std::vector<DriftTrigger> shard_triggers;
   std::vector<double> drift_acc;  ///< per-shard attributed Eq. (1) drift
-  std::vector<std::unique_ptr<traffic::IngestQueue>> shard_queues;
   std::unique_ptr<DriftRecorder> recorder;
   if (config_.ingest_shards > 1) {
     smap = std::make_unique<traffic::ShardMap>(num_vms, config_.ingest_shards);
     shard_ranges = core::partition_vms(num_vms, smap->num_shards());
-    for (std::size_t t = 0; t < smap->num_shards(); ++t) {
-      shard_triggers.emplace_back(config_.drift_threshold);
-      shard_queues.push_back(
-          std::make_unique<traffic::IngestQueue>(config_.queue_capacity));
-    }
+    shard_triggers.assign(smap->num_shards(),
+                          DriftTrigger(config_.drift_threshold));
     drift_acc.assign(smap->num_shards(), 0.0);
-    recorder = std::make_unique<DriftRecorder>(tm, *smap);
+    recorder = std::make_unique<DriftRecorder>(tm, *smap, model, alloc);
   }
   const bool sharded = smap != nullptr;
   const std::size_t shards = sharded ? smap->num_shards() : 1;
+  // Dom0 agents walk their whole world, so only centralized re-opts narrow.
+  const bool partial_scope = sharded && !config_.distributed();
   report.ingest_shards = shards;
 
   // Current Eq. (2) partial sum of every shard, served from the bound cache
@@ -312,32 +319,7 @@ StreamingReport StreamingEngine::run() {
     double fire_drift = 0.0;
     drifted.clear();
     if (sharded) {
-      // Demux the recorded effective transitions through the per-shard
-      // queues, then fold them in parallel: worker t drains only queue t
-      // and writes only accumulator t, reading the (stable) allocation.
-      auto& staged = recorder->staged();
-      for (std::size_t t = 0; t < shards; ++t) {
-        if (staged[t].empty()) continue;
-        shard_queues[t]->push(std::move(staged[t]));
-        staged[t].clear();
-      }
-      const bool bulk = recorder->take_bulk();
-      util::for_each_shard(config_.exec, shards, [&](std::size_t t) {
-        traffic::FlowDeltaBatch sub;
-        double acc = 0.0;
-        while (shard_queues[t]->try_pop(sub)) {
-          for (const traffic::FlowDelta& d : sub) {
-            const int lvl = model.level(alloc, d.u, d.v);
-            const double per_endpoint =
-                0.5 * model.pair_cost(std::abs(d.delta), lvl);
-            const int ends =
-                static_cast<int>(smap->shard_of(d.u) == t) +
-                static_cast<int>(smap->shard_of(d.v) == t);
-            acc += static_cast<double>(ends) * per_endpoint;
-          }
-        }
-        drift_acc[t] += acc;
-      });
+      const bool bulk = recorder->drain_into(drift_acc);
       report.fold_latency_ns.push_back(ns_since(fold_start));
 
       const auto decision_start = SteadyClock::now();
@@ -396,7 +378,7 @@ StreamingReport StreamingEngine::run() {
       ev.cost_before = model.total_cost(alloc, tm);
       ev.drifted_shards = drifted;
       std::vector<std::size_t> restrict_shards;
-      if (config_.partial_reopt) restrict_shards = restriction_for(drifted);
+      if (partial_scope) restrict_shards = restriction_for(drifted);
       ev.partial = !restrict_shards.empty();
 #ifdef SCORE_CHECK_CACHE
       std::optional<core::Allocation> pre_alloc;
@@ -512,10 +494,6 @@ StreamingReport StreamingEngine::run() {
   report.deltas_folded = model.deltas_folded();
   report.cache_rebuilds = model.rebuilds();
   report.max_queue_depth = queue.max_depth();
-  for (const auto& sq : shard_queues) {
-    report.max_shard_queue_depth =
-        std::max(report.max_shard_queue_depth, sq->max_depth());
-  }
   return report;
 }
 

@@ -23,24 +23,23 @@
 // on backpressure.
 //
 // Sharded ingest (ingest_shards > 1) partitions drift *attribution* per VM
-// shard while the matrix stays single-owner: the apply records each pair's
-// effective rate transition through the observer seam, the records are
-// demuxed into one bounded IngestQueue per shard (a record reaches every
-// shard owning one of its endpoints), and per-shard fold workers (one
-// for_each_shard job per shard under `exec`) drain their queue and
-// accumulate the shard's share of the Eq. (1) perturbation:
+// shard while the matrix stays single-owner: an observer on the live matrix
+// sees each pair's effective rate transition during the apply and adds the
+// shard's share of the Eq. (1) perturbation to every shard owning one of
+// its endpoints,
 //
-//   D_t += Σ_records (#endpoints in shard t) · ½·pair_cost(|Δλ|, ℓ(u,v))
+//   D_t += Σ_transitions (#endpoints in shard t) · ½·pair_cost(|Δλ|, ℓ(u,v))
 //
-// against the read-only allocation — the same per-endpoint arithmetic the
-// bound cache folds, so Σ_t over a record is exactly its worst-case Eq. (2)
-// movement and D_t ≥ |ΔS_t| (the shard's true partial-sum drift) by the
-// triangle inequality. Each shard arms its own DriftTrigger on the shard's
-// Eq. (2) partial sum; when a shard's attributed drift crosses the
-// threshold, re-optimisation can be confined to the drifted shards' VM
-// ranges (partial_reopt → MultiTokenConfig::restrict_shards). Worker t
-// writes only accumulator t, so the fold is race-free and bit-identical
-// across seq/par(n).
+// against the allocation the apply leaves untouched — the same per-endpoint
+// arithmetic the bound cache folds, so Σ_t over a transition is exactly its
+// worst-case Eq. (2) movement and D_t ≥ |ΔS_t| (the shard's true
+// partial-sum drift) by the triangle inequality. Each shard arms its own
+// DriftTrigger on the shard's Eq. (2) partial sum. In centralized mode a
+// triggered re-optimisation walks only the token shards overlapping the
+// drifted shards' VM ranges (MultiTokenConfig::restrict_shards); dom0
+// agents in distributed mode always walk their whole world. Attribution
+// runs on the consumer thread in transition order, so it is deterministic
+// under every `exec` policy.
 #pragma once
 
 #include <cmath>
@@ -60,6 +59,8 @@ namespace score::driver {
 /// nonzero cost). Re-arm after every re-optimisation.
 class DriftTrigger {
  public:
+  /// Throws std::invalid_argument unless `threshold` >= 0: a NaN threshold
+  /// would never fire, silently disabling re-optimisation.
   explicit DriftTrigger(double threshold);
 
   /// Set the reference cost drift is measured against.
@@ -114,16 +115,11 @@ struct StreamingConfig : OptimizerConfig {
   bool fresh_reference = true;
 
   // ---- sharded ingest + partial re-optimisation ----------------------------
-  /// > 1 partitions drift attribution per VM shard (see the module comment):
-  /// per-shard demux queues, parallel fold workers under `exec`, one
-  /// DriftTrigger per shard. 1 (the default) keeps the single global drift
-  /// scalar — bit-for-bit the pre-sharding behaviour.
+  /// > 1 partitions drift attribution per VM shard with one DriftTrigger per
+  /// shard, and in centralized mode confines each triggered re-optimisation
+  /// to the drifted shards (see the module comment). 1 (the default) keeps
+  /// the single global drift scalar.
   std::size_t ingest_shards = 1;
-  /// With ingest_shards > 1 and centralized mode: confine each triggered
-  /// re-optimisation's token rounds to the token shards overlapping the
-  /// drifted ingest shards' VM ranges (MultiTokenConfig::restrict_shards).
-  /// Rejected with distributed mode (dom0 agents always walk their world).
-  bool partial_reopt = false;
 
   // ---- diagnostics ---------------------------------------------------------
   /// Optional observer registered on the live matrix for the whole run (not
@@ -169,12 +165,12 @@ struct StreamingReport {
   bool final_fresh_computed = false;  ///< final_fresh_cost is a real reference
 
   // ---- sharded ingest ------------------------------------------------------
-  std::size_t ingest_shards = 1;         ///< shard count the run used
-  std::size_t partial_reopts = 0;        ///< reopts with restricted rounds
-  std::size_t max_shard_queue_depth = 0;  ///< high-water over demux queues
+  std::size_t ingest_shards = 1;   ///< shard count the run used
+  std::size_t partial_reopts = 0;  ///< reopts with restricted rounds
 
   // ---- latency percentiles -------------------------------------------------
-  /// One sample per consumed batch: apply + (sharded) demux + drift fold.
+  /// One sample per consumed batch: apply (with sharded drift attribution)
+  /// plus folding the batch's attribution into the shard accumulators.
   std::vector<double> fold_latency_ns;
   /// One sample per per-batch trigger decision (drift evaluation only).
   std::vector<double> trigger_latency_ns;
@@ -202,6 +198,8 @@ struct StreamingReport {
 class StreamingEngine {
  public:
   /// `topology` must outlive the engine. One server per topology host.
+  /// Throws std::invalid_argument on a config run() cannot honour (fewer
+  /// than 2 VMs, an unknown mode, a negative or NaN drift threshold).
   StreamingEngine(const topo::Topology& topology, StreamingConfig config);
 
   /// Producer thread streams batches over an IngestQueue; the calling thread

@@ -39,10 +39,7 @@ struct FlowDelta {
 };
 
 /// An ordered batch of flow deltas — the ingest unit. Deltas are applied in
-/// order, so two deltas to the same pair accumulate. The sharded ingest path
-/// (driver/streaming) also uses batches as its demux unit: effective rate
-/// transitions recorded during an apply are re-expressed as one FlowDelta
-/// per change and routed to per-shard sub-batches.
+/// order, so two deltas to the same pair accumulate.
 class FlowDeltaBatch {
  public:
   FlowDeltaBatch() = default;

@@ -160,17 +160,6 @@ bool IngestQueue::pop(FlowDeltaBatch& out) {
   return true;
 }
 
-bool IngestQueue::try_pop(FlowDeltaBatch& out) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return false;
-    out = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  space_cv_.notify_one();
-  return true;
-}
-
 void IngestQueue::close() {
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -99,9 +99,9 @@ class FlowEventStream {
 /// VM id → shard index router for the sharded ingest path: the same
 /// contiguous carve-up as core::partition_vms (first `num_vms % shards`
 /// shards get one extra id), computed arithmetically so a lookup is O(1)
-/// with no table. Keeping the formula here (below core in the layer stack)
-/// lets the traffic layer route deltas by shard while core remains the
-/// owner of the VmRange view; test_streaming locks the two in agreement.
+/// with no table — the streaming engine's drift attribution calls it once
+/// per endpoint of every effective transition. core remains the owner of
+/// the VmRange view; test_streaming locks the two in agreement.
 class ShardMap {
  public:
   /// `shards` is clamped to [1, num_vms]; num_vms must be > 0.
@@ -146,9 +146,6 @@ class IngestQueue {
   /// Blocking pop: false iff the queue is closed and fully drained (the
   /// consumer's termination signal).
   bool pop(FlowDeltaBatch& out);
-
-  /// Non-blocking pop: false when currently empty (queue may still be open).
-  bool try_pop(FlowDeltaBatch& out);
 
   /// No more pushes will arrive; wakes blocked consumers and producers.
   void close();

@@ -139,6 +139,16 @@ long long Flags::get_int(const std::string& name) const {
   return std::stoll(lookup(name, Kind::kInt).value);
 }
 
+std::size_t Flags::get_count(const std::string& name) const {
+  const long long value = get_int(name);
+  if (value < 0) {
+    throw std::invalid_argument("flag --" + name +
+                                " expects a count >= 0, got " +
+                                std::to_string(value));
+  }
+  return static_cast<std::size_t>(value);
+}
+
 double Flags::get_double(const std::string& name) const {
   return std::stod(lookup(name, Kind::kDouble).value);
 }

@@ -6,6 +6,7 @@
 // registered flags.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -27,6 +28,9 @@ class Flags {
 
   std::string get_string(const std::string& name) const;
   long long get_int(const std::string& name) const;
+  /// An int flag read as a count: throws std::invalid_argument naming
+  /// `--name` on a negative value instead of wrapping it to a huge size_t.
+  std::size_t get_count(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 

@@ -40,9 +40,12 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool chance(double p) { return uniform() < p; }
 
-  /// Normal with the given mean / standard deviation.
+  /// Normal with the given mean / standard deviation; stddev 0 returns
+  /// `mean`. Scales a standard normal draw the way libstdc++'s
+  /// normal_distribution(mean, stddev) does, so every stddev > 0 draw is
+  /// bit-identical to it, without that class's stddev > 0 precondition.
   double normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return std::normal_distribution<double>()(engine_) * stddev + mean;
   }
 
   /// Log-normal parameterised by the underlying normal's mu/sigma.

@@ -80,10 +80,28 @@ TEST(CliFlags, ModeIncompatibleCombosAreRejected) {
   expect_one_line_rejection("--arrival-prob 0.5", "--arrival-prob");
   expect_one_line_rejection("--mode distributed --tenant-vms 8",
                             "--tenant-vms");
-  // Sharded ingest / partial re-opt are streaming-mode knobs.
+  // Sharded ingest is a streaming-mode knob.
   expect_one_line_rejection("--ingest-shards 4", "--ingest-shards");
-  expect_one_line_rejection("--mode continuous --partial-reopt",
-                            "--partial-reopt");
+}
+
+TEST(CliFlags, NegativeCountsAreRejected) {
+  // A negative count used to wrap to 2^64-1: --ticks -1 never terminated
+  // and --ingest-shards -1 silently ran one shard per VM.
+  expect_one_line_rejection(
+      "--mode streaming --vms 16 --ticks 2 --batch-size 8 --ingest-shards -1",
+      "--ingest-shards");
+  expect_one_line_rejection(
+      "--mode streaming --vms 16 --ticks -1 --batch-size 8", "--ticks");
+  expect_one_line_rejection("--vms 16 --iterations 1 --tokens -1", "--tokens");
+}
+
+TEST(CliFlags, NanDriftThresholdIsRejected) {
+  // `drift > NaN` never holds: a NaN threshold used to run with zero
+  // re-optimisations and exit 0.
+  expect_one_line_rejection(
+      "--mode streaming --vms 16 --ticks 2 --batch-size 8 "
+      "--drift-threshold nan",
+      "drift threshold");
 }
 
 TEST(CliFlags, ValidCombosStillRun) {
@@ -102,16 +120,8 @@ TEST(CliFlags, ValidCombosStillRun) {
 
   const CliResult sharded =
       run_cli("--mode streaming --vms 16 --ticks 2 --batch-size 8 "
-              "--tokens 2 --ingest-shards 2 --partial-reopt");
+              "--tokens 2 --ingest-shards 2");
   EXPECT_EQ(sharded.exit_code, 0) << sharded.output;
-}
-
-TEST(CliFlags, PartialReoptWithoutShardsIsRejected) {
-  // Engine-level validation surfaces as the same one-line exit-2 contract.
-  const CliResult r = run_cli(
-      "--mode streaming --vms 16 --ticks 2 --batch-size 8 --partial-reopt");
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("partial_reopt"), std::string::npos) << r.output;
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // help generation.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "util/flags.hpp"
 
 namespace {
@@ -59,6 +62,23 @@ TEST(Flags, NegativeNumbers) {
   EXPECT_EQ(parse(f, {"--count", "-3", "--rate", "-2.5"}), 1);
   EXPECT_EQ(f.get_int("count"), -3);
   EXPECT_DOUBLE_EQ(f.get_double("rate"), -2.5);
+}
+
+TEST(Flags, GetCountRejectsNegativeValues) {
+  Flags f = make_flags();
+  EXPECT_EQ(f.get_count("count"), 7u);
+  EXPECT_EQ(parse(f, {"--count", "0"}), 1);
+  EXPECT_EQ(f.get_count("count"), 0u);
+  EXPECT_EQ(parse(f, {"--count", "-1"}), 1);
+  // A negative count throws, naming the flag, instead of wrapping to 2^64-1.
+  try {
+    (void)f.get_count("count");
+    ADD_FAILURE() << "get_count accepted -1";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--count"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)f.get_count("rate"), std::logic_error);
 }
 
 TEST(Flags, HelpRequested) {

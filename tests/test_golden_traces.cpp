@@ -269,7 +269,6 @@ TEST(GoldenTraces, StreamingShardedPartialReopt) {
   topo::CanonicalTree topology(canonical_config());
   driver::StreamingConfig cfg = streaming_config();
   cfg.ingest_shards = 4;
-  cfg.partial_reopt = true;
   driver::StreamingEngine engine(topology, cfg);
   check_or_regen("streaming-sharded-partial",
                  render("streaming-sharded-partial", engine.run()));

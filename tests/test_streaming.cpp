@@ -337,6 +337,11 @@ TEST(DriftTriggerUnit, FiresOnlyPastThreshold) {
   EXPECT_TRUE(trigger.should_reoptimize(1.0));
   EXPECT_FALSE(trigger.should_reoptimize(0.0));
   EXPECT_THROW(DriftTrigger(-0.1), std::invalid_argument);
+  // `drift > NaN` never holds, so a NaN threshold would silently disable
+  // re-optimisation; the largest finite threshold stays legal.
+  EXPECT_THROW(DriftTrigger(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_NO_THROW(DriftTrigger(std::numeric_limits<double>::max()));
 }
 
 StreamingConfig small_streaming_config() {
@@ -376,6 +381,14 @@ TEST(DriftTriggerEngine, AboveThresholdExactlyOne) {
   EXPECT_EQ(report.reopts.size(), 1u);
 }
 
+TEST(DriftTriggerEngine, ConstructorRejectsNanThreshold) {
+  // Rejected before run() builds the world, like every other config error.
+  CanonicalTree topo(tiny_tree_config());
+  StreamingConfig cfg = small_streaming_config();
+  cfg.drift_threshold = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(StreamingEngine(topo, cfg), std::invalid_argument);
+}
+
 TEST(DriftTriggerEngine, BoundedQueueReportsDepthWithinCapacity) {
   CanonicalTree topo(tiny_tree_config());
   StreamingConfig cfg = small_streaming_config();
@@ -400,13 +413,12 @@ TEST(IngestQueueTest, FifoAndCloseSemantics) {
   queue.push(b);
   EXPECT_EQ(queue.size(), 2u);
   FlowDeltaBatch out;
-  EXPECT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out, a);
   queue.close();
-  EXPECT_TRUE(queue.pop(out));  // drains the remaining batch
+  EXPECT_TRUE(queue.pop(out));  // a closed queue still drains in order
+  EXPECT_EQ(out, a);
+  EXPECT_TRUE(queue.pop(out));
   EXPECT_EQ(out, b);
   EXPECT_FALSE(queue.pop(out));  // closed and empty
-  EXPECT_FALSE(queue.try_pop(out));
   EXPECT_THROW(queue.push(a), std::logic_error);
 }
 
@@ -475,8 +487,7 @@ TEST(IngestQueueTest, MaxDepthTracksHighWaterMark) {
   batch.push(0, 1, 1.0);
   for (int i = 0; i < 5; ++i) queue.push(batch);
   FlowDeltaBatch out;
-  while (queue.try_pop(out)) {
-  }
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(queue.pop(out));
   queue.push(batch);
   EXPECT_EQ(queue.size(), 1u);
   EXPECT_EQ(queue.max_depth(), 5u);  // the mark survives draining
@@ -867,8 +878,8 @@ TEST(ShardedIngest, FoldBitExactAcrossShardingAndPolicies) {
       cfg.exec = policy;
       StreamingEngine engine(topo, cfg);
       const StreamingReport rep = engine.run();
-      // The sharded demux only attributes drift — the matrix fold itself is
-      // byte-identical to the single-consumer path: same folded totals, same
+      // Sharding only attributes drift — the matrix fold itself is
+      // byte-identical to the unsharded path: same folded totals, same
       // delta counts, still zero ingest-path rebuilds.
       EXPECT_EQ(rep.final_cost, ref.final_cost);
       EXPECT_EQ(rep.deltas_applied, ref.deltas_applied);
@@ -876,7 +887,6 @@ TEST(ShardedIngest, FoldBitExactAcrossShardingAndPolicies) {
       EXPECT_EQ(rep.cache_rebuilds, ref.cache_rebuilds);
       EXPECT_EQ(rep.ingest_shards, shards);
       EXPECT_EQ(rep.reopts.size(), 0u);
-      EXPECT_LE(rep.max_shard_queue_depth, 1u);
     }
   }
 }
@@ -887,7 +897,6 @@ TEST(ShardedIngest, PartialReoptDeterministicAcrossPolicies) {
   cfg.ticks = 12;
   cfg.drift_threshold = 0.05;
   cfg.ingest_shards = 4;
-  cfg.partial_reopt = true;
   cfg.tokens = 4;
 
   std::vector<StreamingReport> reports;
@@ -925,7 +934,6 @@ TEST(ShardedIngest, PartialReoptRestrictionMatchesDriftedShards) {
   cfg.events.events_per_tick = 24;  // localised churn: shards drift apart
   cfg.drift_threshold = 0.04;
   cfg.ingest_shards = 4;
-  cfg.partial_reopt = true;
   cfg.tokens = 4;
   StreamingEngine engine(topo, cfg);
   const StreamingReport report = engine.run();
@@ -956,7 +964,6 @@ TEST(ShardedIngest, PartialReoptStaysWithinFreshBand) {
   cfg.iterations_per_reopt = 12;
   cfg.fresh_reference = true;
   cfg.ingest_shards = 4;
-  cfg.partial_reopt = true;
   StreamingEngine engine(topo, cfg);
   const StreamingReport report = engine.run();
   EXPECT_GT(report.reopts.size(), 0u);
@@ -981,16 +988,24 @@ TEST(ShardedIngest, LatencyPercentilesRecorded) {
   EXPECT_DOUBLE_EQ(StreamingReport{}.fold_p50_ns(), 0.0);
 }
 
-TEST(ShardedIngest, ConfigValidation) {
+TEST(ShardedIngest, DistributedRunsWalkEveryShard) {
+  // Dom0 agents walk their whole world: sharding still arms one trigger per
+  // shard, but no distributed re-opt is confined to the drifted shards.
   CanonicalTree topo(tiny_tree_config());
   StreamingConfig cfg = small_streaming_config();
-  cfg.partial_reopt = true;  // without ingest_shards > 1
-  EXPECT_THROW(StreamingEngine(topo, cfg), std::invalid_argument);
+  cfg.ticks = 6;
+  cfg.drift_threshold = 0.02;
+  cfg.mode = "distributed";
   cfg.ingest_shards = 4;
-  cfg.mode = "distributed";  // partial restriction is centralized-only
-  EXPECT_THROW(StreamingEngine(topo, cfg), std::invalid_argument);
-  cfg.mode = "centralized";
-  EXPECT_NO_THROW(StreamingEngine(topo, cfg));
+  StreamingEngine engine(topo, cfg);
+  const StreamingReport report = engine.run();
+  EXPECT_EQ(report.ingest_shards, 4u);
+  ASSERT_GT(report.reopts.size(), 0u);
+  for (const auto& ev : report.reopts) {
+    EXPECT_FALSE(ev.drifted_shards.empty());
+    EXPECT_FALSE(ev.partial);
+  }
+  EXPECT_EQ(report.partial_reopts, 0u);
 }
 
 }  // namespace

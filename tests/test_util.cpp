@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 #include <sstream>
+#include <utility>
 
 #include "util/csv.hpp"
 #include "util/rng.hpp"
@@ -70,6 +72,26 @@ TEST(Rng, NormalMeanApproximation) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) sum += rng.normal(10.0, 2.0);
   EXPECT_NEAR(sum / n, 10.0, 0.1);
+}
+
+TEST(Rng, NormalMatchesStdDistributionAndAllowsZeroStddev) {
+  // Bit-identical to std::normal_distribution(mean, stddev) for stddev > 0:
+  // the goldens depend on every draw.
+  const std::pair<double, double> cases[] = {
+      {0.0, 1.0}, {10.0, 2.0}, {-3.5, 0.3}, {1e6, 1e-3}};
+  for (const auto& [mean, stddev] : cases) {
+    Rng rng(23);
+    std::mt19937_64 engine(23);
+    for (int i = 0; i < 1000; ++i) {
+      const double expected =
+          std::normal_distribution<double>(mean, stddev)(engine);
+      ASSERT_EQ(rng.normal(mean, stddev), expected)
+          << "mean " << mean << " stddev " << stddev << " draw " << i;
+    }
+  }
+  // stddev 0 is a point mass (std::normal_distribution requires > 0).
+  Rng rng(23);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.normal(4.25, 0.0), 4.25);
 }
 
 TEST(Rng, ParetoLowerBound) {

@@ -39,7 +39,9 @@ Two modes:
 
       A gated metric that is null (bench_runner writes NaN/inf as null) on
       either side of a joined pair fails the gate: an undefined value never
-      passes as a benign default.
+      passes as a benign default. So does a gated metric that only one side
+      of a joined pair carries: a bench that stops emitting it would
+      otherwise silently stop being gated. Ungated metrics may come and go.
 
       Scenarios present only in the baseline (e.g. the paper-scale suite
       when CI runs --scale default) are reported as skipped, not failed.
@@ -157,15 +159,21 @@ def compare(baseline: dict, candidate: dict, args: argparse.Namespace) -> int:
         compared += 1
 
         for field in GATED_METRICS:
-            sides = [side for side, rec in (("baseline", b), ("candidate", c))
+            sides = (("baseline", b), ("candidate", c))
+            nulls = [side for side, rec in sides
                      if field in rec and rec[field] is None]
-            if sides:
-                fail(f"{name}: {field} is null in the {' and '.join(sides)} "
+            missing = [side for side, rec in sides if field not in rec]
+            if nulls:
+                fail(f"{name}: {field} is null in the {' and '.join(nulls)} "
                      "(undefined values fail the gate)")
+                failures += 1
+            elif len(missing) == 1:
+                fail(f"{name}: {field} is missing from the {missing[0]} "
+                     "(a gated metric must be on both sides)")
                 failures += 1
 
         def gated(field: str) -> bool:
-            """Present and defined on both sides (nulls already failed)."""
+            """Present and defined on both sides (anything else failed)."""
             return b.get(field) is not None and c.get(field) is not None
 
         if gated("ns_per_call") and b["ns_per_call"] > 0:

@@ -735,11 +735,12 @@ bool run_steady_state(const RunOptions& opt, bench::JsonReport& report) {
 // Eq. (2) total must equal a brute-force rebuild (rel <= 1e-7), and the
 // whole stream must cause zero rebuilds beyond the initial bind.
 //
-// Drift-triggered runs (canonical-2560 + fat-tree-k16): the full streaming
-// engine — ingest thread, O(1) folds, re-optimisation only on cost drift.
-// Hard gate: every triggered re-opt (and the final state) lands within the
-// <= 1.05 band of a fresh per-event re-optimisation; headline metrics are
-// the re-opt count and deltas folded per re-opt.
+// Drift-triggered runs (canonical-2560 + fat-tree-k16, unsharded and with 4
+// ingest shards): the full streaming engine — ingest thread, O(1) folds,
+// re-optimisation only on cost drift. Hard gate: every triggered re-opt
+// (and the final state) lands within the <= 1.05 band of a fresh per-event
+// re-optimisation; headline metrics are the re-opt count and deltas folded
+// per re-opt.
 bool run_streaming_ingest(const RunOptions& opt, bench::JsonReport& report) {
   bool ok = true;
 
@@ -835,7 +836,7 @@ bool run_streaming_ingest(const RunOptions& opt, bench::JsonReport& report) {
   // ---- drift-triggered streaming runs --------------------------------------
   constexpr double kDriftBand = 0.05;
 
-  // The drift-triggered scenario of both loops below.
+  // The drift-triggered scenario of every row below.
   const auto drift_config = [&opt](const topo::Topology& topology) {
     driver::StreamingConfig cfg;
     cfg.server_capacity.vm_slots = 16;
@@ -872,170 +873,114 @@ bool run_streaming_ingest(const RunOptions& opt, bench::JsonReport& report) {
     return cfg;
   };
 
-  for (const std::string name : {"canonical-2560", "fat-tree-k16"}) {
-    const std::unique_ptr<topo::Topology> topo_ptr = bench::make_topology(name);
-    const topo::Topology& topology = *topo_ptr;
-    const driver::StreamingConfig cfg = drift_config(topology);
+  // Each topology runs twice: with the global drift trigger, then with drift
+  // attributed across 4 VM shards, each triggered re-opt confined to the
+  // drifted shards' token ranges. Hard gates on every row: every ratio is
+  // defined and within the <= 1.05 band vs fresh, and the bounded queue
+  // respects its capacity. A sharded run also re-runs under seq and must
+  // land on bit-identical results to its par(2) run.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    const bool sharded = shards > 1;
+    for (const std::string name : {"canonical-2560", "fat-tree-k16"}) {
+      const std::unique_ptr<topo::Topology> topo_ptr =
+          bench::make_topology(name);
+      const topo::Topology& topology = *topo_ptr;
+      driver::StreamingConfig cfg = drift_config(topology);
+      if (sharded) {
+        cfg.ingest_shards = shards;
+        cfg.exec = util::ExecPolicy::par(2);
+      }
+      const std::string scenario =
+          name + (sharded ? "/sharded-ingest" : "/drift-trigger");
 
-    bench::Stopwatch sw;
-    driver::StreamingEngine engine(topology, cfg);
-    const driver::StreamingReport res = engine.run();
-    const double wall = sw.elapsed_s();
+      bench::Stopwatch sw;
+      driver::StreamingEngine engine(topology, cfg);
+      const driver::StreamingReport res = engine.run();
+      const double wall = sw.elapsed_s();
 
-    if (res.max_cost_ratio() - 1.0 > kDriftBand) {
-      std::cerr << "[streaming-ingest] BAND FAILURE: " << name
-                << " max cost ratio " << res.max_cost_ratio() << " vs band "
-                << 1.0 + kDriftBand << "\n";
-      ok = false;
-    }
-    // Backpressure gate: a bounded queue's depth can never exceed its
-    // capacity — a violation means push() stopped blocking on full.
-    if (res.max_queue_depth > cfg.queue_capacity) {
-      std::cerr << "[streaming-ingest] BACKPRESSURE FAILURE: " << name
-                << " max queue depth " << res.max_queue_depth
-                << " > capacity " << cfg.queue_capacity << "\n";
-      ok = false;
-    }
-
-    std::size_t migrations = 0;
-    for (const driver::ReoptEvent& ev : res.reopts) migrations += ev.migrations;
-
-    bench::BenchRecord rec;
-    rec.suite = "streaming-ingest";
-    rec.scenario = name + "/drift-trigger";
-    rec.wall_time_s = wall;
-    rec.cost_reduction_pct =
-        res.initial_cost > 0.0
-            ? 100.0 * (1.0 - res.final_cost / res.initial_cost)
-            : 0.0;
-    rec.migrations = migrations;
-    rec.metric("num_hosts", static_cast<double>(topology.num_hosts()));
-    rec.metric("num_vms", static_cast<double>(cfg.generator.num_vms));
-    rec.metric("ticks", static_cast<double>(res.ticks));
-    rec.metric("deltas_applied", static_cast<double>(res.deltas_applied));
-    rec.metric("deltas_folded", static_cast<double>(res.deltas_folded));
-    rec.metric("cache_rebuilds", static_cast<double>(res.cache_rebuilds));
-    rec.metric("queue_capacity", static_cast<double>(cfg.queue_capacity));
-    rec.metric("max_queue_depth", static_cast<double>(res.max_queue_depth));
-    rec.metric("reopts", static_cast<double>(res.reopts.size()));
-    rec.metric("deltas_per_reopt", res.deltas_per_reopt());
-    rec.metric("updates_per_sec",
-               wall > 0.0 ? static_cast<double>(res.deltas_applied) / wall : 0.0);
-    rec.metric("initial_cost", res.initial_cost);
-    rec.metric("final_cost", res.final_cost);
-    rec.metric("final_fresh_cost", res.final_fresh_cost);
-    rec.metric("max_cost_ratio_vs_fresh", res.max_cost_ratio());
-    rec.metric("fold_p50_ns", res.fold_p50_ns());
-    rec.metric("fold_p99_ns", res.fold_p99_ns());
-    rec.metric("trigger_p50_ns", res.trigger_p50_ns());
-    rec.metric("trigger_p99_ns", res.trigger_p99_ns());
-    report.add(rec);
-    std::cerr << "[streaming-ingest] " << rec.scenario << ": "
-              << res.reopts.size() << " re-opts over " << res.deltas_applied
-              << " deltas (" << res.deltas_per_reopt()
-              << " per re-opt), max ratio vs fresh " << res.max_cost_ratio()
-              << " in " << wall << "s wall\n";
-  }
-
-  // ---- sharded ingest + partial re-optimisation -----------------------------
-  // Same scenarios with drift attribution split across 4 VM shards and each
-  // triggered re-opt confined to the drifted shards' token ranges. Hard
-  // gates: the <= 1.05 band vs fresh still holds under partial re-opts, both
-  // queue families respect their bounds, and a seq re-run of the identical
-  // config lands on bit-identical results (the fold is single-owner; shard
-  // workers only write disjoint accumulators).
-  for (const std::string name : {"canonical-2560", "fat-tree-k16"}) {
-    const std::unique_ptr<topo::Topology> topo_ptr = bench::make_topology(name);
-    const topo::Topology& topology = *topo_ptr;
-    driver::StreamingConfig cfg = drift_config(topology);
-    cfg.ingest_shards = 4;
-    cfg.partial_reopt = true;
-    cfg.exec = util::ExecPolicy::par(2);
-
-    bench::Stopwatch sw;
-    driver::StreamingEngine engine(topology, cfg);
-    const driver::StreamingReport res = engine.run();
-    const double wall = sw.elapsed_s();
-
-    if (res.undefined_cost_ratios() > 0 ||
-        res.max_cost_ratio() - 1.0 > kDriftBand) {
-      std::cerr << "[streaming-ingest] BAND FAILURE: " << name
-                << "/sharded max cost ratio " << res.max_cost_ratio()
-                << " (undefined " << res.undefined_cost_ratios()
-                << ") vs band " << 1.0 + kDriftBand << "\n";
-      ok = false;
-    }
-    if (res.max_queue_depth > cfg.queue_capacity ||
-        res.max_shard_queue_depth > cfg.queue_capacity) {
-      std::cerr << "[streaming-ingest] BACKPRESSURE FAILURE: " << name
-                << "/sharded depths " << res.max_queue_depth << "/"
-                << res.max_shard_queue_depth << " > capacity "
-                << cfg.queue_capacity << "\n";
-      ok = false;
-    }
-    // Determinism cross-check: the parallel shard fold must be bit-identical
-    // to the sequential one (disjoint accumulators, fixed demux order).
-    {
-      driver::StreamingConfig seq_cfg = cfg;
-      seq_cfg.exec = util::ExecPolicy::seq();
-      const driver::StreamingReport seq_res =
-          driver::StreamingEngine(topology, seq_cfg).run();
-      if (seq_res.final_cost != res.final_cost ||
-          seq_res.reopts.size() != res.reopts.size() ||
-          seq_res.partial_reopts != res.partial_reopts) {
-        std::cerr << "[streaming-ingest] DETERMINISM FAILURE: " << name
-                  << "/sharded seq vs par(2): final " << seq_res.final_cost
-                  << " vs " << res.final_cost << ", reopts "
-                  << seq_res.reopts.size() << " vs " << res.reopts.size()
-                  << ", partial " << seq_res.partial_reopts << " vs "
-                  << res.partial_reopts << "\n";
+      if (res.undefined_cost_ratios() > 0 ||
+          res.max_cost_ratio() - 1.0 > kDriftBand) {
+        std::cerr << "[streaming-ingest] BAND FAILURE: " << scenario
+                  << " max cost ratio " << res.max_cost_ratio()
+                  << " (undefined " << res.undefined_cost_ratios()
+                  << ") vs band " << 1.0 + kDriftBand << "\n";
         ok = false;
       }
+      // Backpressure gate: a bounded queue's depth can never exceed its
+      // capacity — a violation means push() stopped blocking on full.
+      if (res.max_queue_depth > cfg.queue_capacity) {
+        std::cerr << "[streaming-ingest] BACKPRESSURE FAILURE: " << scenario
+                  << " max queue depth " << res.max_queue_depth
+                  << " > capacity " << cfg.queue_capacity << "\n";
+        ok = false;
+      }
+      if (sharded) {
+        driver::StreamingConfig seq_cfg = cfg;
+        seq_cfg.exec = util::ExecPolicy::seq();
+        const driver::StreamingReport seq_res =
+            driver::StreamingEngine(topology, seq_cfg).run();
+        if (seq_res.final_cost != res.final_cost ||
+            seq_res.reopts.size() != res.reopts.size() ||
+            seq_res.partial_reopts != res.partial_reopts) {
+          std::cerr << "[streaming-ingest] DETERMINISM FAILURE: " << scenario
+                    << " seq vs par(2): final " << seq_res.final_cost << " vs "
+                    << res.final_cost << ", reopts " << seq_res.reopts.size()
+                    << " vs " << res.reopts.size() << ", partial "
+                    << seq_res.partial_reopts << " vs " << res.partial_reopts
+                    << "\n";
+          ok = false;
+        }
+      }
+
+      std::size_t migrations = 0;
+      for (const driver::ReoptEvent& ev : res.reopts) {
+        migrations += ev.migrations;
+      }
+
+      bench::BenchRecord rec;
+      rec.suite = "streaming-ingest";
+      rec.scenario = scenario;
+      rec.wall_time_s = wall;
+      rec.cost_reduction_pct =
+          res.initial_cost > 0.0
+              ? 100.0 * (1.0 - res.final_cost / res.initial_cost)
+              : 0.0;
+      rec.migrations = migrations;
+      rec.metric("num_hosts", static_cast<double>(topology.num_hosts()));
+      rec.metric("num_vms", static_cast<double>(cfg.generator.num_vms));
+      rec.metric("ticks", static_cast<double>(res.ticks));
+      if (sharded) {
+        rec.metric("ingest_shards", static_cast<double>(res.ingest_shards));
+      }
+      rec.metric("deltas_applied", static_cast<double>(res.deltas_applied));
+      rec.metric("deltas_folded", static_cast<double>(res.deltas_folded));
+      rec.metric("cache_rebuilds", static_cast<double>(res.cache_rebuilds));
+      rec.metric("queue_capacity", static_cast<double>(cfg.queue_capacity));
+      rec.metric("max_queue_depth", static_cast<double>(res.max_queue_depth));
+      rec.metric("reopts", static_cast<double>(res.reopts.size()));
+      if (sharded) {
+        rec.metric("partial_reopts", static_cast<double>(res.partial_reopts));
+      }
+      rec.metric("deltas_per_reopt", res.deltas_per_reopt());
+      rec.metric("updates_per_sec",
+                 wall > 0.0 ? static_cast<double>(res.deltas_applied) / wall
+                            : 0.0);
+      rec.metric("initial_cost", res.initial_cost);
+      rec.metric("final_cost", res.final_cost);
+      rec.metric("final_fresh_cost", res.final_fresh_cost);
+      rec.metric("max_cost_ratio_vs_fresh", res.max_cost_ratio());
+      rec.metric("fold_p50_ns", res.fold_p50_ns());
+      rec.metric("fold_p99_ns", res.fold_p99_ns());
+      rec.metric("trigger_p50_ns", res.trigger_p50_ns());
+      rec.metric("trigger_p99_ns", res.trigger_p99_ns());
+      report.add(rec);
+      std::cerr << "[streaming-ingest] " << scenario << ": "
+                << res.reopts.size() << " re-opts (" << res.partial_reopts
+                << " partial) over " << res.deltas_applied << " deltas ("
+                << res.deltas_per_reopt() << " per re-opt), max ratio vs fresh "
+                << res.max_cost_ratio() << ", fold p99 " << res.fold_p99_ns()
+                << " ns in " << wall << "s wall\n";
     }
-
-    std::size_t migrations = 0;
-    for (const driver::ReoptEvent& ev : res.reopts) migrations += ev.migrations;
-
-    bench::BenchRecord rec;
-    rec.suite = "streaming-ingest";
-    rec.scenario = name + "/sharded-ingest";
-    rec.wall_time_s = wall;
-    rec.cost_reduction_pct =
-        res.initial_cost > 0.0
-            ? 100.0 * (1.0 - res.final_cost / res.initial_cost)
-            : 0.0;
-    rec.migrations = migrations;
-    rec.metric("num_hosts", static_cast<double>(topology.num_hosts()));
-    rec.metric("num_vms", static_cast<double>(cfg.generator.num_vms));
-    rec.metric("ticks", static_cast<double>(res.ticks));
-    rec.metric("ingest_shards", static_cast<double>(res.ingest_shards));
-    rec.metric("deltas_applied", static_cast<double>(res.deltas_applied));
-    rec.metric("deltas_folded", static_cast<double>(res.deltas_folded));
-    rec.metric("cache_rebuilds", static_cast<double>(res.cache_rebuilds));
-    rec.metric("queue_capacity", static_cast<double>(cfg.queue_capacity));
-    rec.metric("max_queue_depth", static_cast<double>(res.max_queue_depth));
-    rec.metric("max_shard_queue_depth",
-               static_cast<double>(res.max_shard_queue_depth));
-    rec.metric("reopts", static_cast<double>(res.reopts.size()));
-    rec.metric("partial_reopts", static_cast<double>(res.partial_reopts));
-    rec.metric("deltas_per_reopt", res.deltas_per_reopt());
-    rec.metric("updates_per_sec",
-               wall > 0.0 ? static_cast<double>(res.deltas_applied) / wall : 0.0);
-    rec.metric("initial_cost", res.initial_cost);
-    rec.metric("final_cost", res.final_cost);
-    rec.metric("final_fresh_cost", res.final_fresh_cost);
-    rec.metric("max_cost_ratio_vs_fresh", res.max_cost_ratio());
-    rec.metric("fold_p50_ns", res.fold_p50_ns());
-    rec.metric("fold_p99_ns", res.fold_p99_ns());
-    rec.metric("trigger_p50_ns", res.trigger_p50_ns());
-    rec.metric("trigger_p99_ns", res.trigger_p99_ns());
-    report.add(rec);
-    std::cerr << "[streaming-ingest] " << rec.scenario << ": "
-              << res.reopts.size() << " re-opts (" << res.partial_reopts
-              << " partial) over " << res.deltas_applied
-              << " deltas, max ratio vs fresh " << res.max_cost_ratio()
-              << ", fold p99 " << res.fold_p99_ns() << " ns in " << wall
-              << "s wall\n";
   }
   return ok;
 }

@@ -63,18 +63,14 @@ int main(int argc, char** argv) {
     if (flags.get_string("connect").empty()) {
       throw std::invalid_argument("--connect is required");
     }
-    const long long retries = flags.get_int("reconnect-retries");
-    if (retries < 0) {
-      throw std::invalid_argument("--reconnect-retries must be >= 0");
-    }
+    const std::size_t retries = flags.get_count("reconnect-retries");
 
     tools::World w = tools::build_world(flags);
     hypervisor::AgentDaemon daemon(*w.model, *w.alloc, *w.tm, w.runtime);
-    daemon.set_crash_after_tasks(
-        static_cast<std::size_t>(flags.get_int("crash-after-tasks")));
+    daemon.set_crash_after_tasks(flags.get_count("crash-after-tasks"));
 
     std::size_t tasks = 0;
-    long long drops = 0;
+    std::size_t drops = 0;
     double backoff = flags.get_double("reconnect-backoff");
     while (!daemon.done()) {
       util::Socket socket = util::Socket::connect(

@@ -23,7 +23,7 @@
 //   score_cli --mode continuous --vms 256 --epochs 8 --arrival-prob 0.3
 //             --departure-prob 0.1 --save world.v2
 //   score_cli --mode streaming --vms 256 --ticks 128 --batch-size 2048
-//             --drift-threshold 0.08 --ingest-shards 4 --partial-reopt
+//             --drift-threshold 0.08 --ingest-shards 4
 #include <cmath>
 #include <fstream>
 #include <iomanip>
@@ -99,7 +99,6 @@ void validate_mode_combos(const util::Flags& flags) {
   require("batch-size", strm, "--mode streaming");
   require("drift-threshold", strm, "--mode streaming");
   require("ingest-shards", strm, "--mode streaming");
-  require("partial-reopt", strm, "--mode streaming");
 }
 
 // Continuous-operation mode: VM lifecycle churn over dynamic traffic epochs,
@@ -108,21 +107,21 @@ void validate_mode_combos(const util::Flags& flags) {
 // scenario_io v2 snapshot, --load replays a previously dumped one.
 int run_continuous(const topo::Topology& topology, const util::Flags& flags) {
   driver::ContinuousConfig cfg;
-  cfg.generator.num_vms = static_cast<std::size_t>(flags.get_int("vms"));
+  cfg.generator.num_vms = flags.get_count("vms");
   cfg.generator.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   cfg.dynamics.seed = cfg.generator.seed + 1;
   cfg.intensity_scale = traffic::intensity_scale(
       tools::parse_intensity(flags.get_string("intensity")));
-  cfg.epochs = static_cast<std::size_t>(flags.get_int("epochs"));
-  cfg.tenant_vms = static_cast<std::size_t>(flags.get_int("tenant-vms"));
+  cfg.epochs = flags.get_count("epochs");
+  cfg.tenant_vms = flags.get_count("tenant-vms");
   cfg.arrival_prob = flags.get_double("arrival-prob");
   cfg.departure_prob = flags.get_double("departure-prob");
   cfg.lifecycle_seed = static_cast<std::uint64_t>(flags.get_int("lifecycle-seed"));
   cfg.placement = tools::parse_placement(flags.get_string("placement"));
   cfg.server_capacity = tools::server_capacity(flags);
-  cfg.iterations_per_epoch = static_cast<std::size_t>(flags.get_int("iterations"));
+  cfg.iterations_per_epoch = flags.get_count("iterations");
   cfg.engine.migration_cost = flags.get_double("cm");
-  cfg.tokens = static_cast<std::size_t>(flags.get_int("tokens"));
+  cfg.tokens = flags.get_count("tokens");
   cfg.exec = tools::exec_policy(flags);
   if (flags.get_double("loss") > 0.0 || flags.get_double("budget-mb") > 0.0) {
     cfg.mode = "distributed";
@@ -188,7 +187,7 @@ int run_continuous(const topo::Topology& topology, const util::Flags& flags) {
 // fold/rebuild counters that show the observer seam at work.
 int run_streaming(const topo::Topology& topology, const util::Flags& flags) {
   driver::StreamingConfig cfg;
-  cfg.generator.num_vms = static_cast<std::size_t>(flags.get_int("vms"));
+  cfg.generator.num_vms = flags.get_count("vms");
   cfg.generator.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   cfg.intensity_scale = traffic::intensity_scale(
       tools::parse_intensity(flags.get_string("intensity")));
@@ -196,16 +195,14 @@ int run_streaming(const topo::Topology& topology, const util::Flags& flags) {
   cfg.server_capacity = tools::server_capacity(flags);
   cfg.placement_seed = cfg.generator.seed + 1;
   cfg.events.seed = cfg.generator.seed + 2;
-  cfg.events.events_per_tick = static_cast<std::size_t>(flags.get_int("batch-size"));
-  cfg.ticks = static_cast<std::size_t>(flags.get_int("ticks"));
+  cfg.events.events_per_tick = flags.get_count("batch-size");
+  cfg.ticks = flags.get_count("ticks");
   cfg.drift_threshold = flags.get_double("drift-threshold");
-  cfg.tokens = static_cast<std::size_t>(flags.get_int("tokens"));
+  cfg.tokens = flags.get_count("tokens");
   cfg.exec = tools::exec_policy(flags);
-  cfg.iterations_per_reopt = static_cast<std::size_t>(flags.get_int("iterations"));
+  cfg.iterations_per_reopt = flags.get_count("iterations");
   cfg.engine.migration_cost = flags.get_double("cm");
-  cfg.ingest_shards =
-      static_cast<std::size_t>(flags.get_int("ingest-shards"));
-  cfg.partial_reopt = flags.get_bool("partial-reopt");
+  cfg.ingest_shards = flags.get_count("ingest-shards");
 
   driver::StreamingEngine engine(topology, cfg);
   const driver::StreamingReport report = engine.run();
@@ -215,9 +212,7 @@ int run_streaming(const topo::Topology& topology, const util::Flags& flags) {
             << report.deltas_folded << " folded O(1), "
             << report.cache_rebuilds << " cache rebuilds)\n";
   if (report.ingest_shards > 1) {
-    std::cout << "sharded ingest: " << report.ingest_shards
-              << " shards, max shard-queue depth "
-              << report.max_shard_queue_depth << ", "
+    std::cout << "sharded ingest: " << report.ingest_shards << " shards, "
               << report.partial_reopts << " partial re-opts\n";
   }
   std::cout << "tick   drift    cost_before    cost_after     fresh_reopt    "
@@ -281,10 +276,8 @@ int main(int argc, char** argv) {
                    "a re-optimisation");
   flags.add_int("ingest-shards", 1,
                 "streaming mode: partition drift attribution across this many "
-                "VM shards (per-shard queues + triggers; 1 = global scalar)");
-  flags.add_bool("partial-reopt", false,
-                 "streaming mode: confine triggered re-optimisations to the "
-                 "drifted shards' token ranges (needs --ingest-shards > 1)");
+                "VM shards, one trigger each, and confine each triggered "
+                "re-opt to the drifted shards (1 = global scalar)");
   flags.add_bool("series", false, "print the cost-vs-time series as CSV");
   flags.add_string("save", "", "write the generated scenario snapshot to this file");
   flags.add_string("load", "", "load the scenario from a snapshot instead of generating");
@@ -368,10 +361,10 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    if (flags.get_int("tokens") > 1) {
+    if (const std::size_t tokens = flags.get_count("tokens"); tokens > 1) {
       driver::MultiTokenConfig mcfg;
-      mcfg.tokens = static_cast<std::size_t>(flags.get_int("tokens"));
-      mcfg.iterations = static_cast<std::size_t>(flags.get_int("iterations"));
+      mcfg.tokens = tokens;
+      mcfg.iterations = flags.get_count("iterations");
       mcfg.policy = tools::exec_policy(flags);
       driver::MultiTokenSimulation sim(engine, alloc, tm);
       result = sim.run(mcfg);
@@ -380,7 +373,7 @@ int main(int argc, char** argv) {
           flags.get_string("policy"),
           static_cast<std::uint64_t>(flags.get_int("seed")));
       driver::SimConfig scfg;
-      scfg.iterations = static_cast<std::size_t>(flags.get_int("iterations"));
+      scfg.iterations = flags.get_count("iterations");
       driver::ScoreSimulation sim(engine, *policy, alloc, tm);
       result = sim.run(scfg);
     }
@@ -406,8 +399,7 @@ int main(int argc, char** argv) {
       // Normalise against the same starting state.
       util::Rng rng2(static_cast<std::uint64_t>(flags.get_int("seed")) + 1);
       core::Allocation fresh = baselines::make_allocation(
-          *w.topology, tools::server_capacity(flags),
-          static_cast<std::size_t>(flags.get_int("vms")),
+          *w.topology, tools::server_capacity(flags), flags.get_count("vms"),
           core::VmSpec{}, tools::parse_placement(flags.get_string("placement")),
           rng2);
       const auto ga_res = ga.optimize(fresh, tm);

@@ -97,8 +97,7 @@ int main(int argc, char** argv) {
         util::FaultProfile::chaos(flags.get_double("fault-rate"));
     config.result_timeout_s = flags.get_double("result-timeout");
     config.reconnect_grace_s = flags.get_double("grace-s");
-    config.kill_after_tasks =
-        static_cast<std::size_t>(flags.get_int("kill-after-tasks"));
+    config.kill_after_tasks = flags.get_count("kill-after-tasks");
     config.kill_agent = static_cast<std::uint32_t>(flags.get_int("kill-agent"));
 
     hypervisor::RemoteAgentExecutor executor(std::move(agents), w.fingerprint,

@@ -229,6 +229,27 @@ class CompareTests(unittest.TestCase):
         with contextlib.redirect_stdout(io.StringIO()):
             self.assertEqual(self.run_compare(base, cand), 1)
 
+    def test_gated_metric_on_one_side_only_fails_by_name(self):
+        # A bench that stops emitting a gated metric must not silently stop
+        # being gated — nor may a row gain one its baseline never had.
+        for field in bc.GATED_METRICS:
+            for missing_side in ("baseline", "candidate"):
+                with self.subTest(field=field, missing_side=missing_side):
+                    base = make_record(calls=10, **{field: 1000.0})
+                    cand = make_record(calls=10, **{field: 1000.0})
+                    del (base if missing_side == "baseline" else cand)[field]
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        status = self.run_compare([base], [cand])
+                    self.assertEqual(status, 1)
+                    self.assertIn(f"FAIL: micro/total_cost: {field} is missing "
+                                  f"from the {missing_side}", out.getvalue())
+
+    def test_ungated_metric_dropped_from_candidate_passes(self):
+        base = [make_record(max_shard_queue_depth=1.0)]
+        cand = [make_record()]
+        self.assertEqual(self.run_compare(base, cand), 0)
+
     def test_null_ungated_metric_passes(self):
         base = [make_record(final_ratio=None)]
         cand = [make_record(final_ratio=None)]
@@ -238,7 +259,7 @@ class CompareTests(unittest.TestCase):
         row = make_record(suite="streaming-ingest",
                           scenario="canonical-2560/sharded-ingest",
                           ingest_shards=4.0, partial_reopts=3.0,
-                          max_shard_queue_depth=1.0, fold_p99_ns=80000.0,
+                          fold_p99_ns=80000.0,
                           trigger_p99_ns=700.0, updates_per_sec=2e6,
                           max_cost_ratio_vs_fresh=1.01)
         self.assertEqual(bc.validate(make_doc([row]), "f"), [])

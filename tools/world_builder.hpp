@@ -70,25 +70,22 @@ inline void register_world_flags(util::Flags& flags) {
 inline std::unique_ptr<topo::Topology> make_topology(const util::Flags& flags) {
   if (flags.get_string("topology") == "fattree") {
     topo::FatTreeConfig cfg;
-    cfg.k = static_cast<std::size_t>(flags.get_int("k"));
+    cfg.k = flags.get_count("k");
     return std::make_unique<topo::FatTree>(cfg);
   }
   if (flags.get_string("topology") == "leafspine") {
     topo::LeafSpineConfig cfg;
-    cfg.leaves = static_cast<std::size_t>(flags.get_int("racks"));
-    cfg.hosts_per_leaf =
-        static_cast<std::size_t>(flags.get_int("hosts-per-rack"));
-    cfg.spines = static_cast<std::size_t>(flags.get_int("cores"));
+    cfg.leaves = flags.get_count("racks");
+    cfg.hosts_per_leaf = flags.get_count("hosts-per-rack");
+    cfg.spines = flags.get_count("cores");
     return std::make_unique<topo::LeafSpine>(cfg);
   }
   if (flags.get_string("topology") == "canonical") {
     topo::CanonicalTreeConfig cfg;
-    cfg.racks = static_cast<std::size_t>(flags.get_int("racks"));
-    cfg.hosts_per_rack =
-        static_cast<std::size_t>(flags.get_int("hosts-per-rack"));
-    cfg.racks_per_pod =
-        static_cast<std::size_t>(flags.get_int("racks-per-pod"));
-    cfg.cores = static_cast<std::size_t>(flags.get_int("cores"));
+    cfg.racks = flags.get_count("racks");
+    cfg.hosts_per_rack = flags.get_count("hosts-per-rack");
+    cfg.racks_per_pod = flags.get_count("racks-per-pod");
+    cfg.cores = flags.get_count("cores");
     return std::make_unique<topo::CanonicalTree>(cfg);
   }
   throw std::invalid_argument(
@@ -113,7 +110,7 @@ inline baselines::PlacementStrategy parse_placement(const std::string& name) {
 /// Server capacity from --slots: 256 MB of RAM and one core per VM slot.
 inline core::ServerCapacity server_capacity(const util::Flags& flags) {
   core::ServerCapacity cap;
-  cap.vm_slots = static_cast<std::size_t>(flags.get_int("slots"));
+  cap.vm_slots = flags.get_count("slots");
   cap.ram_mb = static_cast<double>(cap.vm_slots) * 256.0;
   cap.cpu_cores = static_cast<double>(cap.vm_slots);
   return cap;
@@ -121,9 +118,8 @@ inline core::ServerCapacity server_capacity(const util::Flags& flags) {
 
 /// Shard-walk execution policy from --threads (0 = sequential).
 inline util::ExecPolicy exec_policy(const util::Flags& flags) {
-  const long long threads = flags.get_int("threads");
-  return threads > 0 ? util::ExecPolicy::par(static_cast<std::size_t>(threads))
-                     : util::ExecPolicy::seq();
+  const std::size_t threads = flags.get_count("threads");
+  return threads > 0 ? util::ExecPolicy::par(threads) : util::ExecPolicy::seq();
 }
 
 /// The distributed runtime's token policy for --policy: rr / round-robin
@@ -142,7 +138,7 @@ inline World build_world(const util::Flags& flags) {
       *w.topology, core::LinkWeights::exponential(w.topology->max_level()));
 
   traffic::GeneratorConfig gen;
-  gen.num_vms = static_cast<std::size_t>(flags.get_int("vms"));
+  gen.num_vms = flags.get_count("vms");
   gen.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   w.tm = std::make_unique<traffic::TrafficMatrix>(traffic::generate_traffic(
       gen, parse_intensity(flags.get_string("intensity"))));
@@ -154,7 +150,7 @@ inline World build_world(const util::Flags& flags) {
 
   w.runtime.policy = runtime_policy(flags);
   w.runtime.engine.migration_cost = flags.get_double("cm");
-  w.runtime.iterations = static_cast<std::size_t>(flags.get_int("iterations"));
+  w.runtime.iterations = flags.get_count("iterations");
   w.runtime.message_loss_rate = flags.get_double("loss");
   w.runtime.migration_budget_mb = flags.get_double("budget-mb");
 
