@@ -40,11 +40,4 @@ double LinkWeights::weight(int level) const {
   return weights_[static_cast<std::size_t>(level - 1)];
 }
 
-double LinkWeights::prefix(int level) const {
-  if (level < 0 || level > levels()) {
-    throw std::out_of_range("LinkWeights::prefix: level out of range");
-  }
-  return prefix_[static_cast<std::size_t>(level)];
-}
-
 }  // namespace score::core

@@ -33,8 +33,14 @@ class LinkWeights {
   /// Weight of an i-level link, i in [1, levels()].
   double weight(int level) const;
 
-  /// Σ_{i=1..level} c_i; prefix(0) == 0. level in [0, levels()].
-  double prefix(int level) const;
+  /// Σ_{i=1..level} c_i; prefix(0) == 0. level in [0, levels()]. Inline:
+  /// every Eq. (1) and Lemma-3 term reads it.
+  double prefix(int level) const {
+    if (level < 0 || level > levels()) {
+      throw std::out_of_range("LinkWeights::prefix: level out of range");
+    }
+    return prefix_[static_cast<std::size_t>(level)];
+  }
 
  private:
   std::vector<double> weights_;

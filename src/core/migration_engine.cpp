@@ -1,9 +1,98 @@
 #include "core/migration_engine.hpp"
 
 #include <algorithm>
-#include <tuple>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace score::core {
+
+namespace {
+
+void require(bool ok, const char* field, const char* rule) {
+  if (!ok) {
+    throw std::invalid_argument(std::string("EngineConfig: ") + field +
+                                " must be " + rule);
+  }
+}
+
+/// One peer z of the holder u, read once per hold.
+struct HoldPeer {
+  ServerId server;
+  int rack;
+  int pod;
+  double rate;
+  double before;  ///< prefix(ℓ(z, source)): the same for every candidate
+};
+
+/// Per-thread scratch reused across holds, so a hold allocates nothing once
+/// the buffers have grown to the largest neighbour set seen.
+struct HoldScratch {
+  std::vector<HoldPeer> peers;
+  CandidateBuilder candidates;
+};
+
+HoldScratch& hold_scratch() {
+  thread_local HoldScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+void EngineConfig::validate() const {
+  const auto non_negative = [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  };
+  require(non_negative(migration_cost), "migration_cost", "finite and >= 0");
+  require(non_negative(bandwidth_headroom_bps), "bandwidth_headroom_bps",
+          "finite and >= 0");
+  require(max_candidates > 0, "max_candidates", "> 0");
+}
+
+const std::vector<ServerId>& CandidateBuilder::build(
+    const topo::Topology& topology, const EngineConfig& config) {
+  // Neighbours ranked by (level desc, traffic desc): the highest-level,
+  // heaviest peers are probed first (§V-B.5).
+  std::sort(ranked_.begin(), ranked_.end(),
+            [](const Ranked& a, const Ranked& b) {
+              if (a.level != b.level) return a.level > b.level;
+              return a.rate > b.rate;
+            });
+
+  servers_.clear();
+  expanded_racks_.clear();
+  const std::size_t cap = config.max_candidates;
+  const std::size_t hosts_per_rack =
+      topology.num_hosts() / topology.num_racks();
+  for (const Ranked& peer : ranked_) {
+    if (servers_.size() >= cap) break;
+    if (!config.probe_rack_siblings) {
+      if (std::find(servers_.begin(), servers_.end(), peer.host) ==
+          servers_.end()) {
+        servers_.push_back(peer.host);
+      }
+      continue;
+    }
+    // A rack is expanded whole unless the cap stops it (and then the walk
+    // ends), so every host of an expanded rack but the source is listed.
+    const int rack = topology.rack_of(peer.host);
+    if (std::find(expanded_racks_.begin(), expanded_racks_.end(), rack) !=
+        expanded_racks_.end()) {
+      continue;
+    }
+    expanded_racks_.push_back(rack);
+    servers_.push_back(peer.host);
+    const auto first =
+        static_cast<ServerId>(static_cast<std::size_t>(rack) * hosts_per_rack);
+    for (std::size_t i = 0; i < hosts_per_rack && servers_.size() < cap; ++i) {
+      const auto sibling = static_cast<ServerId>(first + i);
+      if (sibling != source_ && sibling != peer.host) {
+        servers_.push_back(sibling);
+      }
+    }
+  }
+  return servers_;
+}
 
 bool MigrationEngine::target_feasible(const Allocation& alloc, ServerId target,
                                       const VmSpec& spec) const {
@@ -17,56 +106,59 @@ std::vector<ServerId> MigrationEngine::candidate_servers(
     const Allocation& alloc, const traffic::TrafficMatrix& tm, VmId u) const {
   const ServerId source = alloc.server_of(u);
   const auto& topo = model_->topology();
-
-  // Neighbours ranked by (level desc, traffic desc): the highest-level,
-  // heaviest peers are probed first (§V-B.5).
-  std::vector<std::tuple<int, double, ServerId>> ranked;
-  ranked.reserve(tm.neighbors(u).size());
+  CandidateBuilder& builder = hold_scratch().candidates;
+  builder.reset(source);
   tm.for_each_neighbor(u, [&](VmId z, double rate) {
     const ServerId zs = alloc.server_of(z);
-    if (zs == source) return;  // already colocated
-    ranked.emplace_back(topo.comm_level(source, zs), rate, zs);
+    if (zs != source) builder.add_peer(topo.comm_level(source, zs), rate, zs);
   });
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (std::get<0>(a) != std::get<0>(b)) return std::get<0>(a) > std::get<0>(b);
-    return std::get<1>(a) > std::get<1>(b);
-  });
-
-  std::vector<ServerId> candidates;
-  auto push_unique = [&candidates, this](ServerId s) {
-    if (candidates.size() >= config_.max_candidates) return;
-    if (std::find(candidates.begin(), candidates.end(), s) == candidates.end()) {
-      candidates.push_back(s);
-    }
-  };
-
-  const std::size_t hosts_per_rack = topo.num_hosts() / topo.num_racks();
-  for (const auto& [level, rate, zs] : ranked) {
-    (void)level;
-    (void)rate;
-    push_unique(zs);
-    if (config_.probe_rack_siblings) {
-      const auto rack = static_cast<std::size_t>(topo.rack_of(zs));
-      const auto first = static_cast<ServerId>(rack * hosts_per_rack);
-      for (std::size_t i = 0; i < hosts_per_rack; ++i) {
-        const auto sibling = static_cast<ServerId>(first + i);
-        if (sibling != source) push_unique(sibling);
-      }
-    }
-    if (candidates.size() >= config_.max_candidates) break;
-  }
-  return candidates;
+  return builder.build(topo, config_);
 }
 
 Decision MigrationEngine::evaluate(const Allocation& alloc,
                                    const traffic::TrafficMatrix& tm, VmId u) const {
+  const auto& topo = model_->topology();
+  const auto& weights = model_->weights();
+  const ServerId source = alloc.server_of(u);
+  HoldScratch& scratch = hold_scratch();
+  std::vector<HoldPeer>& peers = scratch.peers;
+  peers.clear();
+  scratch.candidates.reset(source);
+  tm.for_each_neighbor(u, [&](VmId z, double rate) {
+    const ServerId zs = alloc.server_of(z);
+    const int level = topo.comm_level(zs, source);
+    peers.push_back(
+        {zs, topo.rack_of(zs), topo.pod_of(zs), rate, weights.prefix(level)});
+    if (zs != source) scratch.candidates.add_peer(level, rate, zs);
+  });
+
   Decision best;
+  if (peers.empty()) return best;
+  // comm_level(z, target) is 0 same host, 1 same rack, 2 same pod, else
+  // max_level(). A host lies in one rack and a rack in one pod, so the count
+  // of differing (host, rack, pod) fields indexes that rule's prefix sums.
+  const int top = topo.max_level();
+  const double after_prefix[4] = {weights.prefix(0), weights.prefix(1),
+                                  weights.prefix(std::min(2, top)),
+                                  weights.prefix(top)};
   const VmSpec& spec = alloc.spec(u);
-  for (ServerId target : candidate_servers(alloc, tm, u)) {
+  for (const ServerId target : scratch.candidates.build(topo, config_)) {
     ++best.candidates_probed;
-    if (!target_feasible(alloc, target, spec)) continue;
-    const double delta = model_->migration_delta(alloc, tm, u, target);
-    if (best.target == kInvalidServer || delta > best.delta) {
+    const int rack = topo.rack_of(target);
+    const int pod = topo.pod_of(target);
+    // Lemma 3 in CostModel::migration_delta's expression and peer order, so
+    // the delta is bit-identical to it.
+    double delta = 0.0;
+    for (const HoldPeer& p : peers) {
+      const int differing = static_cast<int>(p.server != target) +
+                            static_cast<int>(p.rack != rack) +
+                            static_cast<int>(p.pod != pod);
+      delta += 2.0 * p.rate * (p.before - after_prefix[differing]);
+    }
+    // Probe capacity only where the candidate would win: the first feasible
+    // candidate with the largest delta, as if every one were probed.
+    if ((best.target == kInvalidServer || delta > best.delta) &&
+        target_feasible(alloc, target, spec)) {
       best.target = target;
       best.delta = delta;
     }

@@ -14,6 +14,11 @@
 // are probed as fallbacks: localising to the rack captures most of the gain
 // when the neighbour's own server is full (the paper's "next best choice
 // with adequate bandwidth").
+//
+// A hold reads u's neighbour set once (each peer's server, rack, pod, rate
+// and its Lemma-3 term for u's current server), so a candidate costs one
+// pass over that scratch and a capacity probe only when its delta beats the
+// best so far.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +26,7 @@
 
 #include "core/allocation.hpp"
 #include "core/cost_model.hpp"
+#include "topology/topology.hpp"
 
 namespace score::core {
 
@@ -37,6 +43,51 @@ struct EngineConfig {
   /// Also consider sibling servers within candidate racks when the primary
   /// candidate server cannot host the VM.
   bool probe_rack_siblings = true;
+
+  /// Throws std::invalid_argument naming the field unless Theorem 1 is
+  /// meaningful: migration_cost and bandwidth_headroom_bps finite and >= 0
+  /// (a NaN c_m blocks every move, a negative one commits moves that raise
+  /// the cost), and max_candidates > 0.
+  void validate() const;
+};
+
+/// The §V-B.5 probe order of one hold, shared by MigrationEngine and the
+/// dom0 agents: peer hosts ranked from the highest communication level
+/// (heaviest traffic first within a level), each followed by its rack
+/// siblings when `probe_rack_siblings` is set, without repeats, never the
+/// holder's own server, at most `max_candidates`. Reuse one builder across
+/// holds: its buffers keep their capacity, so a warm builder allocates
+/// nothing.
+class CandidateBuilder {
+ public:
+  /// Start a hold whose VM sits on `source`.
+  void reset(ServerId source) {
+    source_ = source;
+    ranked_.clear();
+  }
+
+  /// A peer on `host` (!= source) at communication `level` from the source,
+  /// exchanging `rate` with the holder.
+  void add_peer(int level, double rate, ServerId host) {
+    ranked_.push_back({level, rate, host});
+  }
+
+  /// Rank the peers and list the candidate servers in probe order. The list
+  /// stays valid until the next reset().
+  const std::vector<ServerId>& build(const topo::Topology& topology,
+                                     const EngineConfig& config);
+
+ private:
+  struct Ranked {
+    int level;
+    double rate;
+    ServerId host;
+  };
+
+  ServerId source_ = kInvalidServer;
+  std::vector<Ranked> ranked_;
+  std::vector<int> expanded_racks_;
+  std::vector<ServerId> servers_;
 };
 
 struct Decision {
@@ -49,13 +100,18 @@ struct Decision {
 
 class MigrationEngine {
  public:
+  /// Throws std::invalid_argument when `config` fails EngineConfig::validate.
   MigrationEngine(const CostModel& model, EngineConfig config = {})
-      : model_(&model), config_(config) {}
+      : model_(&model), config_(config) {
+    config_.validate();
+  }
 
   const EngineConfig& config() const { return config_; }
   const CostModel& cost_model() const { return *model_; }
 
   /// Evaluate the token held for VM u. Pure: does not mutate the allocation.
+  /// The target is the first feasible candidate with the largest Lemma-3
+  /// delta. Safe to call concurrently: the per-hold scratch is per thread.
   Decision evaluate(const Allocation& alloc, const traffic::TrafficMatrix& tm,
                     VmId u) const;
 

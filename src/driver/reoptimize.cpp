@@ -16,6 +16,7 @@ void OptimizerConfig::validate() const {
   if (mode != "centralized" && mode != "distributed") {
     throw std::invalid_argument("mode must be centralized or distributed");
   }
+  engine.validate();
 }
 
 ConvergenceReport reoptimize(

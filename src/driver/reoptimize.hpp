@@ -40,7 +40,8 @@ struct OptimizerConfig {
   /// bounds pathological cases).
   std::size_t reopt_iterations = 12;
 
-  /// Throws std::invalid_argument unless `mode` names one of the two modes.
+  /// Throws std::invalid_argument unless `mode` names one of the two modes
+  /// and `engine` passes EngineConfig::validate.
   void validate() const;
   bool distributed() const { return mode == "distributed"; }
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
 #include "hypervisor/wire.hpp"
 
@@ -296,7 +295,6 @@ void Dom0Agent::on_locations_complete() {
   PendingDecision& p = *pending_;
   const Ipam& ipam = env_->hv().ipam();
   const auto& weights = env_->hv().weights();
-  const Ipv4 own_dom0 = ipam.host_address(host_);
 
   if (p.peer_rates.empty()) {  // every location probe timed out
     finish_hold(false, 0.0);
@@ -308,73 +306,44 @@ void Dom0Agent::on_locations_complete() {
   // for the holder's current host is the same for every candidate, so it is
   // read here once.
   struct Peer {
-    Ipv4 dom0;
+    topo::HostId host;
     double rate;
     double own_prefix;
   };
+  const auto& topo = env_->hv().topology();
   std::vector<Peer> peers;
   peers.reserve(p.peer_rates.size());
   int own_level = 0;
-  std::vector<std::tuple<int, double, Ipv4>> ranked;  // (level, rate, dom0)
+  core::CandidateBuilder probe_order;
+  probe_order.reset(host_);
   for (const auto& [peer_ip, rate] : p.peer_rates) {
-    const Ipv4 peer_dom0 = p.peer_dom0.at(peer_ip);
-    const int level = ipam.level_between(own_dom0, peer_dom0);
+    const topo::HostId peer_host =
+        ipam.host_of_address(p.peer_dom0.at(peer_ip));
+    const int level = topo.comm_level(host_, peer_host);
     own_level = std::max(own_level, level);
     const std::size_t entry = p.token.index_of(peer_ip);
     p.token.set_level(entry, std::max<std::uint8_t>(
                                  p.token.level(entry),
                                  static_cast<std::uint8_t>(level)));
-    if (level > 0) ranked.emplace_back(level, rate, peer_dom0);
-    peers.push_back({peer_dom0, rate, weights.prefix(level)});
+    if (level > 0) probe_order.add_peer(level, rate, peer_host);
+    peers.push_back({peer_host, rate, weights.prefix(level)});
   }
   p.token.set_level(p.token.index_of(p.token.holder()),
                     static_cast<std::uint8_t>(own_level));
 
-  // §V-B.5: candidate hypervisors ranked from the highest communication
-  // level (heaviest traffic first within a level), plus rack siblings as
-  // fallbacks — mirroring MigrationEngine::candidate_servers.
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (std::get<0>(a) != std::get<0>(b)) return std::get<0>(a) > std::get<0>(b);
-    return std::get<1>(a) > std::get<1>(b);
-  });
-  const auto& topo = env_->hv().topology();
-  const std::size_t hosts_per_rack = topo.num_hosts() / topo.num_racks();
-  const std::size_t max_candidates = cfg_->engine.max_candidates;
-  std::vector<Ipv4> candidates;
-  auto push_unique = [&candidates, own_dom0, max_candidates](Ipv4 dom0) {
-    if (candidates.size() >= max_candidates) return;
-    if (dom0 == own_dom0) return;
-    if (std::find(candidates.begin(), candidates.end(), dom0) ==
-        candidates.end()) {
-      candidates.push_back(dom0);
-    }
-  };
-  for (const auto& [level, rate, dom0] : ranked) {
-    (void)level;
-    (void)rate;
-    push_unique(dom0);
-    if (cfg_->engine.probe_rack_siblings) {
-      const auto rack = static_cast<std::size_t>(ipam.rack_of_address(dom0));
-      for (std::size_t i = 0; i < hosts_per_rack; ++i) {
-        push_unique(ipam.host_address(
-            static_cast<topo::HostId>(rack * hosts_per_rack + i)));
-      }
-    }
-    if (candidates.size() >= max_candidates) break;
-  }
-
+  // §V-B.5: the candidate hypervisors in MigrationEngine's probe order.
   // Lemma 3, from purely local data: measured λ, probed peer locations. The
   // delta needs no capacity, and Theorem 1 moves only when it exceeds c_m,
   // so only those candidates are probed. A hold with none ends here.
-  for (const Ipv4 cand : candidates) {
+  for (const topo::HostId cand : probe_order.build(topo, cfg_->engine)) {
     double delta = 0.0;
     for (const Peer& peer : peers) {
       delta += 2.0 * peer.rate *
                (peer.own_prefix -
-                weights.prefix(ipam.level_between(peer.dom0, cand)));
+                weights.prefix(topo.comm_level(peer.host, cand)));
     }
     if (delta > cfg_->engine.migration_cost) {
-      p.candidates.emplace_back(cand, delta);
+      p.candidates.emplace_back(ipam.host_address(cand), delta);
     }
   }
   if (p.candidates.empty()) {

@@ -34,6 +34,7 @@ RuntimeConfig validated(RuntimeConfig cfg, const core::CostModel& model,
     throw std::invalid_argument("DistributedScoreRuntime: unknown policy '" +
                                 cfg.policy + "'");
   }
+  cfg.engine.validate();
   // A value outside these ranges hangs the run (a token that is always lost,
   // a watchdog that re-arms at the same instant) or quietly disables it.
   const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };

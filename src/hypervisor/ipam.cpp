@@ -37,14 +37,6 @@ topo::HostId Ipam::host_of_address(Ipv4 addr) const {
   return static_cast<topo::HostId>(rack * hosts_per_rack + index_in_rack);
 }
 
-int Ipam::rack_of_address(Ipv4 addr) const {
-  return topo_->rack_of(host_of_address(addr));
-}
-
-int Ipam::level_between(Ipv4 a, Ipv4 b) const {
-  return topo_->comm_level(host_of_address(a), host_of_address(b));
-}
-
 Ipv4 Ipam::allocate_vm(topo::HostId host) {
   if (host >= topo_->num_hosts()) {
     throw std::out_of_range("Ipam::allocate_vm: bad host");

@@ -39,16 +39,11 @@ class Ipam {
   /// Address of host h's dom0 (its rack subnet is 10.rr.rr.0/24).
   Ipv4 host_address(topo::HostId host) const { return host_addr_.at(host); }
 
-  /// Host owning a dom0 address; throws std::out_of_range for foreign addresses.
+  /// Host owning a dom0 address; throws std::out_of_range for foreign
+  /// addresses. With Topology::comm_level it is the §V-B.4 location cost
+  /// mapping ("a lookup into a precomputed location cost mapping with its own
+  /// IP address and the IP address of the underlying dom0").
   topo::HostId host_of_address(Ipv4 addr) const;
-
-  /// Rack recovered from a dom0 address alone (the subnet association).
-  int rack_of_address(Ipv4 addr) const;
-
-  /// Communication level between two dom0 addresses — the §V-B.4 location
-  /// cost mapping ("a lookup into a precomputed location cost mapping with
-  /// its own IP address and the IP address of the underlying dom0").
-  int level_between(Ipv4 a, Ipv4 b) const;
 
   // ---- VM addressing (placement-manager role) ------------------------------
   /// Allocate the next VM id/address and record its host. Sequential ids keep

@@ -15,6 +15,7 @@ LeafSpine::LeafSpine(const LeafSpineConfig& config) : config_(config) {
   host_rack_.resize(hosts);
   rack_pod_.resize(config_.leaves);
   num_pods_ = config_.leaves;  // every leaf is its own "pod" (two tiers only)
+  top_level_ = 2;              // so hosts on different leaves meet at the spine
   for (std::size_t r = 0; r < config_.leaves; ++r) rack_pod_[r] = static_cast<int>(r);
   for (std::size_t h = 0; h < hosts; ++h) {
     host_rack_[h] = static_cast<int>(h / config_.hosts_per_leaf);

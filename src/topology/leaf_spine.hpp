@@ -30,13 +30,6 @@ class LeafSpine final : public Topology {
   const LeafSpineConfig& config() const { return config_; }
   std::size_t num_spines() const { return config_.spines; }
 
-  int comm_level(HostId a, HostId b) const override {
-    if (a == b) return 0;
-    return rack_of(a) == rack_of(b) ? 1 : 2;
-  }
-
-  int max_level() const override { return 2; }
-
   std::vector<LinkId> route(HostId a, HostId b, std::uint64_t flow_hash) const override;
 
   LinkId host_uplink(HostId h) const { return host_uplink_.at(h); }

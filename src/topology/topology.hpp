@@ -50,21 +50,28 @@ class Topology {
   /// Aggregation pod of a given server's rack.
   int pod_of(HostId h) const { return rack_pod_[static_cast<std::size_t>(rack_of(h))]; }
 
-  /// Communication level between two hosts: 0 same host, 1 same rack,
-  /// 2 same pod, 3 across the core (paper: l(u,v) = h(x,y)/2). Two-tier
-  /// topologies (leaf-spine) override this with their flatter hierarchy.
-  virtual int comm_level(HostId a, HostId b) const {
+  /// Communication level between two hosts (paper: l(u,v) = h(x,y)/2), one
+  /// rule for every topology: 0 same host, 1 same rack, 2 same pod, else
+  /// max_level(). The trees cross the core at 3; leaf-spine, where every
+  /// leaf is its own pod, crosses the spine at 2.
+  int comm_level(HostId a, HostId b) const {
     if (a == b) return 0;
-    if (rack_of(a) == rack_of(b)) return 1;
-    if (pod_of(a) == pod_of(b)) return 2;
-    return 3;
+    const int rack_a = rack_of(a);
+    const int rack_b = rack_of(b);
+    if (rack_a == rack_b) return 1;
+    if (rack_pod_[static_cast<std::size_t>(rack_a)] ==
+        rack_pod_[static_cast<std::size_t>(rack_b)]) {
+      return 2;
+    }
+    return top_level_;
   }
 
   /// Number of hops along a shortest path between two hosts.
   int hop_count(HostId a, HostId b) const { return 2 * comm_level(a, b); }
 
-  /// Highest communication level possible (3 for three-tier trees).
-  virtual int max_level() const { return 3; }
+  /// Highest communication level possible: the level of two hosts in
+  /// different pods (3 for three-tier trees, 2 for leaf-spine).
+  int max_level() const { return top_level_; }
 
   /// Full link inventory, indexed by LinkId.
   const std::vector<Link>& links() const { return links_; }
@@ -90,6 +97,7 @@ class Topology {
   std::vector<int> host_rack_;   ///< host -> rack index
   std::vector<int> rack_pod_;    ///< rack -> pod index
   std::size_t num_pods_ = 0;
+  int top_level_ = 3;  ///< comm_level of two hosts in different pods
   std::vector<Link> links_;
 };
 

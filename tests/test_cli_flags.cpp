@@ -104,6 +104,18 @@ TEST(CliFlags, NanDriftThresholdIsRejected) {
       "drift threshold");
 }
 
+TEST(CliFlags, MigrationCostThatBreaksTheorem1IsRejected) {
+  // A NaN c_m used to report "0% reduction, 0 migrations" and exit 0; a
+  // negative one committed moves that raised the cost.
+  expect_one_line_rejection("--topology fattree --k 4 --vms 32 --cm nan",
+                            "migration_cost");
+  expect_one_line_rejection("--topology fattree --k 4 --vms 32 --cm -1",
+                            "migration_cost");
+  expect_one_line_rejection(
+      "--mode streaming --vms 16 --ticks 2 --batch-size 8 --cm nan",
+      "migration_cost");
+}
+
 TEST(CliFlags, ValidCombosStillRun) {
   const CliResult centralized = run_cli("--vms 16 --iterations 1");
   EXPECT_EQ(centralized.exit_code, 0) << centralized.output;

@@ -64,7 +64,6 @@ TEST(Ipam, AddressRoundTrip) {
   Ipam ipam(topo);
   for (score::topo::HostId h = 0; h < topo.num_hosts(); ++h) {
     EXPECT_EQ(ipam.host_of_address(ipam.host_address(h)), h);
-    EXPECT_EQ(ipam.rack_of_address(ipam.host_address(h)), topo.rack_of(h));
   }
 }
 
@@ -73,17 +72,6 @@ TEST(Ipam, RejectsForeignAddresses) {
   Ipam ipam(topo);
   EXPECT_THROW(ipam.host_of_address(0xC0A80001), std::out_of_range);  // 192.168
   EXPECT_THROW(ipam.host_of_address((10u << 24) | 0xFF01), std::out_of_range);
-}
-
-TEST(Ipam, LevelBetweenMatchesTopology) {
-  CanonicalTree topo(tiny_tree_config());
-  Ipam ipam(topo);
-  for (score::topo::HostId a = 0; a < topo.num_hosts(); a += 3) {
-    for (score::topo::HostId b = 0; b < topo.num_hosts(); b += 5) {
-      EXPECT_EQ(ipam.level_between(ipam.host_address(a), ipam.host_address(b)),
-                topo.comm_level(a, b));
-    }
-  }
 }
 
 TEST(Ipam, VmDirectory) {
@@ -354,6 +342,36 @@ TEST_F(DistributedTest, RejectsBadConfig) {
   edge.loopback_latency_s = 0.0;
   edge.message_loss_rate = 0.0;
   EXPECT_NO_THROW(DistributedScoreRuntime(model_, alloc, tm, edge).run());
+}
+
+// A NaN c_m disables every migration and a negative one commits moves that
+// raise the cost; the engine settings are checked with the runtime's own.
+TEST_F(DistributedTest, RejectsEngineConfigsThatBreakTheorem1) {
+  Rng rng(41);
+  auto tm = random_tm(8, 2.0, rng);
+  auto alloc = random_allocation(topo_, 8, rng);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejected = [&](const RuntimeConfig& c, const std::string& field) {
+    try {
+      DistributedScoreRuntime runtime(model_, alloc, tm, c);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const double v : {nan, inf, -1.0, -inf}) {
+    RuntimeConfig c;
+    c.engine.migration_cost = v;
+    rejected(c, "migration_cost");
+    c = RuntimeConfig{};
+    c.engine.bandwidth_headroom_bps = v;
+    rejected(c, "bandwidth_headroom_bps");
+  }
+  RuntimeConfig none;
+  none.engine.max_candidates = 0;
+  rejected(none, "max_candidates");
 }
 
 TEST_F(DistributedTest, SimulatedTimeAdvances) {
@@ -724,10 +742,13 @@ TEST_F(ProbePayloadTest, CapacityProbesOnlyCandidatesAboveMigrationCost) {
   };
 
   // Under the lowest c_m every candidate is probed, in the order
-  // MigrationEngine ranks them.
+  // MigrationEngine ranks them. The order does not depend on c_m, and the
+  // engine accepts only c_m >= 0.
   const std::vector<score::topo::HostId> candidates = capacity_targets(
       hold_after_locations(u, std::numeric_limits<double>::lowest()));
-  const MigrationEngine engine(model_, cfg_.engine);
+  score::core::EngineConfig ranking = cfg_.engine;
+  ranking.migration_cost = 0.0;
+  const MigrationEngine engine(model_, ranking);
   ASSERT_EQ(candidates, engine.candidate_servers(alloc_, tm_, u));
   ASSERT_GE(candidates.size(), 4u);
 

@@ -1,9 +1,23 @@
 // Migration-engine tests: Theorem 1 (migrate iff ΔC > c_m), candidate
-// generation order, capacity/bandwidth feasibility, and the global-cost
-// monotonicity property under repeated engine decisions.
+// generation order, capacity/bandwidth feasibility, the global-cost
+// monotonicity property under repeated engine decisions, config validation,
+// the communication-level rule of every topology, and a differential oracle
+// that replays the straightforward evaluate (rank, deduplicate, probe every
+// candidate, CostModel::migration_delta per candidate) against the engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "helpers.hpp"
+#include "topology/leaf_spine.hpp"
 
 namespace {
 
@@ -22,6 +36,9 @@ using score::testing::random_allocation;
 using score::testing::random_tm;
 using score::testing::tiny_tree_config;
 using score::topo::CanonicalTree;
+using score::topo::FatTree;
+using score::topo::LeafSpine;
+using score::topo::Topology;
 using score::traffic::TrafficMatrix;
 using score::util::Rng;
 
@@ -226,6 +243,274 @@ TEST_F(EngineTest, ConvergesToStableAllocation) {
     if (last_round_migrations == 0) break;
   }
   EXPECT_EQ(last_round_migrations, 0);
+}
+
+TEST_F(EngineTest, ConfigsThatBreakTheorem1AreRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejected = [this](const EngineConfig& cfg,
+                               const std::string& field) {
+    try {
+      MigrationEngine engine(model_, cfg);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const double v : {nan, inf, -inf, -1.0, -1e-300}) {
+    EngineConfig cm;
+    cm.migration_cost = v;
+    rejected(cm, "migration_cost");
+    EngineConfig headroom;
+    headroom.bandwidth_headroom_bps = v;
+    rejected(headroom, "bandwidth_headroom_bps");
+  }
+  EngineConfig none;
+  none.max_candidates = 0;
+  rejected(none, "max_candidates");
+
+  // The edges of the legal ranges stay legal.
+  EngineConfig edge;
+  edge.migration_cost = 0.0;
+  edge.bandwidth_headroom_bps = 0.0;
+  edge.max_candidates = 1;
+  EXPECT_NO_THROW(MigrationEngine(model_, edge));
+  edge.migration_cost = std::numeric_limits<double>::max();
+  EXPECT_NO_THROW(MigrationEngine(model_, edge));
+}
+
+// ---- the communication-level rule ------------------------------------------
+
+/// The small instance of each topology, with its rack and pod arithmetic
+/// written out independently of Topology's tables.
+struct LevelCase {
+  std::unique_ptr<Topology> topology;
+  std::size_t hosts_per_rack;
+  std::size_t racks_per_pod;
+  int top;
+};
+
+std::vector<LevelCase> level_cases() {
+  std::vector<LevelCase> cases;
+  for (const std::size_t k : {4u, 8u}) {
+    cases.push_back(
+        {std::make_unique<FatTree>(score::topo::FatTreeConfig{.k = k}), k / 2,
+         k / 2, 3});
+  }
+  const auto tree = tiny_tree_config();
+  cases.push_back({std::make_unique<CanonicalTree>(tree), tree.hosts_per_rack,
+                   tree.racks_per_pod, 3});
+  score::topo::LeafSpineConfig leaf;
+  leaf.leaves = 6;
+  leaf.hosts_per_leaf = 4;
+  leaf.spines = 2;
+  cases.push_back(
+      {std::make_unique<LeafSpine>(leaf), leaf.hosts_per_leaf, 1, 2});
+  return cases;
+}
+
+// comm_level is one rule for every topology: 0 on the same host, 1 in the
+// same rack, 2 in the same pod, else the topology's top level (3 across a
+// tree's core, 2 across leaf-spine's spine, where every leaf is its own pod).
+TEST(CommLevel, EveryHostPairFollowsTheDocumentedRule) {
+  for (const LevelCase& c : level_cases()) {
+    const Topology& topo = *c.topology;
+    EXPECT_EQ(topo.max_level(), c.top) << topo.name();
+    const auto n = static_cast<score::topo::HostId>(topo.num_hosts());
+    for (score::topo::HostId a = 0; a < n; ++a) {
+      for (score::topo::HostId b = 0; b < n; ++b) {
+        const std::size_t rack_a = a / c.hosts_per_rack;
+        const std::size_t rack_b = b / c.hosts_per_rack;
+        int expected = c.top;
+        if (a == b) {
+          expected = 0;
+        } else if (rack_a == rack_b) {
+          expected = 1;
+        } else if (rack_a / c.racks_per_pod == rack_b / c.racks_per_pod) {
+          expected = 2;
+        }
+        ASSERT_EQ(topo.comm_level(a, b), expected)
+            << topo.name() << " hosts " << a << ", " << b;
+        ASSERT_EQ(topo.hop_count(a, b), 2 * expected);
+      }
+    }
+  }
+}
+
+// ---- differential oracle ----------------------------------------------------
+
+/// The straightforward candidate list: rank every off-host peer by (level
+/// desc, rate desc), then append each peer's server and, with rack siblings
+/// on, every other host of its rack, skipping repeats by linear search.
+std::vector<ServerId> reference_candidates(const Topology& topo,
+                                           const EngineConfig& cfg,
+                                           const Allocation& alloc,
+                                           const TrafficMatrix& tm, VmId u) {
+  const ServerId source = alloc.server_of(u);
+  std::vector<std::tuple<int, double, ServerId>> ranked;
+  tm.for_each_neighbor(u, [&](VmId z, double rate) {
+    const ServerId zs = alloc.server_of(z);
+    if (zs != source) {
+      ranked.emplace_back(topo.comm_level(source, zs), rate, zs);
+    }
+  });
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    if (std::get<0>(a) != std::get<0>(b)) {
+      return std::get<0>(a) > std::get<0>(b);
+    }
+    return std::get<1>(a) > std::get<1>(b);
+  });
+  std::vector<ServerId> candidates;
+  const auto push_unique = [&](ServerId s) {
+    if (candidates.size() >= cfg.max_candidates) return;
+    if (std::find(candidates.begin(), candidates.end(), s) ==
+        candidates.end()) {
+      candidates.push_back(s);
+    }
+  };
+  const std::size_t hosts_per_rack = topo.num_hosts() / topo.num_racks();
+  for (const auto& [level, rate, zs] : ranked) {
+    push_unique(zs);
+    if (cfg.probe_rack_siblings) {
+      const auto first = static_cast<ServerId>(
+          static_cast<std::size_t>(topo.rack_of(zs)) * hosts_per_rack);
+      for (std::size_t i = 0; i < hosts_per_rack; ++i) {
+        const auto sibling = static_cast<ServerId>(first + i);
+        if (sibling != source) push_unique(sibling);
+      }
+    }
+    if (candidates.size() >= cfg.max_candidates) break;
+  }
+  return candidates;
+}
+
+/// Probe every candidate's capacity, score each feasible one with
+/// CostModel::migration_delta, keep the first strict maximum.
+Decision reference_evaluate(const MigrationEngine& engine,
+                            const Allocation& alloc, const TrafficMatrix& tm,
+                            VmId u) {
+  Decision best;
+  const VmSpec& spec = alloc.spec(u);
+  for (const ServerId target :
+       reference_candidates(engine.cost_model().topology(), engine.config(),
+                            alloc, tm, u)) {
+    ++best.candidates_probed;
+    if (!engine.target_feasible(alloc, target, spec)) continue;
+    const double delta =
+        engine.cost_model().migration_delta(alloc, tm, u, target);
+    if (best.target == kInvalidServer || delta > best.delta) {
+      best.target = target;
+      best.delta = delta;
+    }
+  }
+  best.migrate = best.target != kInvalidServer &&
+                 best.delta > engine.config().migration_cost;
+  if (!best.migrate && best.target == kInvalidServer) best.delta = 0.0;
+  return best;
+}
+
+/// Four-slot servers at ~60% occupancy by two VM shapes, so some candidates
+/// are full and, with headroom, some lack NIC bandwidth.
+Allocation mixed_allocation(const Topology& topo, std::size_t num_vms,
+                            Rng& rng) {
+  ServerCapacity cap;
+  cap.vm_slots = 4;
+  cap.ram_mb = 1024.0;
+  cap.cpu_cores = 4.0;
+  cap.net_bps = 1e9;
+  VmSpec small;
+  small.ram_mb = 196.0;
+  small.cpu_cores = 1.0;
+  small.net_bps = 0.1e9;
+  VmSpec large;
+  large.ram_mb = 400.0;
+  large.cpu_cores = 2.0;
+  large.net_bps = 0.35e9;
+  Allocation alloc(topo.num_hosts(), cap);
+  for (std::size_t i = 0; i < num_vms; ++i) {
+    const VmSpec& spec = rng.index(3) == 0 ? large : small;
+    ServerId host = 0;
+    do {
+      host = static_cast<ServerId>(rng.index(topo.num_hosts()));
+    } while (!alloc.can_host(host, spec));
+    alloc.add_vm(spec, host);
+  }
+  return alloc;
+}
+
+// The engine gathers u's peers once, builds candidates without repeats by
+// skipping expanded racks, and probes capacity only for a candidate that
+// would win. Every decision must equal the straightforward algorithm's, to
+// the bit, on every topology and across candidate caps, rack siblings,
+// headroom and c_m, including states where the walk has already converged.
+TEST(EngineOracle, EvaluateMatchesTheStraightforwardAlgorithm) {
+  std::size_t decisions = 0;
+  std::size_t migrations = 0;
+  std::size_t infeasible_probes = 0;
+  std::uint64_t seed = 100;
+  for (const LevelCase& c : level_cases()) {
+    const Topology& topo = *c.topology;
+    const CostModel model(topo, LinkWeights::exponential(topo.max_level()));
+    const std::size_t num_vms = topo.num_hosts() * 5 / 2;
+    for (const bool siblings : {true, false}) {
+      for (const std::size_t cap : {1u, 3u, 24u, 32u, 64u}) {
+        for (const double headroom : {0.0, 0.3e9}) {
+          for (const double cm : {0.0, model.pair_cost(50.0, 2)}) {
+            Rng rng(++seed);
+            const TrafficMatrix tm = random_tm(num_vms, 6.0, rng);
+            Allocation alloc = mixed_allocation(topo, num_vms, rng);
+            EngineConfig cfg;
+            cfg.probe_rack_siblings = siblings;
+            cfg.max_candidates = cap;
+            cfg.bandwidth_headroom_bps = headroom;
+            cfg.migration_cost = cm;
+            const MigrationEngine engine(model, cfg);
+            const std::string where = topo.name() + " siblings " +
+                                      std::to_string(siblings) + " cap " +
+                                      std::to_string(cap) + " headroom " +
+                                      std::to_string(headroom) + " c_m " +
+                                      std::to_string(cm);
+            // Three rounds, committing the reference's moves, so later
+            // rounds see near-converged states full of tied deltas.
+            for (int round = 0; round < 3; ++round) {
+              for (VmId u = 0; u < num_vms; ++u) {
+                const std::vector<ServerId> expected_candidates =
+                    reference_candidates(topo, cfg, alloc, tm, u);
+                ASSERT_EQ(engine.candidate_servers(alloc, tm, u),
+                          expected_candidates)
+                    << where << " vm " << u;
+                const Decision want = reference_evaluate(engine, alloc, tm, u);
+                const Decision got = engine.evaluate(alloc, tm, u);
+                ASSERT_EQ(got.target, want.target) << where << " vm " << u;
+                ASSERT_EQ(got.migrate, want.migrate) << where << " vm " << u;
+                ASSERT_EQ(got.candidates_probed, want.candidates_probed)
+                    << where << " vm " << u;
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(got.delta),
+                          std::bit_cast<std::uint64_t>(want.delta))
+                    << where << " vm " << u << ": " << got.delta << " vs "
+                    << want.delta;
+                for (const ServerId s : expected_candidates) {
+                  if (!engine.target_feasible(alloc, s, alloc.spec(u))) {
+                    ++infeasible_probes;
+                  }
+                }
+                ++decisions;
+                if (want.migrate) {
+                  model.apply_migration(alloc, tm, u, want.target);
+                  ++migrations;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // The sweep exercised what it claims to.
+  EXPECT_GT(decisions, 50000u);
+  EXPECT_GT(migrations, 1000u);
+  EXPECT_GT(infeasible_probes, 1000u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -387,6 +388,24 @@ TEST(DriftTriggerEngine, ConstructorRejectsNanThreshold) {
   StreamingConfig cfg = small_streaming_config();
   cfg.drift_threshold = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(StreamingEngine(topo, cfg), std::invalid_argument);
+}
+
+TEST(DriftTriggerEngine, ConstructorRejectsMigrationCostThatBreaksTheorem1) {
+  // A NaN c_m blocks every move; a negative one commits moves that raise the
+  // cost. Both are rejected before run() builds the world.
+  CanonicalTree topo(tiny_tree_config());
+  for (const double cm : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    StreamingConfig cfg = small_streaming_config();
+    cfg.engine.migration_cost = cm;
+    try {
+      StreamingEngine engine(topo, cfg);
+      ADD_FAILURE() << "migration_cost " << cm << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("migration_cost"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(DriftTriggerEngine, BoundedQueueReportsDepthWithinCapacity) {

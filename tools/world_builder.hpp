@@ -59,7 +59,8 @@ inline void register_world_flags(util::Flags& flags) {
                    "initial placement: random | round-robin | packed");
   flags.add_string("policy", "hlf", "token policy: rr | hlf | random | htf");
   flags.add_int("iterations", 8, "max token-passing iterations");
-  flags.add_double("cm", 0.0, "migration cost c_m (cost units)");
+  flags.add_double("cm", 0.0,
+                   "migration cost c_m (cost units, finite, >= 0)");
   flags.add_double("loss", 0.0,
                    "control-message loss rate (distributed mode only)");
   flags.add_double("budget-mb", 0.0,
