@@ -38,8 +38,8 @@ namespace score::traffic {
 /// equal `to`'s exactly.
 ///
 /// The merge walk requires both pairs() lists strictly increasing by (u, v)
-/// key — TrafficMatrix::pairs() guarantees this even with live tombstones
-/// and uncompacted overflow entries (it sorts on the way out), and
+/// key — TrafficMatrix::pairs() guarantees this in any layout state, with
+/// row slack and moved rows (it sorts on the way out), and
 /// diff_batch verifies it (throws std::logic_error on violation) rather
 /// than silently misclassifying vanished/new pairs if a future matrix
 /// layout ever breaks the guarantee.

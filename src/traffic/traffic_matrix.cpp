@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 namespace score::traffic {
 
@@ -24,40 +25,38 @@ void check(const FlowDelta& d, std::size_t num_vms) {
 }  // namespace
 
 TrafficMatrix::TrafficMatrix(std::size_t num_vms, FlowDeltaBatch flows)
-    : offsets_(num_vms + 1, 0),
-      overflow_head_(num_vms, kNoChain),
-      overflow_tail_(num_vms, kNoChain),
-      degree_(num_vms, 0) {
-  // Count: offsets_[u + 1] bounds row u's length from above (a repeated
-  // pair counts once per listing). Zero rates are skipped, as apply() skips
-  // a zero delta, so they never fix a pair's position.
+    : offsets_(num_vms, 0), degree_(num_vms, 0), capacity_(num_vms, 0) {
+  // Count: capacity_[u] bounds row u's length from above (a repeated pair
+  // counts once per listing). Zero rates are skipped, as apply() skips a
+  // zero delta, so they never fix a pair's position.
   for (const FlowDelta& f : flows) {
     check(f, num_vms);
     if (f.delta < 0.0) {
       throw std::invalid_argument("TrafficMatrix: negative rate");
     }
     if (f.delta == 0.0) continue;
-    ++offsets_[f.u + 1];
-    ++offsets_[f.v + 1];
+    ++capacity_[f.u];
+    ++capacity_[f.v];
   }
-  for (std::size_t u = 0; u < num_vms; ++u) offsets_[u + 1] += offsets_[u];
-  cols_.resize(offsets_[num_vms]);
-  rates_.resize(offsets_[num_vms]);
+  std::uint64_t bound = 0;
+  for (std::size_t u = 0; u < num_vms; ++u) {
+    offsets_[u] = bound;
+    bound += capacity_[u];
+  }
+  cols_.resize(bound);
+  rates_.resize(bound);
 
   // Fill: rows grow from offsets_[u] in list order; degree_[u] is the fill.
   // Both directions sum the same rates in the same order, so they agree bit
   // for bit.
   auto accumulate = [this](VmId u, VmId v, double rate) {
-    const std::uint64_t begin = offsets_[u];
-    const std::uint64_t end = begin + degree_[u];
-    for (std::uint64_t i = begin; i < end; ++i) {
-      if (cols_[i] == v) {
-        rates_[i] += rate;
-        return;
-      }
+    const std::uint64_t slot = find(u, v);
+    if (slot < offsets_[u] + degree_[u]) {
+      rates_[slot] += rate;
+      return;
     }
-    cols_[end] = v;
-    rates_[end] = rate;
+    cols_[slot] = v;
+    rates_[slot] = rate;
     ++degree_[u];
   };
   for (const FlowDelta& f : flows) {
@@ -68,75 +67,66 @@ TrafficMatrix::TrafficMatrix(std::size_t num_vms, FlowDeltaBatch flows)
   flows = FlowDeltaBatch();
 
   // Squeeze: slide each row down over the slack its repeats left behind
-  // (packed <= begin, so a forward copy is safe).
+  // (packed <= begin, so a forward copy is safe). No row keeps any slack.
   std::uint64_t packed = 0;
   for (std::size_t u = 0; u < num_vms; ++u) {
     const std::uint64_t begin = offsets_[u];
     offsets_[u] = packed;
-    for (std::uint32_t k = 0; k < degree_[u]; ++k) {
-      cols_[packed + k] = cols_[begin + k];
-      rates_[packed + k] = rates_[begin + k];
-    }
+    capacity_[u] = degree_[u];
+    std::copy_n(cols_.begin() + begin, degree_[u], cols_.begin() + packed);
+    std::copy_n(rates_.begin() + begin, degree_[u], rates_.begin() + packed);
     packed += degree_[u];
   }
-  offsets_[num_vms] = packed;
   if (packed < cols_.size()) {
     cols_.resize(packed);
     rates_.resize(packed);
     cols_.shrink_to_fit();
     rates_.shrink_to_fit();
   }
+  reserved_ = packed;
   live_directed_ = packed;
 }
 
+// A copy's arrays have no spare capacity to grow into, so its reserved size
+// is its used end: its first move past that compacts.
 TrafficMatrix::TrafficMatrix(const TrafficMatrix& other)
     : offsets_(other.offsets_),
+      degree_(other.degree_),
+      capacity_(other.capacity_),
       cols_(other.cols_),
       rates_(other.rates_),
-      overflow_(other.overflow_),
-      overflow_head_(other.overflow_head_),
-      overflow_tail_(other.overflow_tail_),
-      degree_(other.degree_),
+      reserved_(cols_.size()),
       live_directed_(other.live_directed_),
-      dead_entries_(other.dead_entries_),
       compactions_(other.compactions_),
       version_(other.version_) {}
 
 TrafficMatrix::TrafficMatrix(TrafficMatrix&& other) noexcept
     : offsets_(std::move(other.offsets_)),
+      degree_(std::move(other.degree_)),
+      capacity_(std::move(other.capacity_)),
       cols_(std::move(other.cols_)),
       rates_(std::move(other.rates_)),
-      overflow_(std::move(other.overflow_)),
-      overflow_head_(std::move(other.overflow_head_)),
-      overflow_tail_(std::move(other.overflow_tail_)),
-      degree_(std::move(other.degree_)),
-      live_directed_(other.live_directed_),
-      dead_entries_(other.dead_entries_),
+      reserved_(std::exchange(other.reserved_, 0)),
+      live_directed_(std::exchange(other.live_directed_, 0)),
       compactions_(other.compactions_),
       version_(other.version_) {
-  other.offsets_.assign(1, 0);
+  other.offsets_.clear();
+  other.degree_.clear();
+  other.capacity_.clear();
   other.cols_.clear();
   other.rates_.clear();
-  other.overflow_.clear();
-  other.overflow_head_.clear();
-  other.overflow_tail_.clear();
-  other.degree_.clear();
-  other.live_directed_ = 0;
-  other.dead_entries_ = 0;
   ++other.version_;
 }
 
 TrafficMatrix& TrafficMatrix::operator=(const TrafficMatrix& other) {
   if (this == &other) return *this;
   offsets_ = other.offsets_;
+  degree_ = other.degree_;
+  capacity_ = other.capacity_;
   cols_ = other.cols_;
   rates_ = other.rates_;
-  overflow_ = other.overflow_;
-  overflow_head_ = other.overflow_head_;
-  overflow_tail_ = other.overflow_tail_;
-  degree_ = other.degree_;
+  reserved_ = cols_.size();
   live_directed_ = other.live_directed_;
-  dead_entries_ = other.dead_entries_;
   compactions_ = other.compactions_;
   // Keep our own (monotonic) version stream: consumers track *this* object's
   // counter, so a bump — not other's value, which could coincide — is what
@@ -149,24 +139,18 @@ TrafficMatrix& TrafficMatrix::operator=(const TrafficMatrix& other) {
 TrafficMatrix& TrafficMatrix::operator=(TrafficMatrix&& other) noexcept {
   if (this == &other) return *this;
   offsets_ = std::move(other.offsets_);
+  degree_ = std::move(other.degree_);
+  capacity_ = std::move(other.capacity_);
   cols_ = std::move(other.cols_);
   rates_ = std::move(other.rates_);
-  overflow_ = std::move(other.overflow_);
-  overflow_head_ = std::move(other.overflow_head_);
-  overflow_tail_ = std::move(other.overflow_tail_);
-  degree_ = std::move(other.degree_);
-  live_directed_ = other.live_directed_;
-  dead_entries_ = other.dead_entries_;
+  reserved_ = std::exchange(other.reserved_, 0);
+  live_directed_ = std::exchange(other.live_directed_, 0);
   compactions_ = other.compactions_;
-  other.offsets_.assign(1, 0);
+  other.offsets_.clear();
+  other.degree_.clear();
+  other.capacity_.clear();
   other.cols_.clear();
   other.rates_.clear();
-  other.overflow_.clear();
-  other.overflow_head_.clear();
-  other.overflow_tail_.clear();
-  other.degree_.clear();
-  other.live_directed_ = 0;
-  other.dead_entries_ = 0;
   ++other.version_;
   ++version_;
   notify_bulk_update();
@@ -183,137 +167,101 @@ NeighborView TrafficMatrix::neighbors(VmId u) const {
   if (u >= num_vms()) {
     throw std::out_of_range("TrafficMatrix::neighbors: bad VM id");
   }
-  return NeighborView(cols_.data(), rates_.data(), overflow_.data(),
-                      offsets_[u], offsets_[u + 1], overflow_head_[u],
+  return NeighborView(cols_.data() + offsets_[u], rates_.data() + offsets_[u],
                       degree_[u]);
 }
 
-double TrafficMatrix::update_directed(VmId u, VmId v, double new_rate) {
-  // CSR segment first — the packed part of the row's iteration order.
-  const std::uint64_t seg_end = offsets_[u + 1];
-  for (std::uint64_t i = offsets_[u]; i < seg_end; ++i) {
-    if (cols_[i] == v) {
-      const double old = rates_[i];
-      if (new_rate <= 0.0) {
-        // Tombstone in place: the survivors keep their relative order,
-        // exactly as vector::erase preserved it.
-        cols_[i] = kDead;
-        rates_[i] = 0.0;
-        --degree_[u];
-        --live_directed_;
-        ++dead_entries_;
-      } else {
-        rates_[i] = new_rate;
-      }
-      return old;
-    }
-  }
-  // Then the overflow chain — the row's appended tail.
-  for (std::uint32_t i = overflow_head_[u]; i != kNoChain;
-       i = overflow_[i].next) {
-    if (overflow_[i].col == v) {
-      const double old = overflow_[i].rate;
-      if (new_rate <= 0.0) {
-        overflow_[i].col = kDead;
-        overflow_[i].rate = 0.0;
-        --degree_[u];
-        --live_directed_;
-        ++dead_entries_;
-      } else {
-        overflow_[i].rate = new_rate;
-      }
-      return old;
-    }
-  }
-  if (new_rate > 0.0) {
-    // New pair: append at the end of the row's iteration order (where
-    // vector::emplace_back put it). Tombstoned slots are never reused —
-    // reuse would resurrect the entry at its *old* position and change the
-    // floating-point summation order downstream.
-    const auto idx = static_cast<std::uint32_t>(overflow_.size());
-    overflow_.push_back({v, new_rate, kNoChain});
-    if (overflow_tail_[u] == kNoChain) {
-      overflow_head_[u] = idx;
-    } else {
-      overflow_[overflow_tail_[u]].next = idx;
-    }
-    overflow_tail_[u] = idx;
-    ++degree_[u];
-    ++live_directed_;
-  }
-  return 0.0;
+std::uint64_t TrafficMatrix::find(VmId u, VmId v) const {
+  const std::uint64_t end = offsets_[u] + degree_[u];
+  std::uint64_t slot = offsets_[u];
+  while (slot < end && cols_[slot] != v) ++slot;
+  return slot;
 }
 
-void TrafficMatrix::commit_rate(VmId u, VmId v, double new_rate) {
-  if (new_rate < 0.0) new_rate = 0.0;
-  const double old_rate = update_directed(u, v, new_rate);
-  if (old_rate == new_rate) return;  // true no-op: no bump, no notification
-  update_directed(v, u, new_rate);
-  ++version_;
-  notify_rate_change(u, v, old_rate, new_rate);
-  maybe_compact();
+void TrafficMatrix::store(VmId u, std::uint64_t slot, VmId v, double rate) {
+  const std::uint64_t end = offsets_[u] + degree_[u];
+  if (slot < end) {
+    if (rate > 0.0) {
+      rates_[slot] = rate;  // overwrite in place keeps position
+      return;
+    }
+    // Erase: the survivors slide left and keep their relative order, as
+    // vector::erase kept it.
+    std::copy(cols_.begin() + slot + 1, cols_.begin() + end,
+              cols_.begin() + slot);
+    std::copy(rates_.begin() + slot + 1, rates_.begin() + end,
+              rates_.begin() + slot);
+    --degree_[u];
+    --live_directed_;
+    return;
+  }
+  // New pair: the end of the row (where vector::emplace_back put it). A pair
+  // erased earlier never returns to its old slot — that would change the
+  // floating-point summation order downstream.
+  if (degree_[u] == capacity_[u]) grow(u);
+  const std::uint64_t at = offsets_[u] + degree_[u];
+  cols_[at] = v;
+  rates_[at] = rate;
+  ++degree_[u];
+  ++live_directed_;
 }
 
-void TrafficMatrix::maybe_compact() {
-  // Amortised trigger: tolerate slack proportional to both the live edge set
-  // and the VM count (compaction touches every row boundary, so it must be
-  // paid for by at least O(num_vms + live) mutations — that sum is exactly
-  // one compaction's cost, so the amortised overhead per mutation is a
-  // constant). The tolerated fraction is deliberately small: chained
-  // overflow entries iterate ~4x slower than the packed segment, and
-  // read-heavy phases pay that on every Eq. (1)/(2) fold, so we trade a
-  // larger (still constant) amortised construction factor for near-clean
-  // steady-state reads.
-  if (dead_entries_ + overflow_.size() >
-      16 + live_directed_ / 64 + num_vms() / 64) {
-    compact();
+void TrafficMatrix::grow(VmId u) {
+  const std::uint32_t cap = capacity_[u];
+  const std::uint32_t grown = cap + std::max<std::uint32_t>(cap / 2, 2);
+  const std::uint64_t used = cols_.size();
+  const bool last = offsets_[u] + cap == used;  // grows in place
+  const std::uint64_t needed = used + grown - (last ? cap : 0);
+  if (needed > reserved_) {
+    compact();  // leaves every row at least one free slot
+    return;
   }
+  cols_.resize(needed);
+  rates_.resize(needed);
+  if (!last) {
+    // Move to the arena's end; the old slots become garbage.
+    std::copy_n(cols_.begin() + offsets_[u], degree_[u], cols_.begin() + used);
+    std::copy_n(rates_.begin() + offsets_[u], degree_[u],
+                rates_.begin() + used);
+    offsets_[u] = used;
+  }
+  capacity_[u] = grown;
 }
 
 void TrafficMatrix::compact() {
   const std::size_t n = num_vms();
-  std::vector<std::uint64_t> offsets(n + 1, 0);
+  const auto padded = [](std::uint32_t degree) {
+    return degree + degree / 8 + 1;
+  };
+  std::uint64_t packed = 0;
+  for (std::size_t u = 0; u < n; ++u) packed += padded(degree_[u]);
+  const std::uint64_t reserved = packed + packed / 8;
   std::vector<VmId> cols;
   std::vector<double> rates;
-  cols.reserve(live_directed_);
-  rates.reserve(live_directed_);
-  for (VmId u = 0; u < n; ++u) {
-    offsets[u] = cols.size();
-    // Current iteration order: CSR segment then overflow chain, tombstones
-    // skipped — re-packing in this order keeps neighbors(u) bit-identical.
-    const std::uint64_t seg_end = offsets_[u + 1];
-    for (std::uint64_t i = offsets_[u]; i < seg_end; ++i) {
-      if (cols_[i] != kDead) {
-        cols.push_back(cols_[i]);
-        rates.push_back(rates_[i]);
-      }
+  cols.reserve(reserved);
+  rates.reserve(reserved);
+  // One column at a time: each old array is freed before the next new one
+  // is written, so the old and new arenas are never both resident in full.
+  auto repack = [&](auto& column, auto& fresh) {
+    fresh.resize(packed);
+    std::uint64_t at = 0;
+    for (std::size_t u = 0; u < n; ++u) {
+      std::copy_n(column.begin() + offsets_[u], degree_[u], fresh.begin() + at);
+      at += padded(degree_[u]);
     }
-    for (std::uint32_t i = overflow_head_[u]; i != kNoChain;
-         i = overflow_[i].next) {
-      if (overflow_[i].col != kDead) {
-        cols.push_back(overflow_[i].col);
-        rates.push_back(overflow_[i].rate);
-      }
-    }
+    column = std::move(fresh);
+  };
+  repack(cols_, cols);
+  repack(rates_, rates);
+  std::uint64_t at = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    offsets_[u] = at;
+    capacity_[u] = padded(degree_[u]);
+    at += capacity_[u];
   }
-  offsets[n] = cols.size();
-  offsets_ = std::move(offsets);
-  cols_ = std::move(cols);
-  rates_ = std::move(rates);
-  overflow_.clear();
-  std::fill(overflow_head_.begin(), overflow_head_.end(), kNoChain);
-  std::fill(overflow_tail_.begin(), overflow_tail_.end(), kNoChain);
-  dead_entries_ = 0;
+  reserved_ = reserved;
   ++compactions_;
   // Logical content unchanged: no version bump, no observer notification.
-}
-
-void TrafficMatrix::notify_rate_change(VmId u, VmId v, double old_rate,
-                                       double new_rate) {
-  std::lock_guard<std::mutex> lock(observers_mu_);
-  for (TrafficObserver* obs : observers_) {
-    obs->on_rate_change(u, v, old_rate, new_rate);
-  }
 }
 
 void TrafficMatrix::notify_bulk_update() {
@@ -335,14 +283,33 @@ void TrafficMatrix::remove_observer(TrafficObserver* observer) const {
                    observers_.end());
 }
 
+void TrafficMatrix::fold(const FlowDelta& d) {
+  if (d.delta == 0.0) return;
+  // One scan of row u finds both the slot and the old rate.
+  const std::uint64_t slot = find(d.u, d.v);
+  const double old_rate =
+      slot < offsets_[d.u] + degree_[d.u] ? rates_[slot] : 0.0;
+  double new_rate = old_rate + d.delta;
+  if (new_rate < 0.0) new_rate = 0.0;
+  if (old_rate == new_rate) return;  // true no-op: no bump, no notification
+  store(d.u, slot, d.v, new_rate);
+  store(d.v, find(d.v, d.u), d.u, new_rate);
+  ++version_;
+  for (TrafficObserver* obs : observers_) {
+    obs->on_rate_change(d.u, d.v, old_rate, new_rate);
+  }
+}
+
 void TrafficMatrix::apply(const FlowDelta& delta) {
   check(delta, num_vms());
-  if (delta.delta == 0.0) return;
-  commit_rate(delta.u, delta.v, rate(delta.u, delta.v) + delta.delta);
+  std::lock_guard<std::mutex> lock(observers_mu_);
+  fold(delta);
 }
 
 void TrafficMatrix::apply(const FlowDeltaBatch& batch) {
-  for (const FlowDelta& d : batch) apply(d);
+  for (const FlowDelta& d : batch) check(d, num_vms());
+  std::lock_guard<std::mutex> lock(observers_mu_);
+  for (const FlowDelta& d : batch) fold(d);
 }
 
 TrafficMatrix TrafficMatrix::scaled(double factor) const {
@@ -352,43 +319,31 @@ TrafficMatrix TrafficMatrix::scaled(double factor) const {
   }
   TrafficMatrix out(*this);
   // In place, slot by slot: both directions of a pair hold the same rate,
-  // so both get the same product. A product of zero is tombstoned, as
-  // apply() would remove the pair.
-  auto scale_entry = [&out, factor](VmId u, VmId& col, double& rate) {
-    if (col == kDead) return;
-    rate *= factor;
-    if (rate > 0.0) return;
-    col = kDead;
-    rate = 0.0;
-    --out.degree_[u];
-    --out.live_directed_;
-    ++out.dead_entries_;
-  };
+  // so both get the same product. A product of zero is erased, as apply()
+  // would remove the pair, and the survivors keep their order.
   for (VmId u = 0; u < out.num_vms(); ++u) {
-    for (std::uint64_t i = out.offsets_[u]; i < out.offsets_[u + 1]; ++i) {
-      scale_entry(u, out.cols_[i], out.rates_[i]);
+    const std::uint64_t begin = out.offsets_[u];
+    std::uint32_t kept = 0;
+    for (std::uint32_t k = 0; k < out.degree_[u]; ++k) {
+      const double rate = out.rates_[begin + k] * factor;
+      if (rate > 0.0) {
+        out.cols_[begin + kept] = out.cols_[begin + k];
+        out.rates_[begin + kept] = rate;
+        ++kept;
+      }
     }
-    for (std::uint32_t i = out.overflow_head_[u]; i != kNoChain;
-         i = out.overflow_[i].next) {
-      scale_entry(u, out.overflow_[i].col, out.overflow_[i].rate);
-    }
+    out.live_directed_ -= out.degree_[u] - kept;
+    out.degree_[u] = kept;
   }
   return out;
 }
 
 double TrafficMatrix::rate(VmId u, VmId v) const {
-  if (u >= num_vms()) {
+  if (u >= num_vms() || v >= num_vms()) {
     throw std::out_of_range("TrafficMatrix::rate: bad VM id");
   }
-  const std::uint64_t seg_end = offsets_[u + 1];
-  for (std::uint64_t i = offsets_[u]; i < seg_end; ++i) {
-    if (cols_[i] == v) return rates_[i];
-  }
-  for (std::uint32_t i = overflow_head_[u]; i != kNoChain;
-       i = overflow_[i].next) {
-    if (overflow_[i].col == v) return overflow_[i].rate;
-  }
-  return 0.0;
+  const std::uint64_t slot = find(u, v);
+  return slot < offsets_[u] + degree_[u] ? rates_[slot] : 0.0;
 }
 
 double TrafficMatrix::total_load() const {

@@ -6,32 +6,37 @@
 // adjacency rather than a dense matrix: the cost model and the migration-
 // delta evaluation both iterate the neighbour set Vu.
 //
-// Storage (see ARCHITECTURE.md, "Memory layout at mega-scale"): a CSR-style
-// structure-of-arrays — one `offsets_` array plus packed `(cols_, rates_)`
-// columns — instead of one heap-allocated vector per VM, so a 1M-VM matrix
-// is three flat allocations, `neighbors(u)` is an O(degree) contiguous scan
-// and the whole edge set prefetches linearly.
+// Storage (see ARCHITECTURE.md, "Memory layout at mega-scale"): one packed
+// arena of `(cols_, rates_)` columns in which every row owns a slice. Row u
+// is `[offsets_[u], offsets_[u] + degree_[u])`, with `capacity_[u]` slots
+// reserved, so a 1M-VM matrix is a handful of flat allocations,
+// `neighbors(u)` is an O(degree) contiguous scan and the whole edge set
+// prefetches linearly.
 //
-// Build: the list constructor packs the CSR in one pass over a pair list
+// Build: the list constructor packs the arena in one pass over a pair list
 // (count an upper bound per row, fill the rows in list order, squeeze out
 // the slack left by repeated pairs). Each row keeps its peers in order of
 // first appearance and a repeated pair is summed in list order, so the
-// result is bit-identical to applying the list to an empty matrix.
+// result is bit-identical to applying the list to an empty matrix. A built
+// matrix has no slack: every row's capacity equals its degree.
 //
-// Change: apply() keeps CSR compact with two escape hatches:
-//   * erasing an entry tombstones its column slot in place (relative order
-//     of the survivors is preserved — exactly what vector::erase did);
-//   * inserting a new pair appends to a per-row overflow chain in a shared
-//     side-buffer (end of the row's iteration order — exactly where
-//     vector::emplace_back put it).
-// An amortised compaction pass re-packs live entries into fresh CSR arrays
-// once tombstones + overflow exceed a slack bound; compaction preserves the
-// iteration order bit-for-bit, so it is invisible to every consumer (no
-// version bump, no observer notification). Iteration order — CSR segment
-// then overflow chain, tombstones skipped — therefore reproduces the
-// per-VM-vector semantics exactly, which keeps every Eq. (1)/(2) floating-
-// point summation order, and hence every cost checksum, bit-identical to the
-// previous layout.
+// Change: each row behaves exactly like the per-VM std::vector it replaced.
+//   * a rate change overwrites its slot in place;
+//   * an erase slides the rest of the row left by one, so the survivors
+//     keep their relative order (vector::erase);
+//   * a new pair is written at the row's end (vector::emplace_back), so a
+//     pair erased and added again lands at the end, not at its old slot.
+// A full row grows by half its capacity (at least 2 slots): in place when
+// it is the arena's last region, otherwise by moving to the arena's end and
+// leaving its old slots as garbage. When the arena's reserved size cannot
+// take the move, compaction re-packs the rows in VM order, leaving each row
+// degree/8 + 1 slots of slack and the arena 1/8 headroom. The arrays are
+// reallocated only there, one column at a time, so old and new copies
+// coexist only during a compaction and never both in full. Every step
+// preserves each row's order bit for bit, so it is invisible to every
+// consumer (no version bump, no observer notification) and every Eq. (1)/(2)
+// floating-point fold, and hence every cost checksum, is bit-identical to
+// the per-VM-vector layout.
 //
 // Mutation model (see ARCHITECTURE.md, "Streaming ingest & drift trigger"):
 // apply() is the only mutator. It funnels through one private choke point
@@ -52,31 +57,11 @@
 
 namespace score::traffic {
 
-class TrafficMatrix;
-
-namespace detail {
-
-/// Column value marking an erased slot (CSR or overflow). Never a valid
-/// VmId: ids are dense [0, num_vms) and num_vms < 2^32 - 1.
-inline constexpr VmId kDead = 0xFFFFFFFFu;
-/// Overflow chain terminator / empty-chain head.
-inline constexpr std::uint32_t kNoChain = 0xFFFFFFFFu;
-
-/// One directed entry in the pooled overflow side-buffer, chained per row.
-struct OverflowEntry {
-  VmId col = kDead;
-  double rate = 0.0;
-  std::uint32_t next = kNoChain;
-};
-
-}  // namespace detail
-
-/// Lightweight forward view over one VM's neighbour set: the row's CSR
-/// segment followed by its overflow chain, tombstones skipped. Iterators
-/// yield `std::pair<VmId, double>` by value (structured bindings and
-/// range-for work unchanged). The view caches raw pointers into the matrix
-/// arrays, so it is invalidated by any mutation of the matrix — take a fresh
-/// one per read, as with the old vector reference.
+/// Forward view over one VM's neighbour set: a contiguous slice of the
+/// matrix arena. Iterators yield `std::pair<VmId, double>` by value
+/// (structured bindings and range-for work unchanged). The view holds raw
+/// pointers into the matrix arrays, so it is invalidated by any mutation of
+/// the matrix — take a fresh one per read, as with the old vector reference.
 class NeighborView {
  public:
   class iterator {
@@ -89,18 +74,10 @@ class NeighborView {
 
     iterator() = default;
 
-    reference operator*() const {
-      if (pos_ < seg_end_) return {cols_[pos_], rates_[pos_]};
-      const detail::OverflowEntry& e = pool_[chain_];
-      return {e.col, e.rate};
-    }
+    reference operator*() const { return {*col_, *rate_}; }
     iterator& operator++() {
-      if (pos_ < seg_end_) {
-        ++pos_;
-      } else {
-        chain_ = pool_[chain_].next;
-      }
-      skip_dead();
+      ++col_;
+      ++rate_;
       return *this;
     }
     iterator operator++(int) {
@@ -108,59 +85,29 @@ class NeighborView {
       ++*this;
       return copy;
     }
-    bool operator==(const iterator& other) const {
-      return pos_ == other.pos_ && chain_ == other.chain_;
-    }
+    bool operator==(const iterator& other) const { return col_ == other.col_; }
     bool operator!=(const iterator& other) const { return !(*this == other); }
 
    private:
     friend class NeighborView;
-    iterator(const VmId* cols, const double* rates,
-             const detail::OverflowEntry* pool, std::uint64_t pos,
-             std::uint64_t seg_end, std::uint32_t chain)
-        : cols_(cols), rates_(rates), pool_(pool), pos_(pos),
-          seg_end_(seg_end), chain_(chain) {
-      skip_dead();
-    }
-    void skip_dead() {
-      while (pos_ < seg_end_ && cols_[pos_] == detail::kDead) ++pos_;
-      if (pos_ < seg_end_) return;
-      while (chain_ != detail::kNoChain && pool_[chain_].col == detail::kDead) {
-        chain_ = pool_[chain_].next;
-      }
-    }
+    iterator(const VmId* col, const double* rate) : col_(col), rate_(rate) {}
 
-    const VmId* cols_ = nullptr;
-    const double* rates_ = nullptr;
-    const detail::OverflowEntry* pool_ = nullptr;
-    std::uint64_t pos_ = 0;      ///< current CSR column index
-    std::uint64_t seg_end_ = 0;  ///< one past the row's CSR segment
-    std::uint32_t chain_ = detail::kNoChain;  ///< overflow index
+    const VmId* col_ = nullptr;
+    const double* rate_ = nullptr;
   };
 
-  iterator begin() const {
-    return iterator(cols_, rates_, pool_, seg_begin_, seg_end_, head_);
-  }
-  iterator end() const {
-    return iterator(cols_, rates_, pool_, seg_end_, seg_end_, detail::kNoChain);
-  }
+  iterator begin() const { return iterator(cols_, rates_); }
+  iterator end() const { return iterator(cols_ + size_, rates_ + size_); }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
  private:
   friend class TrafficMatrix;
-  NeighborView(const VmId* cols, const double* rates,
-               const detail::OverflowEntry* pool, std::uint64_t seg_begin,
-               std::uint64_t seg_end, std::uint32_t head, std::size_t size)
-      : cols_(cols), rates_(rates), pool_(pool), seg_begin_(seg_begin),
-        seg_end_(seg_end), head_(head), size_(size) {}
+  NeighborView(const VmId* cols, const double* rates, std::size_t size)
+      : cols_(cols), rates_(rates), size_(size) {}
 
   const VmId* cols_;
   const double* rates_;
-  const detail::OverflowEntry* pool_;
-  std::uint64_t seg_begin_;
-  std::uint64_t seg_end_;
-  std::uint32_t head_;
   std::size_t size_;
 };
 
@@ -200,7 +147,9 @@ class TrafficMatrix {
   /// registered observer.
   void apply(const FlowDelta& delta);
 
-  /// Fold a batch in order (deltas to the same pair accumulate).
+  /// Fold a batch in order (deltas to the same pair accumulate). Every
+  /// delta is checked before the first is folded, so a rejected batch
+  /// leaves the contents, the version and every observer untouched.
   void apply(const FlowDeltaBatch& batch);
 
   /// Register/deregister a mutation observer. Idempotent (re-adding a
@@ -219,7 +168,8 @@ class TrafficMatrix {
   /// std::invalid_argument on a negative or non-finite factor.
   TrafficMatrix scaled(double factor) const;
 
-  /// λ(u,v); 0 when the VMs do not communicate.
+  /// λ(u,v); 0 when the VMs do not communicate. An out-of-range id throws
+  /// std::out_of_range.
   double rate(VmId u, VmId v) const;
 
   /// The neighbour set Vu with per-neighbour rates, in insertion order
@@ -227,22 +177,15 @@ class TrafficMatrix {
   NeighborView neighbors(VmId u) const;
 
   /// Visit row u's neighbours in the same order as neighbors(u), calling
-  /// f(VmId v, double rate) per live entry. This is the hot-path form: the
-  /// two plain loops (CSR segment, then overflow chain) optimise tighter
-  /// than the iterator state machine, which matters in the Eq. (1)/(2) fold
-  /// and migration-delta inner loops. Precondition: u < num_vms().
+  /// f(VmId v, double rate) per entry. This is the hot-path form used by
+  /// the Eq. (1)/(2) fold and migration-delta inner loops: one plain loop
+  /// over the row's slice. Precondition: u < num_vms().
   template <typename F>
   void for_each_neighbor(VmId u, F&& f) const {
-    const VmId* cols = cols_.data();
-    const double* rates = rates_.data();
-    const std::uint64_t seg_end = offsets_[u + 1];
-    for (std::uint64_t i = offsets_[u]; i < seg_end; ++i) {
-      if (cols[i] != kDead) f(cols[i], rates[i]);
-    }
-    for (std::uint32_t i = overflow_head_[u]; i != kNoChain;
-         i = overflow_[i].next) {
-      if (overflow_[i].col != kDead) f(overflow_[i].col, overflow_[i].rate);
-    }
+    const VmId* cols = cols_.data() + offsets_[u];
+    const double* rates = rates_.data() + offsets_[u];
+    const std::uint32_t degree = degree_[u];
+    for (std::uint32_t k = 0; k < degree; ++k) f(cols[k], rates[k]);
   }
 
   /// Number of communicating (unordered) pairs. O(1).
@@ -264,50 +207,50 @@ class TrafficMatrix {
 
   // ---- layout diagnostics (tests/bench) -------------------------------------
 
-  /// Directed entries currently in the packed CSR arrays (live + tombstones).
+  /// Arena slots in use: live entries, row slack and abandoned regions.
   std::size_t csr_entries() const { return cols_.size(); }
-  /// Directed entries currently in the overflow side-buffer.
-  std::size_t overflow_entries() const { return overflow_.size(); }
+  /// Arena slots in use that hold no live entry (row slack plus the
+  /// regions rows left behind when they moved). 0 right after a list build.
+  std::size_t overflow_entries() const { return cols_.size() - live_directed_; }
   /// Compaction passes run so far.
   std::uint64_t compactions() const { return compactions_; }
 
  private:
-  static constexpr VmId kDead = detail::kDead;
-  static constexpr std::uint32_t kNoChain = detail::kNoChain;
-  using OverflowEntry = detail::OverflowEntry;
+  /// The single mutation choke point, for a checked delta; the caller holds
+  /// observers_mu_. Writes both directed entries, bumps the version and
+  /// notifies observers. No-op (no bump, no notification) when the new rate
+  /// equals the old. Negative rates are clamped to 0.
+  void fold(const FlowDelta& d);
 
-  /// The single mutation choke point: writes both directed entries, bumps
-  /// the version and notifies observers. No-op (no bump, no notification)
-  /// when the new rate equals the old. Negative rates are clamped to 0.
-  /// Runs the amortised compaction check after notifying.
-  void commit_rate(VmId u, VmId v, double new_rate);
+  /// The slot of v in row u, or the row's end when u does not talk to v.
+  std::uint64_t find(VmId u, VmId v) const;
 
-  /// Update one directed entry, returning the previous rate (0 if absent).
-  /// new_rate <= 0 tombstones the entry; a new pair appends to the row's
-  /// overflow chain.
-  double update_directed(VmId u, VmId v, double new_rate);
+  /// Sets row u's entry for v at `slot` (as returned by find) to `rate`:
+  /// overwrite, erase when rate <= 0, append when the slot is the row's end.
+  void store(VmId u, std::uint64_t slot, VmId v, double rate);
 
-  /// Re-pack live entries into fresh CSR arrays in the current iteration
-  /// order and clear the overflow pool. Logical content (and therefore
-  /// iteration order) is unchanged: no version bump, no notification.
+  /// Makes room for one more entry in the full row u: grow in place at the
+  /// arena's end, move the row there, or compact.
+  void grow(VmId u);
+
+  /// Re-pack the rows in VM order into fresh arrays with degree/8 + 1 slack
+  /// each and 1/8 headroom. Every row's order is unchanged: no version
+  /// bump, no notification.
   void compact();
-  void maybe_compact();
 
-  void notify_rate_change(VmId u, VmId v, double old_rate, double new_rate);
   void notify_bulk_update();
 
-  // CSR backbone: row u's packed segment is [offsets_[u], offsets_[u + 1]).
-  std::vector<std::uint64_t> offsets_;  ///< num_vms + 1 row boundaries
-  std::vector<VmId> cols_;              ///< packed neighbour ids (kDead = hole)
-  std::vector<double> rates_;           ///< parallel to cols_
-  // Overflow side-buffer: one pooled singly-linked chain per row, appended
-  // at the tail so insertion order is preserved until the next compaction.
-  std::vector<OverflowEntry> overflow_;
-  std::vector<std::uint32_t> overflow_head_;
-  std::vector<std::uint32_t> overflow_tail_;
-  std::vector<std::uint32_t> degree_;  ///< live directed entries per row
-  std::size_t live_directed_ = 0;      ///< Σ degree_
-  std::size_t dead_entries_ = 0;       ///< tombstones (CSR + overflow)
+  // Arena: row u is [offsets_[u], offsets_[u] + degree_[u]) of the packed
+  // columns, with capacity_[u] slots reserved. cols_.size() is the arena's
+  // used end; reserved_ is how far it may grow before a compaction. Tracked
+  // here because a copied vector's capacity() need not match its source's.
+  std::vector<std::uint64_t> offsets_;   ///< row starts in the arena
+  std::vector<std::uint32_t> degree_;    ///< live directed entries per row
+  std::vector<std::uint32_t> capacity_;  ///< reserved slots per row
+  std::vector<VmId> cols_;               ///< neighbour ids
+  std::vector<double> rates_;            ///< parallel to cols_
+  std::size_t reserved_ = 0;
+  std::size_t live_directed_ = 0;  ///< Σ degree_
   std::uint64_t compactions_ = 0;
 
   std::uint64_t version_ = 0;

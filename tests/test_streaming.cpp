@@ -722,17 +722,20 @@ TEST(StreamingBugfix, CostRatioSurfacesZeroFreshReference) {
 }
 
 TEST(StreamingBugfix, DiffBatchWithLiveOverflowEntries) {
-  // Build a pair of matrices whose difference spans live CSR entries,
-  // tombstones (vanished pairs) and uncompacted overflow entries (post-build
-  // inserts) in both directions. diff_batch's merge walk assumes strictly
-  // key-sorted pairs(); the matrix guarantees it for any compaction state,
-  // and diff_batch now verifies rather than silently misclassifying.
+  // Build a pair of matrices whose difference spans unchanged entries,
+  // vanished pairs (erased slots left as row slack) and post-build inserts
+  // (rows that outgrew their slots and moved to the arena's end, leaving
+  // their old region behind) in both directions. diff_batch's merge walk
+  // assumes strictly key-sorted pairs(); the matrix guarantees it for any
+  // layout state, and diff_batch now verifies rather than silently
+  // misclassifying.
   Rng rng(9);
   TrafficMatrix base = random_tm(64, 2.0, rng);
   TrafficMatrix from = base;
   TrafficMatrix to = base;
-  // Overflow inserts on both sides (new pairs go to the side-buffer), plus
-  // removals (tombstones) and rate changes on existing pairs.
+  // New pairs on both sides (a built matrix has no slack, so the first
+  // compacts and leaves every row a free slot), plus removals and rate
+  // changes on existing pairs.
   from.apply(FlowDelta{60, 63, 7.5});
   from.apply(FlowDelta{1, 62, 0.25});
   to.apply(FlowDelta{61, 63, 3.25});
@@ -743,10 +746,31 @@ TEST(StreamingBugfix, DiffBatchWithLiveOverflowEntries) {
   const auto& [u1, v1, r1] = existing[1];
   to.apply(FlowDelta{u0, v0, -r0});  // vanish
   to.apply(FlowDelta{u1, v1, r1 * 2.0});
-  ASSERT_GT(from.overflow_entries(), 0u);  // the regression's precondition:
-  ASSERT_GT(to.overflow_entries(), 0u);    // live, uncompacted side-buffers
+  // Then row 1 of `from` and row 2 of `to` take new peers (one new pair
+  // each, which the peer's free slot holds) until they outgrow their slots
+  // and move: the used end jumps past the row's old degree without a
+  // compaction. The regression's precondition: row slack and a moved row
+  // on both sides.
+  auto grow_until_moved = [](TrafficMatrix& m, VmId u) {
+    const std::uint64_t compactions = m.compactions();
+    for (VmId p = 10; p < 50; ++p) {
+      if (m.rate(u, p) > 0.0) continue;
+      const std::size_t used = m.csr_entries();
+      const std::size_t degree = m.neighbors(u).size();
+      m.apply(FlowDelta{u, p, 0.125});
+      if (m.compactions() != compactions) return false;
+      if (m.csr_entries() - used > degree) return true;
+    }
+    return false;
+  };
+  ASSERT_GT(from.compactions(), 0u);
+  ASSERT_GT(to.compactions(), 0u);
+  ASSERT_TRUE(grow_until_moved(from, 1));
+  ASSERT_TRUE(grow_until_moved(to, 2));
+  ASSERT_GT(from.overflow_entries(), 0u);
+  ASSERT_GT(to.overflow_entries(), 0u);
 
-  // pairs() must come out strictly key-sorted even with live overflow.
+  // pairs() must come out strictly key-sorted in this state.
   for (const auto* m : {&from, &to}) {
     const auto p = m->pairs();
     for (std::size_t i = 1; i < p.size(); ++i) {

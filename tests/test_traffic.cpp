@@ -64,6 +64,17 @@ TEST(TrafficMatrix, ApplyRejectsMalformedDeltas) {
   EXPECT_EQ(tm.version(), 0u);
 }
 
+// rate() once range-checked only u: rate(0, 1000) on a 4-VM matrix
+// returned 0 where neighbors() and apply() throw.
+TEST(TrafficMatrix, RateRejectsEitherOutOfRangeId) {
+  const TrafficMatrix tm(4, {{0, 1, 1.0}});
+  EXPECT_THROW(tm.rate(1000, 0), std::out_of_range);
+  EXPECT_THROW(tm.rate(0, 1000), std::out_of_range);
+  EXPECT_THROW(tm.rate(0, 4), std::out_of_range);
+  EXPECT_DOUBLE_EQ(tm.rate(0, 3), 0.0);
+  EXPECT_DOUBLE_EQ(tm.rate(1, 0), 1.0);
+}
+
 TEST(TrafficMatrix, NeighborsListsBothEndpoints) {
   const TrafficMatrix tm(4, {{0, 1, 1.0}, {0, 2, 2.0}});
   EXPECT_EQ(tm.neighbors(0).size(), 2u);

@@ -204,6 +204,38 @@ class CompareTests(unittest.TestCase):
         cand = [make_record(fold_p99_ns=60000.0)]  # +20%
         self.assertEqual(self.run_compare(base, cand, fold_tolerance=0.1), 1)
 
+    def test_twelve_tick_row_gates_the_median_not_the_tail(self):
+        # The drift-trigger row's p99 is the slowest of 12 folds: one slow
+        # tick read 5.08 ms against 1.76-2.94 ms in seven other runs.
+        base = [make_record(ticks=12, fold_p50_ns=1.1e6, fold_p99_ns=2.0e6)]
+        cand = [make_record(ticks=12, fold_p50_ns=1.2e6, fold_p99_ns=5.08e6)]
+        self.assertEqual(self.run_compare(base, cand), 0)
+
+    def test_twelve_tick_row_whose_median_doubles_fails(self):
+        base = [make_record(ticks=12, fold_p50_ns=1.1e6, fold_p99_ns=2.0e6)]
+        cand = [make_record(ticks=12, fold_p50_ns=2.5e6, fold_p99_ns=2.6e6)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(self.run_compare(base, cand), 1)
+        self.assertIn("fold_p50_ns regressed", out.getvalue())
+
+    def test_256_batch_row_whose_tail_doubles_fails(self):
+        base = [make_record(batches=256, fold_p50_ns=1.7e6, fold_p99_ns=3.0e6)]
+        cand = [make_record(batches=256, fold_p50_ns=1.7e6, fold_p99_ns=6.5e6)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(self.run_compare(base, cand), 1)
+        self.assertIn("fold_p99_ns regressed", out.getvalue())
+
+    def test_quick_side_decides_by_the_smaller_sample_count(self):
+        # A --quick run folds 32 batches against the trajectory's 256.
+        base = [make_record(batches=256, fold_p50_ns=1.7e6, fold_p99_ns=3.0e6)]
+        tail = [make_record(batches=32, fold_p50_ns=1.8e6, fold_p99_ns=6.5e6)]
+        median = [make_record(batches=32, fold_p50_ns=3.6e6, fold_p99_ns=4.0e6)]
+        self.assertEqual(self.run_compare(base, tail), 0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            self.assertEqual(self.run_compare(base, median), 1)
+
     def test_null_gated_metric_fails_with_row_and_metric_named(self):
         # bench_runner writes NaN/inf as null and --validate accepts it; an
         # undefined value on either side must fail the gate, not crash it.
