@@ -161,9 +161,17 @@ double CachedCostModel::vm_cost(const Allocation& alloc,
   return vm_cost_.at(u);
 }
 
-void CachedCostModel::fold_move(const Allocation& alloc,
-                                const traffic::TrafficMatrix& tm, VmId u,
-                                ServerId source, ServerId target) const {
+void CachedCostModel::apply_migration(Allocation& alloc,
+                                      const traffic::TrafficMatrix& tm, VmId u,
+                                      ServerId target) const {
+  if (!bound_to(alloc, tm)) {
+    CostModel::apply_migration(alloc, tm, u, target);
+    return;
+  }
+  sync();
+  const ServerId source = alloc.server_of(u);
+  alloc.migrate(u, target);  // throws on infeasible targets, cache untouched
+  if (source == target) return;
   // Lemma 3 as bookkeeping: only pairs incident to u change level. Peers'
   // servers are unaffected by u's move, so their levels can be read after
   // the migrate.
@@ -181,34 +189,6 @@ void CachedCostModel::fold_move(const Allocation& alloc,
   alloc_version_ = alloc.version();
   ++incremental_updates_;
   verify_cache();
-}
-
-void CachedCostModel::apply_migration(Allocation& alloc,
-                                      const traffic::TrafficMatrix& tm, VmId u,
-                                      ServerId target) const {
-  if (!bound_to(alloc, tm)) {
-    CostModel::apply_migration(alloc, tm, u, target);
-    return;
-  }
-  sync();
-  const ServerId source = alloc.server_of(u);
-  alloc.migrate(u, target);  // throws on infeasible targets, cache untouched
-  if (source == target) return;
-  fold_move(alloc, tm, u, source, target);
-}
-
-void CachedCostModel::resync_migration(Allocation& alloc,
-                                       const traffic::TrafficMatrix& tm, VmId u,
-                                       ServerId target) const {
-  if (!bound_to(alloc, tm)) {
-    throw std::logic_error(
-        "CachedCostModel::resync_migration: (alloc, tm) is not the bound pair");
-  }
-  sync();
-  const ServerId source = alloc.server_of(u);
-  alloc.migrate_unchecked(u, target);
-  if (source == target) return;
-  fold_move(alloc, tm, u, source, target);
 }
 
 }  // namespace score::core

@@ -27,10 +27,12 @@
 //     Correctness never depends on the observer seam — only speed does.
 //   * Queries about a *different* allocation or TM (GA populations, exact-
 //     solver probes, copied allocations) fall back to the brute-force base.
-//   * Not thread-safe: one cache per driver/token-shard (the bound state is
-//     mutated from const methods and from observer callbacks, which run on
-//     the thread mutating the matrix). Registration itself is thread-safe
-//     (parallel shard binds), mutation/notification is not.
+//   * Not thread-safe: one cache per driver (the bound state is mutated from
+//     const methods and from observer callbacks, which run on the thread
+//     mutating the matrix). Registration itself is thread-safe (caches bound
+//     on different threads to one matrix), mutation/notification is not.
+//     Parallel token shards bind no cache: they walk plain allocation
+//     snapshots (core/sharded_cost_oracle).
 //
 // Configure with -DSCORE_CHECK_CACHE=ON to cross-verify the cached total
 // against brute-force Eq. (2) after every incremental update — migration
@@ -85,15 +87,6 @@ class CachedCostModel final : public CostModel, public traffic::TrafficObserver 
   void apply_migration(Allocation& alloc, const traffic::TrafficMatrix& tm,
                        VmId u, ServerId target) const override;
 
-  /// apply_migration for snapshot resync: folds a move that replays another
-  /// replica's already-validated decision, so the capacity check is skipped
-  /// (Allocation::migrate_unchecked) — intermediate resync states may
-  /// transiently overcommit; only the final state (== the master being
-  /// resynced toward) must be valid. Requires the (alloc, tm) pair to be the
-  /// bound pair; throws std::logic_error otherwise.
-  void resync_migration(Allocation& alloc, const traffic::TrafficMatrix& tm,
-                        VmId u, ServerId target) const;
-
   /// TrafficObserver: O(1) fold of one pair's rate change on the bound
   /// matrix. Public only because TrafficMatrix invokes it; not for callers.
   void on_rate_change(traffic::VmId u, traffic::VmId v, double old_rate,
@@ -108,10 +101,6 @@ class CachedCostModel final : public CostModel, public traffic::TrafficObserver 
   std::uint64_t deltas_folded() const { return deltas_folded_; }
 
  private:
-  /// Shared Lemma-3 fold of a committed move of u (source → target) into
-  /// vm_cost_/total_, plus the version/counter/verify bookkeeping.
-  void fold_move(const Allocation& alloc, const traffic::TrafficMatrix& tm,
-                 VmId u, ServerId source, ServerId target) const;
   void rebuild() const;
   void sync() const;         ///< rebuild iff dirty or a version counter moved
   void verify_cache() const; ///< no-op unless SCORE_CHECK_CACHE

@@ -155,6 +155,7 @@ Decision MigrationEngine::evaluate(const Allocation& alloc,
                             static_cast<int>(p.pod != pod);
       delta += 2.0 * p.rate * (p.before - after_prefix[differing]);
     }
+    if (delta > config_.migration_cost) best.improvable = true;
     // Probe capacity only where the candidate would win: the first feasible
     // candidate with the largest delta, as if every one were probed.
     if ((best.target == kInvalidServer || delta > best.delta) &&

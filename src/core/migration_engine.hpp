@@ -92,6 +92,11 @@ class CandidateBuilder {
 
 struct Decision {
   bool migrate = false;
+  /// Some candidate's Lemma-3 delta exceeds c_m, feasible or not. When it is
+  /// false the hold stays whatever the servers' capacity, so its answer can
+  /// only change once u or one of its peers moves (the centralized drivers
+  /// skip such holds until then; see driver/settled_holds.hpp).
+  bool improvable = false;
   ServerId target = kInvalidServer;
   /// ΔC of the chosen target (or the best rejected one when migrate==false).
   double delta = 0.0;

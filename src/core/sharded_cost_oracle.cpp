@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace score::core {
 
@@ -34,7 +35,8 @@ double shard_partial_sum(const CostModel& model, const Allocation& alloc,
 
 ShardedCostOracle::ShardedCostOracle(const topo::Topology& topology,
                                      LinkWeights weights,
-                                     std::vector<VmRange> partitions) {
+                                     std::vector<VmRange> partitions)
+    : model_(topology, std::move(weights)) {
   if (partitions.empty()) {
     throw std::invalid_argument("ShardedCostOracle: no partitions");
   }
@@ -43,63 +45,43 @@ ShardedCostOracle::ShardedCostOracle(const topo::Topology& topology,
     if (range.last < range.first) {
       throw std::invalid_argument("ShardedCostOracle: empty partition range");
     }
-    Shard shard;
-    shard.range = range;
-    shard.model = std::make_unique<CachedCostModel>(topology, weights);
-    shards_.push_back(std::move(shard));
+    shards_.push_back({range, std::nullopt});
   }
 }
 
 void ShardedCostOracle::begin_pass(const Allocation& master,
-                                   const traffic::TrafficMatrix& tm,
+                                   const traffic::TrafficMatrix& /*tm*/,
                                    const util::ExecPolicy& policy) {
-  util::for_each_shard(policy, shards_.size(), [&](std::size_t t) {
-    Shard& shard = shards_[t];
-    if (shard.snapshot) {
-      *shard.snapshot = master;
-    } else {
-      shard.snapshot = std::make_unique<Allocation>(master);
-    }
-    shard.model->bind(*shard.snapshot, tm);
-  });
+  util::for_each_shard(policy, shards_.size(),
+                       [&](std::size_t t) { shards_[t].snapshot = master; });
 }
 
 void ShardedCostOracle::begin_pass(const Allocation& master,
-                                   const traffic::TrafficMatrix& tm,
+                                   const traffic::TrafficMatrix& /*tm*/,
                                    const util::ExecPolicy& policy,
                                    const std::vector<VmId>& touched) {
   util::for_each_shard(
       policy, shards_.size(),
       [&](std::size_t t) {
-        Shard& shard = shards_[t];
-        if (!shard.snapshot ||
-            !shard.model->bound_to(*shard.snapshot, tm) ||
-            shard.snapshot->num_vms() != master.num_vms()) {
+        std::optional<Allocation>& snap = shards_[t].snapshot;
+        if (!snap || snap->num_vms() != master.num_vms()) {
           // No usable snapshot — full copy, exactly the non-incremental path.
-          if (shard.snapshot) {
-            *shard.snapshot = master;
-          } else {
-            shard.snapshot = std::make_unique<Allocation>(master);
-          }
-          shard.model->bind(*shard.snapshot, tm);
+          snap = master;
           return;
         }
         // Replay the divergence: every VM that moved anywhere since the
-        // previous pass is in `touched`; folding each one whose placement
-        // differs makes the snapshot equal to master again (and keeps the
-        // cached Eq. (1)/(2) sums current without a rebuild).
+        // previous pass is in `touched`; moving each one whose placement
+        // differs makes the snapshot equal to master again.
         for (const VmId u : touched) {
           const ServerId want = master.server_of(u);
-          if (shard.snapshot->server_of(u) != want) {
-            shard.model->resync_migration(*shard.snapshot, tm, u, want);
-          }
+          if (snap->server_of(u) != want) snap->migrate_unchecked(u, want);
         }
 #ifdef SCORE_CHECK_CACHE
         // The touched-set contract is the driver's to uphold; under the
         // cache cross-check build, verify it — a missed VM here would mean
         // this shard silently optimises against a stale world.
         for (VmId u = 0; u < master.num_vms(); ++u) {
-          if (shard.snapshot->server_of(u) != master.server_of(u)) {
+          if (snap->server_of(u) != master.server_of(u)) {
             throw std::logic_error(
                 "ShardedCostOracle::begin_pass(touched): snapshot diverges "
                 "from master at vm " + std::to_string(u) +
@@ -112,27 +94,21 @@ void ShardedCostOracle::begin_pass(const Allocation& master,
 }
 
 Allocation& ShardedCostOracle::shard_alloc(std::size_t shard) {
-  Shard& s = shards_.at(shard);
-  if (!s.snapshot) {
+  std::optional<Allocation>& snap = shards_.at(shard).snapshot;
+  if (!snap) {
     throw std::logic_error("ShardedCostOracle: shard_alloc before begin_pass");
   }
-  return *s.snapshot;
-}
-
-const CachedCostModel& ShardedCostOracle::shard_model(std::size_t shard) const {
-  return *shards_.at(shard).model;
+  return *snap;
 }
 
 double ShardedCostOracle::reconcile(const Allocation& master,
                                     const traffic::TrafficMatrix& tm,
                                     const util::ExecPolicy& policy) const {
   last_sums_.assign(shards_.size(), 0.0);
+  // model_ is a plain CostModel, so each term is the brute-force Eq. (1)
+  // walk — pure, hence safe to run concurrently with the other shards' sums.
   util::for_each_shard(policy, shards_.size(), [&](std::size_t t) {
-    const Shard& shard = shards_[t];
-    // `master` is never a shard's bound pair (shards bind their private
-    // snapshots), so this is the brute-force Eq. (1) walk — pure, hence
-    // safe to run concurrently with the other shards' sums.
-    last_sums_[t] = shard_partial_sum(*shard.model, master, tm, shard.range);
+    last_sums_[t] = shard_partial_sum(model_, master, tm, shards_[t].range);
   });
   double total = 0.0;
   for (const double sum : last_sums_) total += sum;  // fixed order: shard 0..k-1

@@ -1,35 +1,36 @@
-// Sharded cost oracle — the thread-safe face of the incremental cost cache.
+// Sharded cost oracle — per-token allocation snapshots for parallel rounds.
 //
-// CachedCostModel is deliberately not thread-safe (bound state mutates under
-// const), so parallel token rounds cannot share one instance. Instead each
-// token partition gets its *own* CachedCostModel, bound to a private
-// snapshot of the allocation taken at the pass barrier:
+// Parallel token rounds cannot share one mutable allocation, so each token
+// partition gets its *own* snapshot of the allocation taken at the pass
+// barrier. A shard decision reads only the Lemma-3 delta over (snapshot, tm),
+// never a cached cost sum, so the shards hold plain allocations:
 //
-//   begin_pass(master)   snapshot master into every shard, rebind the
-//                        shard's cache to its snapshot (parallelisable —
-//                        shard state is disjoint by construction);
-//   shard walk           the owning token evaluates and commits migrations
-//                        against its snapshot through its cache; peers'
+//   begin_pass(master)   copy master into every shard snapshot
+//                        (parallelisable — shard state is disjoint by
+//                        construction);
+//   shard walk           the owning token evaluates Theorem 1 against its
+//                        snapshot and commits its local moves there; peers'
 //                        positions are frozen at pass start, which is
 //                        exactly the stale-information regime the paper's
 //                        distributed agents operate in (§V);
 //   reconcile(master)    after the merged commits land on the master
 //                        allocation, recompute the true Eq. (2) total as
-//                        ½ Σ_t Σ_{u∈partition_t} C^A(u) — per-shard partial
-//                        sums over the *merged* state, summed in shard order
-//                        so the result is independent of the execution
-//                        policy. This value is fed back as the pass cost.
+//                        ½ Σ_t Σ_{u∈partition_t} C^A(u) — brute-force
+//                        per-shard partial sums over the *merged* state,
+//                        summed in shard order so the result is independent
+//                        of the execution policy. This value is fed back as
+//                        the pass cost.
 //
-// Invariant (extends the ARCHITECTURE.md cache ownership contract): a shard
-// cache is only ever touched by the job running its shard index; the oracle
-// itself holds no mutable state shared across shards during a pass.
+// Invariant: a shard snapshot is only ever touched by the job running its
+// shard index; the oracle itself holds no mutable state shared across shards
+// during a pass.
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <optional>
 #include <vector>
 
-#include "core/cached_cost_model.hpp"
+#include "core/cost_model.hpp"
 #include "util/exec_policy.hpp"
 
 namespace score::core {
@@ -51,7 +52,7 @@ std::vector<VmRange> partition_vms(std::size_t num_vms, std::size_t shards);
 /// the per-shard term reconcile() halves and adds up. `model` may be any
 /// CostModel: a CachedCostModel *bound* to (alloc, tm) serves each term from
 /// its cache in O(1) (how driver/streaming arms per-shard drift baselines),
-/// an unbound model recomputes brute-force (how reconcile and the
+/// a plain or unbound model recomputes brute-force (how reconcile and the
 /// SCORE_CHECK_CACHE attribution check stay independent of cache state).
 double shard_partial_sum(const CostModel& model, const Allocation& alloc,
                          const traffic::TrafficMatrix& tm,
@@ -69,8 +70,8 @@ class ShardedCostOracle {
     return shards_.at(shard).range;
   }
 
-  /// Snapshot `master` into every shard and (re)bind the shard caches.
-  /// Runs one job per shard under `policy`.
+  /// Copy `master` into every shard snapshot. Runs one job per shard under
+  /// `policy`. `tm` is not read: snapshots hold placements only.
   void begin_pass(const Allocation& master, const traffic::TrafficMatrix& tm,
                   const util::ExecPolicy& policy);
 
@@ -82,27 +83,25 @@ class ShardedCostOracle {
   /// begin_pass — in the multi-token driver that is the union of all shards'
   /// proposed local moves, whether or not the merge committed them. Per
   /// shard, each touched VM whose snapshot placement differs from `master`
-  /// is folded through CachedCostModel::resync_migration (capacity checks
-  /// skipped: the final state equals the validated master), so the cost is
-  /// O(shards × |touched| × degree), independent of world size. Shards with
-  /// no usable snapshot (first pass, rebound containers, VM-count change)
-  /// fall back to the full copy. Jobs run block-cyclic: resync work is
-  /// skewed across shards, so striding balances workers.
+  /// is moved with Allocation::migrate_unchecked (capacity checks skipped:
+  /// the final state equals the validated master), so the cost is
+  /// O(shards × |touched|), independent of world size. Shards with no
+  /// snapshot yet (first pass, VM-count change) fall back to the full copy.
+  /// Jobs run block-cyclic: resync work is skewed across shards, so
+  /// striding balances workers.
   void begin_pass(const Allocation& master, const traffic::TrafficMatrix& tm,
                   const util::ExecPolicy& policy,
                   const std::vector<VmId>& touched);
 
   /// The shard's private allocation snapshot (valid after begin_pass).
   /// Mutable by design: the owning token commits its pass-local migrations
-  /// here through shard_model's apply_migration.
+  /// here.
   Allocation& shard_alloc(std::size_t shard);
-  const CachedCostModel& shard_model(std::size_t shard) const;
 
   /// True Eq. (2) total of `master` from per-shard partial sums (one job per
   /// shard under `policy`, summed in ascending shard order — deterministic
-  /// for any policy). Pure with respect to the shard caches: `master` is not
-  /// any shard's bound pair, so the per-VM Eq. (1) terms are recomputed
-  /// brute-force against the merged state.
+  /// for any policy). Each per-VM Eq. (1) term is recomputed brute-force
+  /// against the merged state.
   double reconcile(const Allocation& master, const traffic::TrafficMatrix& tm,
                    const util::ExecPolicy& policy) const;
 
@@ -112,10 +111,10 @@ class ShardedCostOracle {
  private:
   struct Shard {
     VmRange range;
-    std::unique_ptr<CachedCostModel> model;
-    std::unique_ptr<Allocation> snapshot;
+    std::optional<Allocation> snapshot;
   };
 
+  CostModel model_;  ///< brute-force Eq. (1) for reconcile
   std::vector<Shard> shards_;
   mutable std::vector<double> last_sums_;
 };

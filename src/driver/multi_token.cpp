@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "core/sharded_cost_oracle.hpp"
+#include "driver/settled_holds.hpp"
 
 namespace score::driver {
 
@@ -24,11 +25,13 @@ struct LocalMove {
 struct ShardPass {
   std::vector<LocalMove> moves;
   double busy_until_s = 0.0;  ///< token's virtual time at end of its walk
+  std::size_t evaluations = 0;  ///< holds that ran Theorem 1
 };
 
 }  // namespace
 
 SimResult MultiTokenSimulation::run(const MultiTokenConfig& config) {
+  config.validate();
   const std::size_t num_vms = tm_->num_vms();
   if (num_vms == 0) throw std::invalid_argument("MultiTokenSimulation: no VMs");
   const core::CostModel& model = engine_->cost_model();
@@ -66,13 +69,20 @@ SimResult MultiTokenSimulation::run(const MultiTokenConfig& config) {
   // local moves (committed or not — a shard's own uncommitted move diverged
   // its snapshot, another shard's committed move diverged the master). This
   // is the incremental begin_pass contract: pass 1 pays the full per-shard
-  // snapshot copy, every later barrier costs O(shards × |touched| × degree)
+  // snapshot copy, every later barrier costs O(shards × |touched|)
   // instead of O(shards × world).
   std::vector<VmId> touched;
   bool have_snapshots = false;
+  // A hold in shard t is judged against t's snapshot: the master at pass
+  // start plus t's own earlier moves this pass. A VM's view changes only
+  // where a peer (or the VM) moves in it: a local move (unsettled in the
+  // walk, inside the walking shard's range) or a touched VM (unsettled at
+  // the barrier, committed or not — a rejected proposal still moved a
+  // snapshot that later holds in its shard were judged against).
+  SettledHolds settled(num_vms);
   for (std::size_t pass = 0; pass < config.iterations; ++pass) {
-    // Phase 1 — barrier: private snapshot + cache per token partition
-    // (incrementally resynced from the previous pass where possible).
+    // Phase 1 — barrier: private snapshot per token partition (incrementally
+    // resynced from the previous pass where possible).
     if (have_snapshots) {
       oracle.begin_pass(*alloc_, *tm_, config.policy, touched);
     } else {
@@ -81,26 +91,28 @@ SimResult MultiTokenSimulation::run(const MultiTokenConfig& config) {
     }
 
     // Phase 2 — parallel shard walks. Each job touches only shard-t state
-    // (its snapshot, its cache, its ShardPass slot), so the outcome is a
-    // pure function of the pass-start snapshot for any execution policy.
+    // (its snapshot, its ShardPass slot, the settled flags of its range), so
+    // the outcome is a pure function of the pass-start snapshot for any
+    // execution policy.
     std::vector<ShardPass> walked(tokens);
     util::for_each_shard(config.policy, walk_shards.size(), [&](std::size_t j) {
       const std::size_t t = walk_shards[j];
       ShardPass& out = walked[t];
       Allocation& snap = oracle.shard_alloc(t);
-      const core::CachedCostModel& shard_model = oracle.shard_model(t);
-      const core::MigrationEngine shard_engine(shard_model, engine_->config());
       const core::VmRange range = oracle.partition(t);
 
       double busy_until = 0.0;
+      std::size_t evaluations = 0;
       for (VmId u = range.first;; ++u) {
-        const core::Decision d = shard_engine.evaluate(snap, *tm_, u);
+        const core::Decision d = settled.hold(*engine_, snap, *tm_, u, evaluations,
+                                              "MultiTokenSimulation", pass);
         double busy = config.token_hold_s;
         if (d.migrate) {
           const double bytes = snap.spec(u).ram_mb * 1e6 * config.precopy_factor;
           busy += bytes * 8.0 / config.migration_bandwidth_bps +
                   config.migration_overhead_s;
-          shard_model.apply_migration(snap, *tm_, u, d.target);
+          snap.migrate(u, d.target);
+          settled.unsettle(*tm_, u, range.first, range.last);
           out.moves.push_back({u, d.target, busy_until + busy});
         }
         busy_until += busy;
@@ -109,6 +121,7 @@ SimResult MultiTokenSimulation::run(const MultiTokenConfig& config) {
                       topology.hop_count(snap.server_of(u), snap.server_of(u + 1));
       }
       out.busy_until_s = busy_until;
+      out.evaluations = evaluations;
     });
 
     // Phase 3 — deterministic merge in virtual-completion-time order (the
@@ -147,6 +160,7 @@ SimResult MultiTokenSimulation::run(const MultiTokenConfig& config) {
     }
     std::sort(touched.begin(), touched.end());
     touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    for (const VmId u : touched) settled.unsettle(*tm_, u);
 
     // Phase 4 — reconcile: true Eq. (2) total from per-shard sums over the
     // merged master, fed back as the authoritative pass cost (kills any
@@ -161,6 +175,7 @@ SimResult MultiTokenSimulation::run(const MultiTokenConfig& config) {
 
     IterationStats it;
     it.holds = walked_vms;
+    for (const ShardPass& sp : walked) it.evaluations += sp.evaluations;
     it.migrations = pass_migrations;
     it.migrated_ratio =
         static_cast<double>(pass_migrations) / static_cast<double>(walked_vms);

@@ -6,13 +6,16 @@
 // rounds as *phased passes* that map onto real threads:
 //
 //   1. Pass barrier: ShardedCostOracle snapshots the master allocation into
-//      one private (snapshot, CachedCostModel) pair per token partition.
+//      one private allocation per token partition.
 //   2. Parallel shard walk (util::for_each_shard under the configured
 //      ExecPolicy): each token visits its VM range in ascending order,
-//      evaluating Theorem 1 against its snapshot — its own earlier moves are
-//      visible, peers' positions are frozen at pass start (the paper's
-//      stale-information regime) — and logs locally accepted migrations
-//      with their virtual completion times.
+//      evaluating Theorem 1 with the driver's engine against its snapshot —
+//      its own earlier moves are visible, peers' positions are frozen at
+//      pass start (the paper's stale-information regime) — and logs locally
+//      accepted migrations with their virtual completion times. A hold whose
+//      answer cannot have changed since it last reported !improvable is
+//      skipped and stays (driver/settled_holds.hpp); it still costs its
+//      virtual hold time and counts in `holds`, not in `evaluations`.
 //   3. Deterministic merge: logged migrations replay onto the master
 //      allocation in (virtual completion time, shard, vm) order; each is
 //      revalidated — feasibility plus a fresh Lemma-3 delta against the live

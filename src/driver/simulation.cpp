@@ -1,8 +1,40 @@
 #include "driver/simulation.hpp"
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
+#include "driver/settled_holds.hpp"
+
 namespace score::driver {
 
+namespace {
+
+void require(bool ok, const char* field, const char* rule) {
+  if (!ok) {
+    throw std::invalid_argument(std::string("TokenRoundConfig: ") + field +
+                                " must be " + rule);
+  }
+}
+
+}  // namespace
+
+void TokenRoundConfig::validate() const {
+  const auto non_negative = [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  };
+  require(non_negative(token_hold_s), "token_hold_s", "finite and >= 0");
+  require(non_negative(token_pass_per_hop_s), "token_pass_per_hop_s",
+          "finite and >= 0");
+  require(std::isfinite(migration_bandwidth_bps) && migration_bandwidth_bps > 0.0,
+          "migration_bandwidth_bps", "finite and > 0");
+  require(non_negative(precopy_factor), "precopy_factor", "finite and >= 0");
+  require(non_negative(migration_overhead_s), "migration_overhead_s",
+          "finite and >= 0");
+}
+
 SimResult ScoreSimulation::run(const SimConfig& config) {
+  config.validate();
   const core::CostModel& model = engine_->cost_model();
   const std::size_t num_vms = tm_->num_vms();
 
@@ -16,14 +48,20 @@ SimResult ScoreSimulation::run(const SimConfig& config) {
   std::size_t holds_done = 0;
   std::size_t iteration_migrations = 0;
   std::size_t iteration_holds = 0;
+  std::size_t iteration_evaluations = 0;
   bool stopped = false;
+  // Every hold is judged against the live allocation, so a commit unsettles
+  // exactly its VM and that VM's peers, whatever order the policy holds in.
+  SettledHolds settled(num_vms);
 
   // One event per token hold; each event schedules its successor, so the
   // queue always has at most one pending event (token serialisation).
   sim::EventFn process_hold = [&]() {
     if (stopped) return;
     policy_->observe(model, *alloc_, *tm_, holder);
-    const core::Decision d = engine_->evaluate(*alloc_, *tm_, holder);
+    const core::Decision d =
+        settled.hold(*engine_, *alloc_, *tm_, holder, iteration_evaluations,
+                     "ScoreSimulation", result.iterations.size());
 
     double busy = config.token_hold_s;
     if (d.migrate) {
@@ -33,6 +71,7 @@ SimResult ScoreSimulation::run(const SimConfig& config) {
       result.migration_log.push_back(
           {result.iterations.size(), holder, alloc_->server_of(holder), d.target});
       model.apply_migration(*alloc_, *tm_, holder, d.target);
+      settled.unsettle(*tm_, holder);
       cost -= d.delta;  // Lemma 3: the global cost drops by exactly ΔC
       ++result.total_migrations;
       ++iteration_migrations;
@@ -48,6 +87,7 @@ SimResult ScoreSimulation::run(const SimConfig& config) {
     if (iteration_end) {
       IterationStats it;
       it.holds = iteration_holds;
+      it.evaluations = iteration_evaluations;
       it.migrations = iteration_migrations;
       it.migrated_ratio = static_cast<double>(iteration_migrations) /
                           static_cast<double>(iteration_holds);
@@ -56,6 +96,7 @@ SimResult ScoreSimulation::run(const SimConfig& config) {
       result.iterations.push_back(it);
       const bool stable = config.stop_when_stable && iteration_migrations == 0;
       iteration_holds = 0;
+      iteration_evaluations = 0;
       iteration_migrations = 0;
       if (result.iterations.size() >= config.iterations || stable) {
         stopped = true;

@@ -9,6 +9,13 @@
 // the global communication cost is what Fig. 3d-i and Fig. 4b plot,
 // normalised by a baseline (GA-approximated optimum or initial cost).
 //
+// Both centralized drivers skip a hold whose Theorem-1 answer cannot have
+// changed since it last reported !improvable (driver/settled_holds.hpp):
+// here each commit unsettles its VM and that VM's peers. A skipped hold is
+// charged and counted like any no-migrate hold; IterationStats::evaluations
+// counts the holds that ran Theorem 1. Token policies still observe every
+// hold, so their gossip state is unchanged.
+//
 // This lives in the `score_driver` layer (not `score_core`): the decision
 // engine, cost model and token policies below are pure domain logic, while
 // the drivers here additionally advance an experiment clock. Embedders that
@@ -44,6 +51,12 @@ struct TokenRoundConfig {
   double precopy_factor = 1.3;
   /// Fixed per-migration control overhead (setup + stop-and-copy).
   double migration_overhead_s = 0.1;
+
+  /// Throws std::invalid_argument naming the field unless every time and
+  /// factor is finite and >= 0 and migration_bandwidth_bps is finite and
+  /// > 0. Both drivers call it first in run(): a NaN or negative value would
+  /// corrupt the virtual clock that orders the multi-token merge.
+  void validate() const;
 };
 
 struct SimConfig : TokenRoundConfig {
@@ -59,6 +72,8 @@ struct TimePoint {
 
 struct IterationStats {
   std::size_t holds = 0;
+  /// Holds that ran Theorem 1; the rest were settled (driver/settled_holds.hpp).
+  std::size_t evaluations = 0;
   std::size_t migrations = 0;
   double migrated_ratio = 0.0;  ///< migrations / holds (Fig. 2 y-axis)
   double cost_at_end = 0.0;

@@ -22,6 +22,7 @@ bool RunControl::hold_complete(bool migrated, double now_s) {
   if (iter_holds_ == tm_->num_vms()) {
     RuntimeIteration it;
     it.holds = iter_holds_;
+    it.evaluations = iter_holds_;
     it.migrations = iter_migrations_;
     it.migrated_ratio =
         static_cast<double>(iter_migrations_) / static_cast<double>(iter_holds_);

@@ -19,6 +19,9 @@ namespace score::hypervisor {
 
 struct RuntimeIteration {
   std::size_t holds = 0;
+  /// Holds that ran Theorem 1: every distributed hold does (the centralized
+  /// drivers skip settled ones), so this equals `holds`.
+  std::size_t evaluations = 0;
   std::size_t migrations = 0;
   double migrated_ratio = 0.0;
   double cost_at_end = 0.0;

@@ -53,4 +53,33 @@ inline core::Allocation random_allocation(const topo::Topology& topology,
                                     baselines::PlacementStrategy::kRandom, rng);
 }
 
+/// Four-slot servers at ~60% occupancy by two VM shapes, so some candidates
+/// are full and, with headroom, some lack NIC bandwidth.
+inline core::Allocation mixed_allocation(const topo::Topology& topology,
+                                         std::size_t num_vms, util::Rng& rng) {
+  core::ServerCapacity cap;
+  cap.vm_slots = 4;
+  cap.ram_mb = 1024.0;
+  cap.cpu_cores = 4.0;
+  cap.net_bps = 1e9;
+  core::VmSpec small;
+  small.ram_mb = 196.0;
+  small.cpu_cores = 1.0;
+  small.net_bps = 0.1e9;
+  core::VmSpec large;
+  large.ram_mb = 400.0;
+  large.cpu_cores = 2.0;
+  large.net_bps = 0.35e9;
+  core::Allocation alloc(topology.num_hosts(), cap);
+  for (std::size_t i = 0; i < num_vms; ++i) {
+    const core::VmSpec& spec = rng.index(3) == 0 ? large : small;
+    core::ServerId host = 0;
+    do {
+      host = static_cast<core::ServerId>(rng.index(topology.num_hosts()));
+    } while (!alloc.can_host(host, spec));
+    alloc.add_vm(spec, host);
+  }
+  return alloc;
+}
+
 }  // namespace score::testing

@@ -393,7 +393,10 @@ TEST_F(DistributedTest, TokenCarriesEpochAndAggregateDelta) {
   // carried on the wire, not observed globally.
   EXPECT_EQ(res.final_epoch, res.total_migrations);
   std::size_t holds = 0;
-  for (const auto& it : res.iterations) holds += it.holds;
+  for (const auto& it : res.iterations) {
+    holds += it.holds;
+    EXPECT_EQ(it.evaluations, it.holds);  // agents skip no hold
+  }
   EXPECT_EQ(res.final_ring_pos, holds);
   // The token's aggregate Lemma-3 delta tracks the actually realised cost
   // reduction (small divergence from flow-table byte-counter rounding).

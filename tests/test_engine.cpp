@@ -32,6 +32,7 @@ using score::core::ServerCapacity;
 using score::core::ServerId;
 using score::core::VmId;
 using score::core::VmSpec;
+using score::testing::mixed_allocation;
 using score::testing::random_allocation;
 using score::testing::random_tm;
 using score::testing::tiny_tree_config;
@@ -385,8 +386,9 @@ std::vector<ServerId> reference_candidates(const Topology& topo,
   return candidates;
 }
 
-/// Probe every candidate's capacity, score each feasible one with
-/// CostModel::migration_delta, keep the first strict maximum.
+/// Score every candidate with CostModel::migration_delta (improvable when
+/// any beats c_m), probe every candidate's capacity, keep the first strict
+/// maximum among the feasible ones.
 Decision reference_evaluate(const MigrationEngine& engine,
                             const Allocation& alloc, const TrafficMatrix& tm,
                             VmId u) {
@@ -396,9 +398,10 @@ Decision reference_evaluate(const MigrationEngine& engine,
        reference_candidates(engine.cost_model().topology(), engine.config(),
                             alloc, tm, u)) {
     ++best.candidates_probed;
-    if (!engine.target_feasible(alloc, target, spec)) continue;
     const double delta =
         engine.cost_model().migration_delta(alloc, tm, u, target);
+    if (delta > engine.config().migration_cost) best.improvable = true;
+    if (!engine.target_feasible(alloc, target, spec)) continue;
     if (best.target == kInvalidServer || delta > best.delta) {
       best.target = target;
       best.delta = delta;
@@ -410,44 +413,18 @@ Decision reference_evaluate(const MigrationEngine& engine,
   return best;
 }
 
-/// Four-slot servers at ~60% occupancy by two VM shapes, so some candidates
-/// are full and, with headroom, some lack NIC bandwidth.
-Allocation mixed_allocation(const Topology& topo, std::size_t num_vms,
-                            Rng& rng) {
-  ServerCapacity cap;
-  cap.vm_slots = 4;
-  cap.ram_mb = 1024.0;
-  cap.cpu_cores = 4.0;
-  cap.net_bps = 1e9;
-  VmSpec small;
-  small.ram_mb = 196.0;
-  small.cpu_cores = 1.0;
-  small.net_bps = 0.1e9;
-  VmSpec large;
-  large.ram_mb = 400.0;
-  large.cpu_cores = 2.0;
-  large.net_bps = 0.35e9;
-  Allocation alloc(topo.num_hosts(), cap);
-  for (std::size_t i = 0; i < num_vms; ++i) {
-    const VmSpec& spec = rng.index(3) == 0 ? large : small;
-    ServerId host = 0;
-    do {
-      host = static_cast<ServerId>(rng.index(topo.num_hosts()));
-    } while (!alloc.can_host(host, spec));
-    alloc.add_vm(spec, host);
-  }
-  return alloc;
-}
-
 // The engine gathers u's peers once, builds candidates without repeats by
 // skipping expanded racks, and probes capacity only for a candidate that
 // would win. Every decision must equal the straightforward algorithm's, to
 // the bit, on every topology and across candidate caps, rack siblings,
-// headroom and c_m, including states where the walk has already converged.
+// headroom and c_m, including states where the walk has already converged;
+// `improvable` must be set exactly when some candidate, feasible or not,
+// beats c_m.
 TEST(EngineOracle, EvaluateMatchesTheStraightforwardAlgorithm) {
   std::size_t decisions = 0;
   std::size_t migrations = 0;
   std::size_t infeasible_probes = 0;
+  std::size_t blocked = 0;  // improvable, yet no candidate above c_m fits
   std::uint64_t seed = 100;
   for (const LevelCase& c : level_cases()) {
     const Topology& topo = *c.topology;
@@ -484,6 +461,9 @@ TEST(EngineOracle, EvaluateMatchesTheStraightforwardAlgorithm) {
                 const Decision got = engine.evaluate(alloc, tm, u);
                 ASSERT_EQ(got.target, want.target) << where << " vm " << u;
                 ASSERT_EQ(got.migrate, want.migrate) << where << " vm " << u;
+                ASSERT_EQ(got.improvable, want.improvable)
+                    << where << " vm " << u;
+                if (got.improvable && !got.migrate) ++blocked;
                 ASSERT_EQ(got.candidates_probed, want.candidates_probed)
                     << where << " vm " << u;
                 ASSERT_EQ(std::bit_cast<std::uint64_t>(got.delta),
@@ -511,6 +491,7 @@ TEST(EngineOracle, EvaluateMatchesTheStraightforwardAlgorithm) {
   EXPECT_GT(decisions, 50000u);
   EXPECT_GT(migrations, 1000u);
   EXPECT_GT(infeasible_probes, 1000u);
+  EXPECT_GT(blocked, 100u);
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 // Multi-token extension tests: monotone cost under concurrent tokens, the
 // k=1 case degenerating to the paper's single-token Round-Robin, wall-clock
-// speed-up with more tokens, and bookkeeping invariants.
+// speed-up with more tokens, bookkeeping invariants, and the timing-config
+// checks both centralized drivers share.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/sharded_cost_oracle.hpp"
 #include "driver/multi_token.hpp"
@@ -21,6 +26,7 @@ using score::driver::MultiTokenSimulation;
 using score::core::RoundRobinPolicy;
 using score::driver::ScoreSimulation;
 using score::driver::SimConfig;
+using score::driver::TokenRoundConfig;
 using score::testing::random_allocation;
 using score::testing::random_tm;
 using score::testing::tiny_tree_config;
@@ -213,6 +219,84 @@ TEST_F(MultiTokenTest, RestrictOutOfRangeThrows) {
   cfg.restrict_shards = {4};  // shards are 0..3
   EXPECT_THROW(MultiTokenSimulation(engine_, alloc, tm).run(cfg),
                std::invalid_argument);
+}
+
+/// `run` must throw TokenRoundConfig's std::invalid_argument for `field`
+/// (EventQueue throws the same type for a time in the past, so the message
+/// is matched too).
+void expect_rejected(const std::function<void()>& run, const std::string& field) {
+  try {
+    run();
+    ADD_FAILURE() << field << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("TokenRoundConfig: " + field),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// A NaN or negative time, factor or bandwidth used to cancel a
+// ScoreSimulation run silently (NaN per-hop latency: 0 passes, no error) or
+// reorder the multi-token merge by corrupted completion times. Both drivers
+// now reject the same configs before touching the allocation.
+TEST_F(MultiTokenTest, BothDriversRejectInvalidTimingConfigs) {
+  Rng rng(77);
+  auto tm = random_tm(32, 3.0, rng);
+  const auto alloc0 = random_allocation(topo_, 32, rng);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    const char* field;
+    double TokenRoundConfig::*member;
+    std::vector<double> values;
+  };
+  const Bad cases[] = {
+      {"token_hold_s", &TokenRoundConfig::token_hold_s, {nan, -1.0, inf}},
+      {"token_pass_per_hop_s", &TokenRoundConfig::token_pass_per_hop_s,
+       {nan, -1e-3, inf}},
+      {"migration_bandwidth_bps", &TokenRoundConfig::migration_bandwidth_bps,
+       {nan, 0.0, -1e9, inf}},
+      {"precopy_factor", &TokenRoundConfig::precopy_factor, {nan, -1.0, inf}},
+      {"migration_overhead_s", &TokenRoundConfig::migration_overhead_s,
+       {nan, -0.1, inf}},
+  };
+  for (const Bad& c : cases) {
+    for (const double v : c.values) {
+      SCOPED_TRACE(std::string(c.field) + " = " + std::to_string(v));
+      auto alloc = alloc0;
+      MultiTokenConfig mcfg;
+      mcfg.tokens = 2;
+      mcfg.*c.member = v;
+      expect_rejected([&] { MultiTokenSimulation(engine_, alloc, tm).run(mcfg); },
+                      c.field);
+      SimConfig scfg;
+      scfg.*c.member = v;
+      RoundRobinPolicy rr;
+      expect_rejected([&] { ScoreSimulation(engine_, rr, alloc, tm).run(scfg); },
+                      c.field);
+      bool untouched = true;
+      for (score::core::VmId u = 0; u < 32; ++u) {
+        untouched = untouched && alloc.server_of(u) == alloc0.server_of(u);
+      }
+      EXPECT_TRUE(untouched);
+    }
+  }
+
+  // Zero holds, latencies, overheads and pre-copy stay legal.
+  auto alloc_multi = alloc0;
+  auto alloc_single = alloc0;
+  MultiTokenConfig mcfg;
+  SimConfig scfg;
+  for (TokenRoundConfig* cfg : {static_cast<TokenRoundConfig*>(&mcfg),
+                                static_cast<TokenRoundConfig*>(&scfg)}) {
+    cfg->token_hold_s = 0.0;
+    cfg->token_pass_per_hop_s = 0.0;
+    cfg->precopy_factor = 0.0;
+    cfg->migration_overhead_s = 0.0;
+  }
+  RoundRobinPolicy rr;
+  EXPECT_GT(MultiTokenSimulation(engine_, alloc_multi, tm).run(mcfg).total_migrations, 0u);
+  EXPECT_GT(ScoreSimulation(engine_, rr, alloc_single, tm).run(scfg).total_migrations, 0u);
 }
 
 }  // namespace

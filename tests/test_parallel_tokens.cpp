@@ -1,7 +1,8 @@
 // Parallel token rounds: a seeded multi-token run must be a pure function
 // of the scenario — seq, par(1) and par(4) execution policies produce
-// identical migration sequences, final costs, iteration stats and final
-// allocations; only wall-clock may differ. Plus the pass-barrier invariants
+// identical migration sequences, final costs, iteration stats (settled-hold
+// skips included: `evaluations` must match too) and final allocations; only
+// wall-clock may differ. Plus the pass-barrier invariants
 // of the phased driver (monotone commits, reconciled Eq. (2) cost).
 #include <gtest/gtest.h>
 
@@ -61,6 +62,7 @@ void expect_identical(const SimResult& a, const SimResult& b, const char* what) 
   ASSERT_EQ(a.iterations.size(), b.iterations.size());
   for (std::size_t i = 0; i < a.iterations.size(); ++i) {
     EXPECT_EQ(a.iterations[i].holds, b.iterations[i].holds);
+    EXPECT_EQ(a.iterations[i].evaluations, b.iterations[i].evaluations);
     EXPECT_EQ(a.iterations[i].migrations, b.iterations[i].migrations);
     EXPECT_EQ(a.iterations[i].cost_at_end, b.iterations[i].cost_at_end);
     EXPECT_EQ(a.iterations[i].time_at_end_s, b.iterations[i].time_at_end_s);

@@ -1,8 +1,8 @@
-// core/sharded_cost_oracle: partition carve-up, per-shard snapshot/cache
-// isolation, and pass-barrier reconciliation against brute-force Eq. (2).
-// (Under -DSCORE_CHECK_CACHE=ON the shard caches additionally self-verify
-// every fold against the brute-force total — the dedicated CI job runs this
-// suite in that mode.)
+// core/sharded_cost_oracle: partition carve-up, per-shard snapshot
+// isolation, incremental resync, and pass-barrier reconciliation against
+// brute-force Eq. (2). (Under -DSCORE_CHECK_CACHE=ON the incremental barrier
+// additionally full-scans every snapshot against the master — the dedicated
+// CI job runs this suite in that mode.)
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -102,23 +102,30 @@ TEST_F(ShardedOracleTest, ShardWalksAreIsolatedAndReconcileTracksMerge) {
   ShardedCostOracle oracle(topo_, weights_, partitions);
   oracle.begin_pass(master, tm, ExecPolicy::par(2));
 
-  // Each shard migrates one of its own VMs on its private snapshot.
+  // Each shard migrates one of its own VMs on its private snapshot; the
+  // master and the other shards' snapshots keep their placements.
+  const MigrationEngine engine(brute_);
+  const auto master0 = master;
+  std::vector<std::size_t> moved_shard(num_vms, oracle.num_shards());
   for (std::size_t t = 0; t < oracle.num_shards(); ++t) {
     auto& snap = oracle.shard_alloc(t);
-    const auto& model = oracle.shard_model(t);
-    MigrationEngine engine(model);
     const auto d = engine.evaluate(snap, tm, partitions[t].first);
     if (d.migrate) {
-      model.apply_migration(snap, tm, partitions[t].first, d.target);
-      // Shard-local O(1) total reflects the shard's own move...
-      EXPECT_NEAR(model.total_cost(snap, tm), brute_.total_cost(snap, tm),
-                  1e-7 * (1.0 + std::abs(model.total_cost(snap, tm))));
+      snap.migrate(partitions[t].first, d.target);
+      moved_shard[partitions[t].first] = t;
     }
-    // ...while the master and the other shards are untouched.
     EXPECT_TRUE(master.check_consistency());
   }
   for (std::size_t t = 0; t < oracle.num_shards(); ++t) {
-    EXPECT_TRUE(oracle.shard_alloc(t).check_consistency());
+    const auto& snap = oracle.shard_alloc(t);
+    EXPECT_TRUE(snap.check_consistency());
+    for (score::core::VmId u = 0; u < num_vms; ++u) {
+      ASSERT_EQ(master.server_of(u), master0.server_of(u)) << "vm " << u;
+      if (moved_shard[u] != t) {
+        ASSERT_EQ(snap.server_of(u), master0.server_of(u))
+            << "shard " << t << " vm " << u;
+      }
+    }
   }
 
   // Commit one real migration on the master; reconcile must track the
@@ -143,16 +150,16 @@ TEST_F(ShardedOracleTest, IncrementalBeginPassResyncsSnapshotsToMaster) {
 
   // Walk phase: each shard commits a local move on its private snapshot.
   std::vector<score::core::VmId> touched;
+  const MigrationEngine engine(brute_);
   for (std::size_t t = 0; t < oracle.num_shards(); ++t) {
     auto& snap = oracle.shard_alloc(t);
-    const auto& model = oracle.shard_model(t);
-    MigrationEngine engine(model);
     const auto d = engine.evaluate(snap, tm, partitions[t].first);
     if (d.migrate) {
-      model.apply_migration(snap, tm, partitions[t].first, d.target);
+      snap.migrate(partitions[t].first, d.target);
       touched.push_back(partitions[t].first);
     }
   }
+  ASSERT_GE(touched.size(), 2u);  // so the merge below commits a strict subset
   // Merge phase: commit a subset (every other proposal) on the master.
   for (std::size_t i = 0; i < touched.size(); i += 2) {
     const auto vm = touched[i];
@@ -161,11 +168,10 @@ TEST_F(ShardedOracleTest, IncrementalBeginPassResyncsSnapshotsToMaster) {
     if (d.migrate) brute_.apply_migration(master, tm, vm, d.target);
   }
 
-  // Incremental barrier: every snapshot must equal the master again, and the
-  // cached Eq. (2) totals must match brute force without a rebuild.
+  // Incremental barrier: every snapshot must equal the master again, and
+  // reconcile must equal brute-force Eq. (2) on the merged master.
   for (const ExecPolicy policy : {ExecPolicy::seq(), ExecPolicy::par(3)}) {
     oracle.begin_pass(master, tm, policy, touched);
-    const double expected = brute_.total_cost(master, tm);
     for (std::size_t t = 0; t < oracle.num_shards(); ++t) {
       const auto& snap = oracle.shard_alloc(t);
       ASSERT_TRUE(snap.check_consistency());
@@ -173,9 +179,10 @@ TEST_F(ShardedOracleTest, IncrementalBeginPassResyncsSnapshotsToMaster) {
         ASSERT_EQ(snap.server_of(u), master.server_of(u))
             << "shard " << t << " vm " << u << " under " << policy.name();
       }
-      EXPECT_NEAR(oracle.shard_model(t).total_cost(snap, tm), expected,
-                  1e-7 * (1.0 + std::abs(expected)));
     }
+    const double expected = brute_.total_cost(master, tm);
+    EXPECT_NEAR(oracle.reconcile(master, tm, policy), expected,
+                1e-7 * (1.0 + std::abs(expected)));
   }
 
   // An incomplete-snapshot oracle (fresh instance) silently falls back to
