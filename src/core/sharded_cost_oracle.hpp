@@ -5,7 +5,8 @@
 // barrier. A shard decision reads only the Lemma-3 delta over (snapshot, tm),
 // never a cached cost sum, so the shards hold plain allocations:
 //
-//   begin_pass(master)   copy master into every shard snapshot
+//   begin_pass(master)   copy master into every shard snapshot, or resync
+//                        only the VMs touched since the previous barrier
 //                        (parallelisable — shard state is disjoint by
 //                        construction);
 //   shard walk           the owning token evaluates Theorem 1 against its
@@ -51,9 +52,8 @@ std::vector<VmRange> partition_vms(std::size_t num_vms, std::size_t shards);
 /// Un-halved Eq. (1) partial sum Σ_{u∈range} C^A(u) of one shard's VM range —
 /// the per-shard term reconcile() halves and adds up. `model` may be any
 /// CostModel: a CachedCostModel *bound* to (alloc, tm) serves each term from
-/// its cache in O(1) (how driver/streaming arms per-shard drift baselines),
-/// a plain or unbound model recomputes brute-force (how reconcile and the
-/// SCORE_CHECK_CACHE attribution check stay independent of cache state).
+/// its cache in O(1), a plain or unbound model recomputes brute-force (how
+/// reconcile stays independent of cache state).
 double shard_partial_sum(const CostModel& model, const Allocation& alloc,
                          const traffic::TrafficMatrix& tm,
                          const VmRange& range);
@@ -71,7 +71,9 @@ class ShardedCostOracle {
   }
 
   /// Copy `master` into every shard snapshot. Runs one job per shard under
-  /// `policy`. `tm` is not read: snapshots hold placements only.
+  /// `policy`. `tm` is not read: snapshots hold placements only. The
+  /// multi-token driver uses the incremental overload alone, whose first
+  /// call does this copy; perfbench's probes time this one.
   void begin_pass(const Allocation& master, const traffic::TrafficMatrix& tm,
                   const util::ExecPolicy& policy);
 

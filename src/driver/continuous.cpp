@@ -271,6 +271,10 @@ ContinuousEngine::ContinuousEngine(const topo::Topology& topology,
   if (config_.epochs == 0) {
     throw std::invalid_argument("ContinuousConfig::epochs must be >= 1");
   }
+  if (config_.iterations_per_epoch == 0) {
+    throw std::invalid_argument(
+        "ContinuousConfig::iterations_per_epoch must be >= 1");
+  }
 }
 
 SteadyStateReport ContinuousEngine::run() {

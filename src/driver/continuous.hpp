@@ -84,7 +84,8 @@ struct ContinuousConfig : OptimizerConfig {
   core::VmSpec vm_spec;
 
   // ---- per-epoch optimisation ----------------------------------------------
-  /// Token-round budget per epoch (stability may stop a run earlier).
+  /// Token-round budget per epoch (stability may stop a run earlier); must
+  /// be >= 1.
   std::size_t iterations_per_epoch = 4;
 };
 
@@ -144,6 +145,7 @@ struct SteadyStateReport {
 class ContinuousEngine {
  public:
   /// `topology` must outlive the engine. One server per topology host.
+  /// Throws std::invalid_argument on zero epochs or a zero round budget.
   ContinuousEngine(const topo::Topology& topology, ContinuousConfig config);
 
   /// Sample the lifecycle stream from the config seeds and run all epochs.

@@ -1,7 +1,6 @@
 #include "driver/multi_token.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <tuple>
 
@@ -41,23 +40,6 @@ SimResult MultiTokenSimulation::run(const MultiTokenConfig& config) {
   const std::size_t tokens = partitions.size();
   core::ShardedCostOracle oracle(topology, model.weights(), partitions);
 
-  // Shards that actually take token rounds this run (see restrict_shards).
-  std::vector<std::size_t> walk_shards = config.restrict_shards;
-  if (walk_shards.empty()) {
-    walk_shards.resize(tokens);
-    std::iota(walk_shards.begin(), walk_shards.end(), std::size_t{0});
-  } else {
-    std::sort(walk_shards.begin(), walk_shards.end());
-    walk_shards.erase(std::unique(walk_shards.begin(), walk_shards.end()),
-                      walk_shards.end());
-    if (walk_shards.back() >= tokens) {
-      throw std::invalid_argument(
-          "MultiTokenSimulation: restrict_shards index out of range");
-    }
-  }
-  std::size_t walked_vms = 0;
-  for (const std::size_t t : walk_shards) walked_vms += partitions[t].size();
-
   SimResult result;
   result.initial_cost = model.total_cost(*alloc_, *tm_);
   double cost = result.initial_cost;
@@ -68,11 +50,10 @@ SimResult MultiTokenSimulation::run(const MultiTokenConfig& config) {
   // since the previous pass barrier: the union of all shards' *proposed*
   // local moves (committed or not — a shard's own uncommitted move diverged
   // its snapshot, another shard's committed move diverged the master). This
-  // is the incremental begin_pass contract: pass 1 pays the full per-shard
-  // snapshot copy, every later barrier costs O(shards × |touched|)
-  // instead of O(shards × world).
+  // is the incremental begin_pass contract: pass 1 (empty set, no snapshots
+  // yet) pays the full per-shard snapshot copy, every later barrier costs
+  // O(shards × |touched|) instead of O(shards × world).
   std::vector<VmId> touched;
-  bool have_snapshots = false;
   // A hold in shard t is judged against t's snapshot: the master at pass
   // start plus t's own earlier moves this pass. A VM's view changes only
   // where a peer (or the VM) moves in it: a local move (unsettled in the
@@ -83,20 +64,14 @@ SimResult MultiTokenSimulation::run(const MultiTokenConfig& config) {
   for (std::size_t pass = 0; pass < config.iterations; ++pass) {
     // Phase 1 — barrier: private snapshot per token partition (incrementally
     // resynced from the previous pass where possible).
-    if (have_snapshots) {
-      oracle.begin_pass(*alloc_, *tm_, config.policy, touched);
-    } else {
-      oracle.begin_pass(*alloc_, *tm_, config.policy);
-      have_snapshots = true;
-    }
+    oracle.begin_pass(*alloc_, *tm_, config.policy, touched);
 
     // Phase 2 — parallel shard walks. Each job touches only shard-t state
     // (its snapshot, its ShardPass slot, the settled flags of its range), so
     // the outcome is a pure function of the pass-start snapshot for any
     // execution policy.
     std::vector<ShardPass> walked(tokens);
-    util::for_each_shard(config.policy, walk_shards.size(), [&](std::size_t j) {
-      const std::size_t t = walk_shards[j];
+    util::for_each_shard(config.policy, tokens, [&](std::size_t t) {
       ShardPass& out = walked[t];
       Allocation& snap = oracle.shard_alloc(t);
       const core::VmRange range = oracle.partition(t);
@@ -174,11 +149,11 @@ SimResult MultiTokenSimulation::run(const MultiTokenConfig& config) {
     for (const ShardPass& sp : walked) max_busy = std::max(max_busy, sp.busy_until_s);
 
     IterationStats it;
-    it.holds = walked_vms;
+    it.holds = num_vms;
     for (const ShardPass& sp : walked) it.evaluations += sp.evaluations;
     it.migrations = pass_migrations;
     it.migrated_ratio =
-        static_cast<double>(pass_migrations) / static_cast<double>(walked_vms);
+        static_cast<double>(pass_migrations) / static_cast<double>(num_vms);
     it.cost_at_end = cost;
     it.time_at_end_s = pass_start_s + max_busy;
     result.iterations.push_back(it);

@@ -6,7 +6,8 @@
 // rounds as *phased passes* that map onto real threads:
 //
 //   1. Pass barrier: ShardedCostOracle snapshots the master allocation into
-//      one private allocation per token partition.
+//      one private allocation per token partition — a full copy on pass 1,
+//      then a resync of only the VMs the previous pass proposed to move.
 //   2. Parallel shard walk (util::for_each_shard under the configured
 //      ExecPolicy): each token visits its VM range in ascending order,
 //      evaluating Theorem 1 with the driver's engine against its snapshot —
@@ -35,8 +36,6 @@
 // streaming and continuous engines runs here (driver/reoptimize).
 #pragma once
 
-#include <vector>
-
 #include "core/migration_engine.hpp"
 #include "driver/simulation.hpp"
 #include "util/exec_policy.hpp"
@@ -48,16 +47,6 @@ struct MultiTokenConfig : TokenRoundConfig {
   /// Where shard walks + reconciliation run. Results are identical for every
   /// policy; par(n) shrinks wall-clock with the token count.
   util::ExecPolicy policy = util::ExecPolicy::seq();
-  /// Token-shard indices (into partition_vms(num_vms, tokens)) whose VM
-  /// ranges take token rounds this run. Empty (the default) walks every
-  /// shard — the classic full pass. Indices are deduplicated; out-of-range
-  /// entries throw. Partial re-optimisation (driver/streaming) uses this to
-  /// confine token rounds to drifted shards: unrestricted shards propose no
-  /// moves (so the incremental begin_pass touched set stays correct), but
-  /// snapshots, merge revalidation and reconciliation still span the whole
-  /// world — reported costs remain true Eq. (2) totals and every commit is
-  /// still validated against the live master.
-  std::vector<std::size_t> restrict_shards;
 };
 
 class MultiTokenSimulation {

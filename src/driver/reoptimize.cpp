@@ -16,18 +16,19 @@ void OptimizerConfig::validate() const {
   if (mode != "centralized" && mode != "distributed") {
     throw std::invalid_argument("mode must be centralized or distributed");
   }
+  if (reopt_iterations == 0) {
+    throw std::invalid_argument("reopt_iterations must be >= 1");
+  }
   engine.validate();
 }
 
-ConvergenceReport reoptimize(
-    const core::CostModel& model, core::Allocation& alloc,
-    const traffic::TrafficMatrix& tm, const OptimizerConfig& config,
-    std::size_t iterations, const std::vector<std::size_t>& restrict_shards) {
+ConvergenceReport reoptimize(const core::CostModel& model,
+                             core::Allocation& alloc,
+                             const traffic::TrafficMatrix& tm,
+                             const OptimizerConfig& config,
+                             std::size_t iterations) {
   config.validate();
   if (config.distributed()) {
-    if (!restrict_shards.empty()) {
-      throw std::logic_error("reoptimize: restricted rounds need centralized");
-    }
     hypervisor::RuntimeConfig rcfg = config.runtime;
     rcfg.engine = config.engine;
     rcfg.iterations = iterations;
@@ -38,7 +39,6 @@ ConvergenceReport reoptimize(
   mcfg.tokens = std::max<std::size_t>(1, config.tokens);
   mcfg.iterations = iterations;
   mcfg.policy = config.exec;
-  mcfg.restrict_shards = restrict_shards;
   const core::MigrationEngine engine(model, config.engine);
   const SimResult res = MultiTokenSimulation(engine, alloc, tm).run(mcfg);
   ConvergenceReport report = summarize(res);

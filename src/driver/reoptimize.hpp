@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "baselines/placement.hpp"
 #include "core/cost_model.hpp"
@@ -40,8 +39,8 @@ struct OptimizerConfig {
   /// bounds pathological cases).
   std::size_t reopt_iterations = 12;
 
-  /// Throws std::invalid_argument unless `mode` names one of the two modes
-  /// and `engine` passes EngineConfig::validate.
+  /// Throws std::invalid_argument unless `mode` names one of the two modes,
+  /// `reopt_iterations` >= 1 and `engine` passes EngineConfig::validate.
   void validate() const;
   bool distributed() const { return mode == "distributed"; }
 };
@@ -49,13 +48,12 @@ struct OptimizerConfig {
 /// At most `iterations` token rounds on the live state (fewer once a round
 /// commits nothing) through MultiTokenSimulation (centralized, any token
 /// count) or DistributedScoreRuntime. A caching `model` must be bound to
-/// (alloc, tm). A non-empty `restrict_shards` confines centralized rounds to
-/// those token shards (MultiTokenConfig::restrict_shards).
-ConvergenceReport reoptimize(
-    const core::CostModel& model, core::Allocation& alloc,
-    const traffic::TrafficMatrix& tm, const OptimizerConfig& config,
-    std::size_t iterations,
-    const std::vector<std::size_t>& restrict_shards = {});
+/// (alloc, tm).
+ConvergenceReport reoptimize(const core::CostModel& model,
+                             core::Allocation& alloc,
+                             const traffic::TrafficMatrix& tm,
+                             const OptimizerConfig& config,
+                             std::size_t iterations);
 
 /// What starting over on `tm` would achieve: a fresh `placement` drawn from
 /// `seed`, re-optimised by the single-token Round-Robin loop to stability

@@ -20,6 +20,7 @@ void require(bool ok, const char* field, const char* rule) {
 }  // namespace
 
 void TokenRoundConfig::validate() const {
+  require(iterations >= 1, "iterations", ">= 1");
   const auto non_negative = [](double v) {
     return std::isfinite(v) && v >= 0.0;
   };

@@ -52,10 +52,12 @@ struct TokenRoundConfig {
   /// Fixed per-migration control overhead (setup + stop-and-copy).
   double migration_overhead_s = 0.1;
 
-  /// Throws std::invalid_argument naming the field unless every time and
-  /// factor is finite and >= 0 and migration_bandwidth_bps is finite and
-  /// > 0. Both drivers call it first in run(): a NaN or negative value would
-  /// corrupt the virtual clock that orders the multi-token merge.
+  /// Throws std::invalid_argument naming the field unless `iterations` >= 1,
+  /// every time and factor is finite and >= 0 and migration_bandwidth_bps is
+  /// finite and > 0. Both drivers call it first in run(): a NaN or negative
+  /// value would corrupt the virtual clock that orders the multi-token
+  /// merge, and a zero budget would run one round in ScoreSimulation but
+  /// none in MultiTokenSimulation.
   void validate() const;
 };
 

@@ -5,10 +5,11 @@
 // stream instead: flow up/down/rate-change deltas are folded into one live
 // TrafficMatrix (and, through the TrafficObserver seam, into the bound
 // CachedCostModel in O(1) per delta — no rebuilds on the ingest path), and
-// re-optimisation launches only when the *cached* Eq. (2) total has drifted
-// past a configurable threshold since the last optimised state. Between
-// triggers the optimiser does no work at all; the cost of staying current is
-// one O(1) fold per delta.
+// re-optimisation launches only when the *cached* Eq. (2) total — one global
+// drift scalar, read in O(1) once per batch — has drifted past a
+// configurable threshold since the last optimised state. Between triggers
+// the optimiser does no work at all; the cost of staying current is one
+// O(1) fold per delta.
 //
 // Concurrency contract (the shape the TSan job locks in): the producer
 // thread synthesises FlowDeltaBatches and hands them over an IngestQueue;
@@ -21,25 +22,6 @@
 // exit path (including a throwing fold or re-optimisation) by an RAII
 // guard, so no run() outcome leaks a joinable thread or a producer blocked
 // on backpressure.
-//
-// Sharded ingest (ingest_shards > 1) partitions drift *attribution* per VM
-// shard while the matrix stays single-owner: an observer on the live matrix
-// sees each pair's effective rate transition during the apply and adds the
-// shard's share of the Eq. (1) perturbation to every shard owning one of
-// its endpoints,
-//
-//   D_t += Σ_transitions (#endpoints in shard t) · ½·pair_cost(|Δλ|, ℓ(u,v))
-//
-// against the allocation the apply leaves untouched — the same per-endpoint
-// arithmetic the bound cache folds, so Σ_t over a transition is exactly its
-// worst-case Eq. (2) movement and D_t ≥ |ΔS_t| (the shard's true
-// partial-sum drift) by the triangle inequality. Each shard arms its own
-// DriftTrigger on the shard's Eq. (2) partial sum. In centralized mode a
-// triggered re-optimisation walks only the token shards overlapping the
-// drifted shards' VM ranges (MultiTokenConfig::restrict_shards); dom0
-// agents in distributed mode always walk their whole world. Attribution
-// runs on the consumer thread in transition order, so it is deterministic
-// under every `exec` policy.
 #pragma once
 
 #include <cmath>
@@ -105,7 +87,8 @@ struct StreamingConfig : OptimizerConfig {
   // ---- drift-triggered re-optimisation -------------------------------------
   /// Relative drift of the cached total that launches a re-optimisation.
   double drift_threshold = 0.05;
-  /// Token-round budget per triggered re-opt (stability may stop earlier).
+  /// Token-round budget per triggered re-opt (stability may stop earlier);
+  /// must be >= 1.
   std::size_t iterations_per_reopt = 4;
 
   // ---- fresh re-optimisation reference -------------------------------------
@@ -113,13 +96,6 @@ struct StreamingConfig : OptimizerConfig {
   /// stability on the matrix snapshot). Costs a full optimisation per
   /// trigger; disable for pure throughput runs.
   bool fresh_reference = true;
-
-  // ---- sharded ingest + partial re-optimisation ----------------------------
-  /// > 1 partitions drift attribution per VM shard with one DriftTrigger per
-  /// shard, and in centralized mode confines each triggered re-optimisation
-  /// to the drifted shards (see the module comment). 1 (the default) keeps
-  /// the single global drift scalar.
-  std::size_t ingest_shards = 1;
 
   // ---- diagnostics ---------------------------------------------------------
   /// Optional observer registered on the live matrix for the whole run (not
@@ -139,10 +115,6 @@ struct ReoptEvent {
   bool fresh_computed = false;  ///< fresh_cost is a real reference
   std::size_t migrations = 0;
   std::size_t rounds = 0;
-  bool partial = false;  ///< token rounds confined to drifted shards
-  /// Ingest-shard indices whose triggers fired (sharded mode; empty for the
-  /// global scalar trigger).
-  std::vector<std::size_t> drifted_shards;
 
   /// fresh_ratio(): NaN when the reference is disabled or both costs are 0,
   /// +infinity for a computed zero reference beaten by a nonzero cost.
@@ -164,13 +136,8 @@ struct StreamingReport {
   double final_fresh_cost = 0.0;    ///< fresh reference on the final matrix
   bool final_fresh_computed = false;  ///< final_fresh_cost is a real reference
 
-  // ---- sharded ingest ------------------------------------------------------
-  std::size_t ingest_shards = 1;   ///< shard count the run used
-  std::size_t partial_reopts = 0;  ///< reopts with restricted rounds
-
   // ---- latency percentiles -------------------------------------------------
-  /// One sample per consumed batch: apply (with sharded drift attribution)
-  /// plus folding the batch's attribution into the shard accumulators.
+  /// One sample per consumed batch: the apply, observer folds included.
   std::vector<double> fold_latency_ns;
   /// One sample per per-batch trigger decision (drift evaluation only).
   std::vector<double> trigger_latency_ns;
@@ -199,7 +166,8 @@ class StreamingEngine {
  public:
   /// `topology` must outlive the engine. One server per topology host.
   /// Throws std::invalid_argument on a config run() cannot honour (fewer
-  /// than 2 VMs, an unknown mode, a negative or NaN drift threshold).
+  /// than 2 VMs, an unknown mode, a negative or NaN drift threshold, a zero
+  /// round budget).
   StreamingEngine(const topo::Topology& topology, StreamingConfig config);
 
   /// Producer thread streams batches over an IngestQueue; the calling thread

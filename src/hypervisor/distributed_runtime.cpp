@@ -35,6 +35,9 @@ RuntimeConfig validated(RuntimeConfig cfg, const core::CostModel& model,
                                 cfg.policy + "'");
   }
   cfg.engine.validate();
+  // A zero budget would still run one round here but none in the
+  // centralized drivers.
+  require(cfg.iterations >= 1, "iterations", ">= 1");
   // A value outside these ranges hangs the run (a token that is always lost,
   // a watchdog that re-arms at the same instant) or quietly disables it.
   const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };

@@ -86,7 +86,7 @@ struct ChurnEvent {
 struct RuntimeConfig {
   std::string policy = "round-robin";  ///< "round-robin" or "highest-level-first"
   core::EngineConfig engine;           ///< c_m, candidate cap, bandwidth headroom
-  std::size_t iterations = 5;
+  std::size_t iterations = 5;          ///< token-round budget, >= 1
   bool stop_when_stable = true;
   double measurement_window_s = 60.0;  ///< flow-statistics averaging window
   double decision_time_s = 0.01;       ///< dom0 processing per token hold

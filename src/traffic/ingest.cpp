@@ -127,15 +127,6 @@ FlowDeltaBatch FlowEventStream::next_batch() {
   return batch;
 }
 
-ShardMap::ShardMap(std::size_t num_vms, std::size_t shards)
-    : num_vms_(num_vms),
-      shards_(std::max<std::size_t>(1, std::min(shards, num_vms))),
-      base_(num_vms / shards_),
-      extra_(num_vms % shards_),
-      boundary_(extra_ * (base_ + 1)) {
-  if (num_vms == 0) throw std::invalid_argument("ShardMap: no VMs");
-}
-
 void IngestQueue::push(FlowDeltaBatch batch) {
   {
     std::unique_lock<std::mutex> lock(mu_);

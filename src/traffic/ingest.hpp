@@ -96,34 +96,6 @@ class FlowEventStream {
   util::Rng rng_;
 };
 
-/// VM id → shard index router for the sharded ingest path: the same
-/// contiguous carve-up as core::partition_vms (first `num_vms % shards`
-/// shards get one extra id), computed arithmetically so a lookup is O(1)
-/// with no table — the streaming engine's drift attribution calls it once
-/// per endpoint of every effective transition. core remains the owner of
-/// the VmRange view; test_streaming locks the two in agreement.
-class ShardMap {
- public:
-  /// `shards` is clamped to [1, num_vms]; num_vms must be > 0.
-  ShardMap(std::size_t num_vms, std::size_t shards);
-
-  std::size_t shard_of(VmId u) const {
-    const std::size_t id = u;
-    return id < boundary_ ? id / (base_ + 1)
-                          : extra_ + (id - boundary_) / base_;
-  }
-
-  std::size_t num_shards() const { return shards_; }
-  std::size_t num_vms() const { return num_vms_; }
-
- private:
-  std::size_t num_vms_;
-  std::size_t shards_;
-  std::size_t base_;      ///< num_vms / shards
-  std::size_t extra_;     ///< num_vms % shards (shards holding base_+1 ids)
-  std::size_t boundary_;  ///< first id owned by a base_-sized shard
-};
-
 /// Handoff of delta batches between one or more producers and the consumer
 /// that owns the TrafficMatrix. All operations are mutex-protected; pop()
 /// blocks until a batch arrives or the queue is closed and drained.

@@ -80,19 +80,27 @@ TEST(CliFlags, ModeIncompatibleCombosAreRejected) {
   expect_one_line_rejection("--arrival-prob 0.5", "--arrival-prob");
   expect_one_line_rejection("--mode distributed --tenant-vms 8",
                             "--tenant-vms");
-  // Sharded ingest is a streaming-mode knob.
-  expect_one_line_rejection("--ingest-shards 4", "--ingest-shards");
+  // Ingest knobs need the streaming engine.
+  expect_one_line_rejection("--ticks 4", "--ticks");
 }
 
 TEST(CliFlags, NegativeCountsAreRejected) {
-  // A negative count used to wrap to 2^64-1: --ticks -1 never terminated
-  // and --ingest-shards -1 silently ran one shard per VM.
-  expect_one_line_rejection(
-      "--mode streaming --vms 16 --ticks 2 --batch-size 8 --ingest-shards -1",
-      "--ingest-shards");
+  // A negative count used to wrap to 2^64-1: --ticks -1 never terminated.
   expect_one_line_rejection(
       "--mode streaming --vms 16 --ticks -1 --batch-size 8", "--ticks");
   expect_one_line_rejection("--vms 16 --iterations 1 --tokens -1", "--tokens");
+}
+
+TEST(CliFlags, ZeroIterationsIsRejectedInEveryMode) {
+  // A zero round budget used to run one round in the single-token and
+  // distributed drivers and none with --tokens 2 or in the engines.
+  for (const char* args :
+       {"--vms 64 --iterations 0", "--vms 64 --iterations 0 --tokens 2",
+        "--mode distributed --vms 64 --iterations 0",
+        "--mode continuous --vms 64 --epochs 2 --iterations 0",
+        "--mode streaming --vms 64 --ticks 2 --batch-size 8 --iterations 0"}) {
+    expect_one_line_rejection(args, "iterations");
+  }
 }
 
 TEST(CliFlags, NanDriftThresholdIsRejected) {
@@ -130,10 +138,9 @@ TEST(CliFlags, ValidCombosStillRun) {
       run_cli("--mode distributed --vms 16 --iterations 1");
   EXPECT_EQ(defaults.exit_code, 0) << defaults.output;
 
-  const CliResult sharded =
-      run_cli("--mode streaming --vms 16 --ticks 2 --batch-size 8 "
-              "--tokens 2 --ingest-shards 2");
-  EXPECT_EQ(sharded.exit_code, 0) << sharded.output;
+  const CliResult streaming =
+      run_cli("--mode streaming --vms 16 --ticks 2 --batch-size 8 --tokens 2");
+  EXPECT_EQ(streaming.exit_code, 0) << streaming.output;
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "core/scenario_io.hpp"
 #include "driver/continuous.hpp"
@@ -228,6 +230,27 @@ TEST(Continuous, InvalidConfigThrows) {
   cfg = small_config();
   cfg.epochs = 0;
   EXPECT_THROW(driver::ContinuousEngine(topology, cfg), std::invalid_argument);
+  // A zero round budget ran one round in some drivers and none in others;
+  // it is rejected in both modes, naming the field.
+  using Budget = std::size_t driver::ContinuousConfig::*;
+  const std::pair<const char*, Budget> budgets[] = {
+      {"iterations_per_epoch", &driver::ContinuousConfig::iterations_per_epoch},
+      {"reopt_iterations", &driver::ContinuousConfig::reopt_iterations},
+  };
+  for (const auto& [field, member] : budgets) {
+    for (const char* mode : {"centralized", "distributed"}) {
+      cfg = small_config();
+      cfg.mode = mode;
+      cfg.*member = 0;
+      try {
+        driver::ContinuousEngine engine(topology, cfg);
+        ADD_FAILURE() << field << " 0 accepted in " << mode << " mode";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -335,8 +335,22 @@ TEST_F(DistributedTest, RejectsBadConfig) {
       }
     }
   }
+  // A zero round budget ran one round here and none in the centralized
+  // drivers.
+  {
+    RuntimeConfig c;
+    c.iterations = 0;
+    try {
+      DistributedScoreRuntime runtime(model_, alloc, tm, c);
+      ADD_FAILURE() << "iterations = 0 accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("iterations"), std::string::npos)
+          << e.what();
+    }
+  }
   // The edges of the legal ranges still run.
   RuntimeConfig edge;
+  edge.iterations = 1;
   edge.decision_time_s = 0.0;
   edge.per_hop_latency_s = 0.0;
   edge.loopback_latency_s = 0.0;

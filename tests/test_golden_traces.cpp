@@ -153,8 +153,7 @@ std::string render(const std::string& name,
   out << "triggers " << report.reopts.size() << "\n";
   for (const driver::ReoptEvent& ev : report.reopts) {
     out << "tick " << ev.tick << " drift " << fmt(ev.drift) << " migrations "
-        << ev.migrations << " rounds " << ev.rounds << " partial "
-        << (ev.partial ? 1 : 0) << "\n";
+        << ev.migrations << " rounds " << ev.rounds << "\n";
     out << "  cost_before " << fmt(ev.cost_before) << " cost_after "
         << fmt(ev.cost_after) << " fresh " << fmt(ev.fresh_cost) << "\n";
   }
@@ -263,15 +262,6 @@ TEST(GoldenTraces, StreamingCentralizedDense) {
   driver::StreamingEngine engine(topology, cfg);
   check_or_regen("streaming-centralized-x50",
                  render("streaming-centralized-x50", engine.run(), bits));
-}
-
-TEST(GoldenTraces, StreamingShardedPartialReopt) {
-  topo::CanonicalTree topology(canonical_config());
-  driver::StreamingConfig cfg = streaming_config();
-  cfg.ingest_shards = 4;
-  driver::StreamingEngine engine(topology, cfg);
-  check_or_regen("streaming-sharded-partial",
-                 render("streaming-sharded-partial", engine.run()));
 }
 
 TEST(GoldenTraces, StreamingDistributed) {

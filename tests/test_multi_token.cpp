@@ -1,7 +1,9 @@
 // Multi-token extension tests: monotone cost under concurrent tokens, the
 // k=1 case degenerating to the paper's single-token Round-Robin, wall-clock
-// speed-up with more tokens, bookkeeping invariants, and the timing-config
-// checks both centralized drivers share.
+// speed-up with more tokens, bookkeeping invariants, the timing-config
+// checks both centralized drivers share, and metamorphic relations every
+// driver must satisfy (no traffic is a fixed point; scaling every rate and
+// c_m by a power of two scales every reported cost exactly).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,28 +11,32 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/sharded_cost_oracle.hpp"
 #include "driver/multi_token.hpp"
 #include "core/token_policy.hpp"
 #include "helpers.hpp"
+#include "hypervisor/distributed_runtime.hpp"
 
 namespace {
 
 using score::core::CostModel;
 using score::core::LinkWeights;
+using score::core::EngineConfig;
 using score::core::MigrationEngine;
 using score::driver::MultiTokenConfig;
 using score::driver::MultiTokenSimulation;
 using score::core::RoundRobinPolicy;
 using score::driver::ScoreSimulation;
+using score::driver::SimResult;
 using score::driver::SimConfig;
 using score::driver::TokenRoundConfig;
 using score::testing::random_allocation;
 using score::testing::random_tm;
 using score::testing::tiny_tree_config;
 using score::topo::CanonicalTree;
+using score::util::ExecPolicy;
 using score::util::Rng;
 
 class MultiTokenTest : public ::testing::Test {
@@ -157,70 +163,6 @@ TEST_F(MultiTokenTest, StableStopWorks) {
   EXPECT_EQ(res.iterations.back().migrations, 0u);
 }
 
-// ------------------------------------------------- restricted token rounds
-
-TEST_F(MultiTokenTest, RestrictAllShardsMatchesUnrestricted) {
-  Rng rng(71);
-  auto tm = random_tm(48, 3.0, rng);
-  auto alloc_a = random_allocation(topo_, 48, rng);
-  auto alloc_b = alloc_a;
-
-  MultiTokenConfig cfg;
-  cfg.tokens = 4;
-  cfg.iterations = 5;
-  const auto res_a = MultiTokenSimulation(engine_, alloc_a, tm).run(cfg);
-
-  cfg.restrict_shards = {3, 1, 0, 2, 2};  // every shard, unsorted, duplicated
-  const auto res_b = MultiTokenSimulation(engine_, alloc_b, tm).run(cfg);
-
-  // Naming every shard is the same run as naming none — bit for bit.
-  EXPECT_EQ(res_a.final_cost, res_b.final_cost);
-  EXPECT_EQ(res_a.migration_log, res_b.migration_log);
-  for (score::core::VmId u = 0; u < 48; ++u) {
-    EXPECT_EQ(alloc_a.server_of(u), alloc_b.server_of(u));
-  }
-}
-
-TEST_F(MultiTokenTest, RestrictSubsetOnlyMovesItsVms) {
-  Rng rng(72);
-  auto tm = random_tm(48, 3.0, rng);
-  auto alloc = random_allocation(topo_, 48, rng);
-  const auto partitions = score::core::partition_vms(48, 4);
-
-  MultiTokenConfig cfg;
-  cfg.tokens = 4;
-  cfg.iterations = 5;
-  cfg.restrict_shards = {1, 3};
-  const auto res = MultiTokenSimulation(engine_, alloc, tm).run(cfg);
-
-  // Only the restricted shards' VM ranges may take token rounds.
-  for (const auto& rec : res.migration_log) {
-    const bool in_shard1 = rec.vm >= partitions[1].first &&
-                           rec.vm <= partitions[1].last;
-    const bool in_shard3 = rec.vm >= partitions[3].first &&
-                           rec.vm <= partitions[3].last;
-    EXPECT_TRUE(in_shard1 || in_shard3) << "vm " << rec.vm;
-  }
-  // Commits stay strictly cost-reducing under restriction, and holds count
-  // only the walked ranges.
-  EXPECT_LE(res.final_cost, res.initial_cost + 1e-9);
-  ASSERT_FALSE(res.iterations.empty());
-  EXPECT_EQ(res.iterations.front().holds,
-            partitions[1].size() + partitions[3].size());
-  EXPECT_TRUE(alloc.check_consistency());
-}
-
-TEST_F(MultiTokenTest, RestrictOutOfRangeThrows) {
-  Rng rng(73);
-  auto tm = random_tm(24, 2.0, rng);
-  auto alloc = random_allocation(topo_, 24, rng);
-  MultiTokenConfig cfg;
-  cfg.tokens = 4;
-  cfg.restrict_shards = {4};  // shards are 0..3
-  EXPECT_THROW(MultiTokenSimulation(engine_, alloc, tm).run(cfg),
-               std::invalid_argument);
-}
-
 /// `run` must throw TokenRoundConfig's std::invalid_argument for `field`
 /// (EventQueue throws the same type for a time in the past, so the message
 /// is matched too).
@@ -282,6 +224,24 @@ TEST_F(MultiTokenTest, BothDriversRejectInvalidTimingConfigs) {
     }
   }
 
+  // A zero round budget ran one single-token round and no multi-token one.
+  {
+    auto alloc = alloc0;
+    MultiTokenConfig mcfg;
+    mcfg.tokens = 2;
+    mcfg.iterations = 0;
+    expect_rejected([&] { MultiTokenSimulation(engine_, alloc, tm).run(mcfg); },
+                    "iterations");
+    SimConfig scfg;
+    scfg.iterations = 0;
+    RoundRobinPolicy rr;
+    expect_rejected([&] { ScoreSimulation(engine_, rr, alloc, tm).run(scfg); },
+                    "iterations");
+    for (score::core::VmId u = 0; u < 32; ++u) {
+      EXPECT_EQ(alloc.server_of(u), alloc0.server_of(u));
+    }
+  }
+
   // Zero holds, latencies, overheads and pre-copy stay legal.
   auto alloc_multi = alloc0;
   auto alloc_single = alloc0;
@@ -297,6 +257,115 @@ TEST_F(MultiTokenTest, BothDriversRejectInvalidTimingConfigs) {
   RoundRobinPolicy rr;
   EXPECT_GT(MultiTokenSimulation(engine_, alloc_multi, tm).run(mcfg).total_migrations, 0u);
   EXPECT_GT(ScoreSimulation(engine_, rr, alloc_single, tm).run(scfg).total_migrations, 0u);
+}
+
+// ------------------------------------------------------ metamorphic relations
+
+/// Every centralized run the relations below cover: ScoreSimulation under
+/// Round-Robin and HLF, MultiTokenSimulation at 4 tokens under seq and
+/// par(2).
+std::vector<std::pair<std::string, SimResult>> centralized_runs(
+    const MigrationEngine& engine, const score::core::Allocation& alloc0,
+    const score::traffic::TrafficMatrix& tm) {
+  std::vector<std::pair<std::string, SimResult>> runs;
+  for (const char* name : {"round-robin", "hlf"}) {
+    auto alloc = alloc0;
+    const auto policy = score::core::make_policy(name);
+    SimConfig cfg;
+    cfg.iterations = 8;
+    runs.emplace_back(name,
+                      ScoreSimulation(engine, *policy, alloc, tm).run(cfg));
+  }
+  for (const ExecPolicy& exec : {ExecPolicy::seq(), ExecPolicy::par(2)}) {
+    auto alloc = alloc0;
+    MultiTokenConfig cfg;
+    cfg.tokens = 4;
+    cfg.iterations = 8;
+    cfg.policy = exec;
+    runs.emplace_back("tokens4 " + exec.name(),
+                      MultiTokenSimulation(engine, alloc, tm).run(cfg));
+  }
+  return runs;
+}
+
+TEST_F(MultiTokenTest, NoTrafficIsAFixedPoint) {
+  Rng rng(81);
+  const score::traffic::TrafficMatrix tm(48);
+  const auto alloc0 = random_allocation(topo_, 48, rng);
+  for (const auto& [name, res] : centralized_runs(engine_, alloc0, tm)) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(res.total_migrations, 0u);
+    EXPECT_TRUE(res.migration_log.empty());
+    EXPECT_EQ(res.initial_cost, 0.0);
+    EXPECT_EQ(res.final_cost, 0.0);
+    for (const auto& pt : res.series) EXPECT_EQ(pt.cost, 0.0);
+    for (const auto& it : res.iterations) EXPECT_EQ(it.cost_at_end, 0.0);
+  }
+
+  auto alloc = alloc0;
+  score::hypervisor::RuntimeConfig rcfg;
+  rcfg.message_loss_rate = 0.0;
+  const auto res =
+      score::hypervisor::DistributedScoreRuntime(model_, alloc, tm, rcfg).run();
+  EXPECT_EQ(res.total_migrations, 0u);
+  EXPECT_EQ(res.initial_cost, 0.0);
+  EXPECT_EQ(res.final_cost, 0.0);
+  for (const auto& it : res.iterations) EXPECT_EQ(it.cost_at_end, 0.0);
+  for (score::core::VmId u = 0; u < 48; ++u) {
+    EXPECT_EQ(alloc.server_of(u), alloc0.server_of(u));
+  }
+}
+
+// Scaling every rate and c_m by 2^k scales each Lemma-3 product, delta and
+// sum exactly, and feasibility reads only VM specs, so no comparison can
+// flip: the decisions are identical and every reported cost is exactly 2^k
+// times the original. The distributed runtime is left out: its agents
+// quantise measured rates to whole bytes.
+TEST_F(MultiTokenTest, PowerOfTwoScalingScalesCostsExactly) {
+  Rng rng(82);
+  const auto tm = random_tm(48, 3.0, rng);
+  const auto alloc0 = random_allocation(topo_, 48, rng);
+  EngineConfig ecfg;
+  ecfg.migration_cost = 40.0;  // binds: some positive deltas stay put
+  const MigrationEngine engine(model_, ecfg);
+  const auto base = centralized_runs(engine, alloc0, tm);
+  for (const auto& [name, res] : base) {
+    EXPECT_GT(res.total_migrations, 0u) << name;
+  }
+
+  for (const int k : {-4, 3}) {
+    const double f = std::ldexp(1.0, k);
+    EngineConfig scaled_cfg = ecfg;
+    scaled_cfg.migration_cost = ecfg.migration_cost * f;
+    const MigrationEngine scaled_engine(model_, scaled_cfg);
+    const auto scaled = centralized_runs(scaled_engine, alloc0, tm.scaled(f));
+    ASSERT_EQ(scaled.size(), base.size());
+    for (std::size_t r = 0; r < base.size(); ++r) {
+      const SimResult& want = base[r].second;
+      const SimResult& got = scaled[r].second;
+      SCOPED_TRACE(base[r].first + " k = " + std::to_string(k));
+      EXPECT_EQ(got.migration_log, want.migration_log);
+      EXPECT_EQ(got.initial_cost, f * want.initial_cost);
+      EXPECT_EQ(got.final_cost, f * want.final_cost);
+      EXPECT_EQ(got.duration_s, want.duration_s);
+      ASSERT_EQ(got.series.size(), want.series.size());
+      for (std::size_t i = 0; i < got.series.size(); ++i) {
+        EXPECT_EQ(got.series[i].time_s, want.series[i].time_s);
+        EXPECT_EQ(got.series[i].cost, f * want.series[i].cost);
+        EXPECT_EQ(got.series[i].migrations, want.series[i].migrations);
+      }
+      ASSERT_EQ(got.iterations.size(), want.iterations.size());
+      for (std::size_t i = 0; i < got.iterations.size(); ++i) {
+        EXPECT_EQ(got.iterations[i].evaluations,
+                  want.iterations[i].evaluations);
+        EXPECT_EQ(got.iterations[i].migrations, want.iterations[i].migrations);
+        EXPECT_EQ(got.iterations[i].cost_at_end,
+                  f * want.iterations[i].cost_at_end);
+        EXPECT_EQ(got.iterations[i].time_at_end_s,
+                  want.iterations[i].time_at_end_s);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -395,6 +395,30 @@ TEST(DriftTriggerEngine, ConstructorRejectsNanThreshold) {
   EXPECT_THROW(StreamingEngine(topo, cfg), std::invalid_argument);
 }
 
+TEST(DriftTriggerEngine, ConstructorRejectsZeroRoundBudgets) {
+  // A zero budget ran one round in some drivers and none in others.
+  // Rejected before run() starts the producer, naming the field.
+  CanonicalTree topo(tiny_tree_config());
+  const std::pair<const char*, std::size_t StreamingConfig::*> fields[] = {
+      {"iterations_per_reopt", &StreamingConfig::iterations_per_reopt},
+      {"reopt_iterations", &StreamingConfig::reopt_iterations},
+  };
+  for (const auto& [field, member] : fields) {
+    for (const char* mode : {"centralized", "distributed"}) {
+      StreamingConfig cfg = small_streaming_config();
+      cfg.mode = mode;
+      cfg.*member = 0;
+      try {
+        StreamingEngine engine(topo, cfg);
+        ADD_FAILURE() << field << " 0 accepted in " << mode << " mode";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 TEST(DriftTriggerEngine, ConstructorRejectsMigrationCostThatBreaksTheorem1) {
   // A NaN c_m blocks every move; a negative one commits moves that raise the
   // cost. Both are rejected before run() builds the world.
@@ -623,6 +647,57 @@ TEST(StreamingEngineE2E, DistributedModeReoptimises) {
   StreamingConfig bad = cfg;
   bad.mode = "sideways";
   EXPECT_THROW(StreamingEngine(topo, bad), std::invalid_argument);
+}
+
+TEST(StreamingEngineE2E, ReoptDeterministicAcrossPolicies) {
+  // Every re-opt is a multi-token run: seq, par(1), par(2) and par(4) must
+  // report bit-identical trigger events.
+  CanonicalTree topo(tiny_tree_config());
+  StreamingConfig cfg = small_streaming_config();
+  cfg.ticks = 12;
+  cfg.drift_threshold = 0.05;
+  cfg.tokens = 4;
+
+  std::vector<StreamingReport> reports;
+  for (const auto& policy :
+       {score::util::ExecPolicy::seq(), score::util::ExecPolicy::par(1),
+        score::util::ExecPolicy::par(2), score::util::ExecPolicy::par(4)}) {
+    StreamingConfig run_cfg = cfg;
+    run_cfg.exec = policy;
+    StreamingEngine engine(topo, run_cfg);
+    reports.push_back(engine.run());
+  }
+  const StreamingReport& ref = reports.front();
+  EXPECT_GT(ref.reopts.size(), 0u);
+  for (const StreamingReport& rep : reports) {
+    EXPECT_EQ(rep.final_cost, ref.final_cost);
+    EXPECT_EQ(rep.deltas_applied, ref.deltas_applied);
+    ASSERT_EQ(rep.reopts.size(), ref.reopts.size());
+    for (std::size_t i = 0; i < rep.reopts.size(); ++i) {
+      EXPECT_EQ(rep.reopts[i].tick, ref.reopts[i].tick);
+      EXPECT_EQ(rep.reopts[i].drift, ref.reopts[i].drift);
+      EXPECT_EQ(rep.reopts[i].cost_before, ref.reopts[i].cost_before);
+      EXPECT_EQ(rep.reopts[i].cost_after, ref.reopts[i].cost_after);
+      EXPECT_EQ(rep.reopts[i].migrations, ref.reopts[i].migrations);
+      EXPECT_EQ(rep.reopts[i].rounds, ref.reopts[i].rounds);
+    }
+  }
+}
+
+TEST(StreamingEngineE2E, LatencyPercentilesRecorded) {
+  CanonicalTree topo(tiny_tree_config());
+  StreamingConfig cfg = small_streaming_config();
+  StreamingEngine engine(topo, cfg);
+  const StreamingReport report = engine.run();
+  // One fold and one trigger decision per consumed batch.
+  ASSERT_EQ(report.fold_latency_ns.size(), cfg.ticks);
+  ASSERT_EQ(report.trigger_latency_ns.size(), cfg.ticks);
+  for (const double ns : report.fold_latency_ns) EXPECT_GE(ns, 0.0);
+  EXPECT_LE(report.fold_p50_ns(), report.fold_p99_ns());
+  EXPECT_LE(report.trigger_p50_ns(), report.trigger_p99_ns());
+  EXPECT_GT(report.fold_p99_ns(), 0.0);
+  // Empty reports degrade to 0 rather than throwing.
+  EXPECT_DOUBLE_EQ(StreamingReport{}.fold_p50_ns(), 0.0);
 }
 
 // ------------------------------------------------------ bugfix regressions
@@ -881,179 +956,6 @@ TEST(IngestQueueTest, CloseWakesBlockedProducersAndConsumers) {
     for (auto& t : consumers) t.join();
     EXPECT_EQ(drained.load(), 3);
   }
-}
-
-// ---------------------------------------------------------------- ShardMap
-
-TEST(ShardMapTest, AgreesWithPartitionVms) {
-  using score::core::partition_vms;
-  using score::traffic::ShardMap;
-  // The arithmetic router and core's VmRange carve-up must name the same
-  // owner for every VM, for dividing and non-dividing counts and shard
-  // requests past the VM count.
-  const std::size_t cases[][2] = {{64, 4},  {64, 1},  {65, 4}, {7, 3},
-                                  {100, 7}, {5, 9},   {1, 1},  {2560, 16}};
-  for (const auto& c : cases) {
-    const auto ranges = partition_vms(c[0], c[1]);
-    const ShardMap map(c[0], c[1]);
-    ASSERT_EQ(map.num_shards(), ranges.size());
-    for (VmId u = 0; u < c[0]; ++u) {
-      const std::size_t s = map.shard_of(u);
-      ASSERT_LT(s, ranges.size());
-      EXPECT_GE(u, ranges[s].first);
-      EXPECT_LE(u, ranges[s].last);
-    }
-  }
-  EXPECT_THROW(ShardMap(0, 4), std::invalid_argument);
-}
-
-// ---------------------------------------------------------- sharded ingest
-
-TEST(ShardedIngest, FoldBitExactAcrossShardingAndPolicies) {
-  CanonicalTree topo(tiny_tree_config());
-  StreamingConfig base = small_streaming_config();
-  base.drift_threshold = 1e9;  // pure ingest: no re-opts perturb the fold
-  StreamingEngine ref_engine(topo, base);
-  const StreamingReport ref = ref_engine.run();
-  EXPECT_EQ(ref.deltas_applied, ref.deltas_folded);
-
-  for (const std::size_t shards : {2u, 4u}) {
-    for (const auto& policy :
-         {score::util::ExecPolicy::seq(), score::util::ExecPolicy::par(1),
-          score::util::ExecPolicy::par(2), score::util::ExecPolicy::par(4)}) {
-      StreamingConfig cfg = base;
-      cfg.ingest_shards = shards;
-      cfg.exec = policy;
-      StreamingEngine engine(topo, cfg);
-      const StreamingReport rep = engine.run();
-      // Sharding only attributes drift — the matrix fold itself is
-      // byte-identical to the unsharded path: same folded totals, same
-      // delta counts, still zero ingest-path rebuilds.
-      EXPECT_EQ(rep.final_cost, ref.final_cost);
-      EXPECT_EQ(rep.deltas_applied, ref.deltas_applied);
-      EXPECT_EQ(rep.deltas_folded, ref.deltas_folded);
-      EXPECT_EQ(rep.cache_rebuilds, ref.cache_rebuilds);
-      EXPECT_EQ(rep.ingest_shards, shards);
-      EXPECT_EQ(rep.reopts.size(), 0u);
-    }
-  }
-}
-
-TEST(ShardedIngest, PartialReoptDeterministicAcrossPolicies) {
-  CanonicalTree topo(tiny_tree_config());
-  StreamingConfig cfg = small_streaming_config();
-  cfg.ticks = 12;
-  cfg.drift_threshold = 0.05;
-  cfg.ingest_shards = 4;
-  cfg.tokens = 4;
-
-  std::vector<StreamingReport> reports;
-  for (const auto& policy :
-       {score::util::ExecPolicy::seq(), score::util::ExecPolicy::par(1),
-        score::util::ExecPolicy::par(2), score::util::ExecPolicy::par(4)}) {
-    StreamingConfig run_cfg = cfg;
-    run_cfg.exec = policy;
-    StreamingEngine engine(topo, run_cfg);
-    reports.push_back(engine.run());
-  }
-  const StreamingReport& ref = reports.front();
-  EXPECT_GT(ref.reopts.size(), 0u);
-  for (const StreamingReport& rep : reports) {
-    EXPECT_EQ(rep.final_cost, ref.final_cost);
-    EXPECT_EQ(rep.deltas_applied, ref.deltas_applied);
-    EXPECT_EQ(rep.partial_reopts, ref.partial_reopts);
-    ASSERT_EQ(rep.reopts.size(), ref.reopts.size());
-    for (std::size_t i = 0; i < rep.reopts.size(); ++i) {
-      EXPECT_EQ(rep.reopts[i].tick, ref.reopts[i].tick);
-      EXPECT_EQ(rep.reopts[i].drift, ref.reopts[i].drift);
-      EXPECT_EQ(rep.reopts[i].cost_before, ref.reopts[i].cost_before);
-      EXPECT_EQ(rep.reopts[i].cost_after, ref.reopts[i].cost_after);
-      EXPECT_EQ(rep.reopts[i].migrations, ref.reopts[i].migrations);
-      EXPECT_EQ(rep.reopts[i].partial, ref.reopts[i].partial);
-      EXPECT_EQ(rep.reopts[i].drifted_shards, ref.reopts[i].drifted_shards);
-    }
-  }
-}
-
-TEST(ShardedIngest, PartialReoptRestrictionMatchesDriftedShards) {
-  CanonicalTree topo(tiny_tree_config());
-  StreamingConfig cfg = small_streaming_config();
-  cfg.ticks = 16;
-  cfg.events.events_per_tick = 24;  // localised churn: shards drift apart
-  cfg.drift_threshold = 0.04;
-  cfg.ingest_shards = 4;
-  cfg.tokens = 4;
-  StreamingEngine engine(topo, cfg);
-  const StreamingReport report = engine.run();
-  ASSERT_GT(report.reopts.size(), 0u);
-
-  // With ingest shards == token shards over the same carve-up, an event is
-  // partial exactly when its drifted set is a strict subset of the shards.
-  std::size_t partial_seen = 0;
-  for (const auto& ev : report.reopts) {
-    ASSERT_FALSE(ev.drifted_shards.empty());
-    EXPECT_EQ(ev.partial, ev.drifted_shards.size() < 4u);
-    if (ev.partial) ++partial_seen;
-  }
-  EXPECT_EQ(report.partial_reopts, partial_seen);
-  EXPECT_GT(partial_seen, 0u);  // localised churn must yield a partial run
-}
-
-TEST(ShardedIngest, PartialReoptStaysWithinFreshBand) {
-  CanonicalTree topo(tiny_tree_config());
-  StreamingConfig cfg;  // paper-default capacity: slack for feasible moves
-  cfg.generator.num_vms = 128;
-  cfg.generator.seed = 42;
-  cfg.events.events_per_tick = 128;
-  cfg.events.seed = 97;
-  cfg.ticks = 10;
-  cfg.drift_threshold = 0.05;
-  cfg.tokens = 4;
-  cfg.iterations_per_reopt = 12;
-  cfg.fresh_reference = true;
-  cfg.ingest_shards = 4;
-  StreamingEngine engine(topo, cfg);
-  const StreamingReport report = engine.run();
-  EXPECT_GT(report.reopts.size(), 0u);
-  EXPECT_EQ(report.undefined_cost_ratios(), 0u);
-  // Partial re-optimisation must hold the same steady-state band as full.
-  EXPECT_LE(report.max_cost_ratio(), 1.05);
-}
-
-TEST(ShardedIngest, LatencyPercentilesRecorded) {
-  CanonicalTree topo(tiny_tree_config());
-  StreamingConfig cfg = small_streaming_config();
-  cfg.ingest_shards = 2;
-  StreamingEngine engine(topo, cfg);
-  const StreamingReport report = engine.run();
-  ASSERT_EQ(report.fold_latency_ns.size(), cfg.ticks);
-  ASSERT_EQ(report.trigger_latency_ns.size(), cfg.ticks);
-  for (const double ns : report.fold_latency_ns) EXPECT_GE(ns, 0.0);
-  EXPECT_LE(report.fold_p50_ns(), report.fold_p99_ns());
-  EXPECT_LE(report.trigger_p50_ns(), report.trigger_p99_ns());
-  EXPECT_GT(report.fold_p99_ns(), 0.0);
-  // Empty reports degrade to 0 rather than throwing.
-  EXPECT_DOUBLE_EQ(StreamingReport{}.fold_p50_ns(), 0.0);
-}
-
-TEST(ShardedIngest, DistributedRunsWalkEveryShard) {
-  // Dom0 agents walk their whole world: sharding still arms one trigger per
-  // shard, but no distributed re-opt is confined to the drifted shards.
-  CanonicalTree topo(tiny_tree_config());
-  StreamingConfig cfg = small_streaming_config();
-  cfg.ticks = 6;
-  cfg.drift_threshold = 0.02;
-  cfg.mode = "distributed";
-  cfg.ingest_shards = 4;
-  StreamingEngine engine(topo, cfg);
-  const StreamingReport report = engine.run();
-  EXPECT_EQ(report.ingest_shards, 4u);
-  ASSERT_GT(report.reopts.size(), 0u);
-  for (const auto& ev : report.reopts) {
-    EXPECT_FALSE(ev.drifted_shards.empty());
-    EXPECT_FALSE(ev.partial);
-  }
-  EXPECT_EQ(report.partial_reopts, 0u);
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ Two modes:
           fold latency is the noisiest gated metric, so only a clear
           blow-up fails). The gate reads fold_p99_ns where both sides
           folded at least 100 batches (the fold-throughput row folds 256);
-          elsewhere — the drift-trigger and sharded rows fold 12 ticks, a
+          elsewhere — the drift-trigger rows fold 12 ticks, a
           --quick fold-throughput row 32 batches — a p99 is just the
           slowest sample or two, so it reads fold_p50_ns instead, deciding
           by the smaller side's count (`batches`, else `ticks`). A row that

@@ -23,7 +23,7 @@
 //   score_cli --mode continuous --vms 256 --epochs 8 --arrival-prob 0.3
 //             --departure-prob 0.1 --save world.v2
 //   score_cli --mode streaming --vms 256 --ticks 128 --batch-size 2048
-//             --drift-threshold 0.08 --ingest-shards 4
+//             --drift-threshold 0.08
 #include <cmath>
 #include <fstream>
 #include <iomanip>
@@ -98,7 +98,6 @@ void validate_mode_combos(const util::Flags& flags) {
   require("ticks", strm, "--mode streaming");
   require("batch-size", strm, "--mode streaming");
   require("drift-threshold", strm, "--mode streaming");
-  require("ingest-shards", strm, "--mode streaming");
 }
 
 // Continuous-operation mode: VM lifecycle churn over dynamic traffic epochs,
@@ -202,7 +201,6 @@ int run_streaming(const topo::Topology& topology, const util::Flags& flags) {
   cfg.exec = tools::exec_policy(flags);
   cfg.iterations_per_reopt = flags.get_count("iterations");
   cfg.engine.migration_cost = flags.get_double("cm");
-  cfg.ingest_shards = flags.get_count("ingest-shards");
 
   driver::StreamingEngine engine(topology, cfg);
   const driver::StreamingReport report = engine.run();
@@ -211,12 +209,8 @@ int run_streaming(const topo::Topology& topology, const util::Flags& flags) {
             << report.deltas_applied << " flow deltas ("
             << report.deltas_folded << " folded O(1), "
             << report.cache_rebuilds << " cache rebuilds)\n";
-  if (report.ingest_shards > 1) {
-    std::cout << "sharded ingest: " << report.ingest_shards << " shards, "
-              << report.partial_reopts << " partial re-opts\n";
-  }
   std::cout << "tick   drift    cost_before    cost_after     fresh_reopt    "
-               "ratio   migr  rounds  scope\n";
+               "ratio   migr  rounds\n";
   for (const driver::ReoptEvent& ev : report.reopts) {
     std::cout << std::setw(5) << ev.tick << "  " << std::setw(6)
               << std::setprecision(4) << ev.drift << std::setprecision(6)
@@ -224,8 +218,7 @@ int run_streaming(const topo::Topology& topology, const util::Flags& flags) {
               << std::setw(13) << ev.cost_after << "  " << std::setw(13)
               << ev.fresh_cost << "  " << std::setw(6)
               << fmt_ratio(ev.cost_ratio()) << std::setw(7) << ev.migrations
-              << std::setw(7) << ev.rounds << "  "
-              << (ev.partial ? "partial" : "full") << "\n";
+              << std::setw(7) << ev.rounds << "\n";
   }
   std::cout << "drift trigger: " << report.reopts.size()
             << " re-optimisations, " << report.deltas_per_reopt()
@@ -274,10 +267,6 @@ int main(int argc, char** argv) {
   flags.add_double("drift-threshold", 0.05,
                    "streaming mode: relative cached-cost drift that launches "
                    "a re-optimisation");
-  flags.add_int("ingest-shards", 1,
-                "streaming mode: partition drift attribution across this many "
-                "VM shards, one trigger each, and confine each triggered "
-                "re-opt to the drifted shards (1 = global scalar)");
   flags.add_bool("series", false, "print the cost-vs-time series as CSV");
   flags.add_string("save", "", "write the generated scenario snapshot to this file");
   flags.add_string("load", "", "load the scenario from a snapshot instead of generating");

@@ -2,11 +2,12 @@
 """Render the ablation-tokens-threads suite of a score-bench/v1 file as a
 Markdown speedup table.
 
-The committed BENCH_results.json trajectory was generated on a 1-CPU
-container, where par(n) can only show parity; the CI `remeasure-multicore`
-job reruns the ablation on a multi-core runner and uploads this table as an
-artifact so the wall-clock-scaling claim of parallel token rounds is backed
-by a real measurement (see ROADMAP).
+The committed BENCH_results.json rows record hw_threads 4, but the
+ablation runs fat-tree k=16, a world too small for par(n) to beat par(1)
+(it runs at 0.86-0.93x); the CI `remeasure-multicore` job reruns the
+ablation on a multi-core runner and uploads this table as an artifact so
+the wall-clock-scaling claim of parallel token rounds is backed by a real
+measurement (see ROADMAP).
 
 Usage:  python3 tools/speedup_table.py BENCH_file.json [-o speedup.md]
 Stdlib only.

@@ -287,11 +287,11 @@ class CompareTests(unittest.TestCase):
         cand = [make_record(final_ratio=None)]
         self.assertEqual(self.run_compare(base, cand), 0)
 
-    def test_sharded_ingest_row_validates_and_compares(self):
+    def test_drift_trigger_row_validates_and_compares(self):
         row = make_record(suite="streaming-ingest",
-                          scenario="canonical-2560/sharded-ingest",
-                          ingest_shards=4.0, partial_reopts=3.0,
-                          fold_p99_ns=80000.0,
+                          scenario="canonical-2560/drift-trigger",
+                          reopts=2.0, deltas_per_reopt=61440.0,
+                          max_queue_depth=4.0, fold_p99_ns=80000.0,
                           trigger_p99_ns=700.0, updates_per_sec=2e6,
                           max_cost_ratio_vs_fresh=1.01)
         self.assertEqual(bc.validate(make_doc([row]), "f"), [])
