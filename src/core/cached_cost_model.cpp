@@ -50,15 +50,6 @@ void CachedCostModel::bind(const Allocation& alloc,
   rebuild();
 }
 
-void CachedCostModel::unbind() {
-  detach();
-  alloc_ = nullptr;
-  tm_ = nullptr;
-  pending_rebuild_ = false;
-  vm_cost_.clear();
-  total_ = 0.0;
-}
-
 void CachedCostModel::on_rate_change(traffic::VmId u, traffic::VmId v,
                                      double old_rate, double new_rate) {
   if (pending_rebuild_) return;  // already dirty; the next query rebuilds

@@ -53,8 +53,8 @@ class CachedCostModel final : public CostModel, public traffic::TrafficObserver 
   CachedCostModel(const topo::Topology& topology, LinkWeights weights)
       : CostModel(topology, std::move(weights)) {}
 
-  /// Deregisters from the bound matrix (the matrix must still be alive —
-  /// rebind or unbind before destroying the bound containers).
+  /// Deregisters from the bound matrix, if any (a matrix destroyed first has
+  /// already dropped the binding through on_matrix_destroyed).
   ~CachedCostModel() override;
 
   /// Copies start UNBOUND (model parameters only): observer registration is
@@ -65,10 +65,9 @@ class CachedCostModel final : public CostModel, public traffic::TrafficObserver 
 
   /// Bind to an allocation/TM pair, register as the matrix's observer and
   /// build the sums (always a full rebuild — re-snapshotted allocations can
-  /// alias a stale version). Both containers must outlive the binding;
-  /// rebind or unbind before destroying them.
+  /// alias a stale version). The binding lasts until the next bind() or the
+  /// matrix's destruction, which drops it; the allocation must outlive it.
   void bind(const Allocation& alloc, const traffic::TrafficMatrix& tm);
-  void unbind();
   bool bound() const { return alloc_ != nullptr; }
   bool bound_to(const Allocation& alloc, const traffic::TrafficMatrix& tm) const {
     return alloc_ == &alloc && tm_ == &tm;

@@ -60,37 +60,34 @@ void ShardedCostOracle::begin_pass(const Allocation& master,
                                    const traffic::TrafficMatrix& /*tm*/,
                                    const util::ExecPolicy& policy,
                                    const std::vector<VmId>& touched) {
-  util::for_each_shard(
-      policy, shards_.size(),
-      [&](std::size_t t) {
-        std::optional<Allocation>& snap = shards_[t].snapshot;
-        if (!snap || snap->num_vms() != master.num_vms()) {
-          // No usable snapshot — full copy, exactly the non-incremental path.
-          snap = master;
-          return;
-        }
-        // Replay the divergence: every VM that moved anywhere since the
-        // previous pass is in `touched`; moving each one whose placement
-        // differs makes the snapshot equal to master again.
-        for (const VmId u : touched) {
-          const ServerId want = master.server_of(u);
-          if (snap->server_of(u) != want) snap->migrate_unchecked(u, want);
-        }
+  util::for_each_shard(policy, shards_.size(), [&](std::size_t t) {
+    std::optional<Allocation>& snap = shards_[t].snapshot;
+    if (!snap || snap->num_vms() != master.num_vms()) {
+      // No usable snapshot — full copy, exactly the non-incremental path.
+      snap = master;
+      return;
+    }
+    // Replay the divergence: every VM that moved anywhere since the
+    // previous pass is in `touched`; moving each one whose placement
+    // differs makes the snapshot equal to master again.
+    for (const VmId u : touched) {
+      const ServerId want = master.server_of(u);
+      if (snap->server_of(u) != want) snap->migrate_unchecked(u, want);
+    }
 #ifdef SCORE_CHECK_CACHE
-        // The touched-set contract is the driver's to uphold; under the
-        // cache cross-check build, verify it — a missed VM here would mean
-        // this shard silently optimises against a stale world.
-        for (VmId u = 0; u < master.num_vms(); ++u) {
-          if (snap->server_of(u) != master.server_of(u)) {
-            throw std::logic_error(
-                "ShardedCostOracle::begin_pass(touched): snapshot diverges "
-                "from master at vm " + std::to_string(u) +
-                " — incomplete touched set");
-          }
-        }
+    // The touched-set contract is the driver's to uphold; under the
+    // cache cross-check build, verify it — a missed VM here would mean
+    // this shard silently optimises against a stale world.
+    for (VmId u = 0; u < master.num_vms(); ++u) {
+      if (snap->server_of(u) != master.server_of(u)) {
+        throw std::logic_error(
+            "ShardedCostOracle::begin_pass(touched): snapshot diverges "
+            "from master at vm " + std::to_string(u) +
+            " — incomplete touched set");
+      }
+    }
 #endif
-      },
-      util::ShardSchedule::kCyclic);
+  });
 }
 
 Allocation& ShardedCostOracle::shard_alloc(std::size_t shard) {

@@ -89,8 +89,6 @@ class ShardedCostOracle {
   /// the final state equals the validated master), so the cost is
   /// O(shards × |touched|), independent of world size. Shards with no
   /// snapshot yet (first pass, VM-count change) fall back to the full copy.
-  /// Jobs run block-cyclic: resync work is skewed across shards, so
-  /// striding balances workers.
   void begin_pass(const Allocation& master, const traffic::TrafficMatrix& tm,
                   const util::ExecPolicy& policy,
                   const std::vector<VmId>& touched);

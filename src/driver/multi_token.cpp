@@ -81,18 +81,15 @@ SimResult MultiTokenSimulation::run(const MultiTokenConfig& config) {
       for (VmId u = range.first;; ++u) {
         const core::Decision d = settled.hold(*engine_, snap, *tm_, u, evaluations,
                                               "MultiTokenSimulation", pass);
-        double busy = config.token_hold_s;
+        const double busy = hold_busy_s(snap.spec(u), d.migrate);
         if (d.migrate) {
-          const double bytes = snap.spec(u).ram_mb * 1e6 * config.precopy_factor;
-          busy += bytes * 8.0 / config.migration_bandwidth_bps +
-                  config.migration_overhead_s;
           snap.migrate(u, d.target);
           settled.unsettle(*tm_, u, range.first, range.last);
           out.moves.push_back({u, d.target, busy_until + busy});
         }
         busy_until += busy;
         if (u == range.last) break;
-        busy_until += config.token_pass_per_hop_s *
+        busy_until += kTokenPassPerHopS *
                       topology.hop_count(snap.server_of(u), snap.server_of(u + 1));
       }
       out.busy_until_s = busy_until;

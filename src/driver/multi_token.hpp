@@ -29,7 +29,8 @@
 // Steps 2-4 depend only on the pass-start snapshot and fixed orderings,
 // never on thread timing, so seq / par(1) / par(n) produce bit-identical
 // migration sequences, costs and iteration stats — only wall-clock changes.
-// Virtual-time accounting is preserved: a pass ends at the *max* over
+// Virtual time is the single-token driver's fixed §VI clock (hold_busy_s and
+// kTokenPassPerHopS, driver/simulation.hpp): a pass ends at the *max* over
 // per-token busy-until times, keeping fig2/ablation series comparable with
 // the single-token driver, whose Round-Robin decisions it makes at
 // tokens = 1 (see ScoreSimulation). Every centralized re-optimisation of the

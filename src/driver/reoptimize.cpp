@@ -4,7 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/cached_cost_model.hpp"
 #include "core/token_policy.hpp"
 #include "driver/multi_token.hpp"
 #include "driver/simulation.hpp"
@@ -43,7 +42,7 @@ ConvergenceReport reoptimize(const core::CostModel& model,
   const SimResult res = MultiTokenSimulation(engine, alloc, tm).run(mcfg);
   ConvergenceReport report = summarize(res);
   for (const MigrationRecord& m : res.migration_log) {
-    report.migrated_mb += mcfg.precopy_factor * alloc.spec(m.vm).ram_mb;
+    report.migrated_mb += kPrecopyFactor * alloc.spec(m.vm).ram_mb;
   }
   return report;
 }
@@ -57,14 +56,16 @@ double fresh_reference_cost(const topo::Topology& topology,
   util::Rng rng(seed);
   core::Allocation fresh = baselines::make_allocation(
       topology, capacity, tm.num_vms(), vm_spec, placement, rng);
-  core::CachedCostModel model(
+  const core::CostModel model(
       topology, core::LinkWeights::exponential(topology.max_level()));
-  model.bind(fresh, tm);
   const core::MigrationEngine engine(model, config.engine);
   core::RoundRobinPolicy rr;
   SimConfig scfg;
   scfg.iterations = config.reopt_iterations;
-  return ScoreSimulation(engine, rr, fresh, tm).run(scfg).final_cost;
+  ScoreSimulation(engine, rr, fresh, tm).run(scfg);
+  // The recomputed Eq. (2) total: the driver's running Lemma-3 sum can
+  // cancel to a small negative value on a near-zero-cost placement.
+  return model.total_cost(fresh, tm);
 }
 
 double fresh_ratio(double cost, double fresh_cost, bool fresh_computed) {

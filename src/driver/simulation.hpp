@@ -1,13 +1,14 @@
 // Iterative S-CORE simulation — the paper's §VI simulation environment.
 //
-// Drives token passing over the event-queue substrate: every token hold
-// costs a measurement/decision interval, token transfer costs a per-hop
-// network latency, and each accepted migration occupies the token for the
-// VM's transfer time (pre-copied RAM over the migration bandwidth). One
-// *iteration* is |V| consecutive token holds (for Round-Robin exactly one
-// pass over all VMs), matching Fig. 2's x-axis. The recorded time series of
-// the global communication cost is what Fig. 3d-i and Fig. 4b plot,
-// normalised by a baseline (GA-approximated optimum or initial cost).
+// Advances a virtual clock over token passing: every token hold costs a
+// measurement/decision interval, token transfer costs a per-hop network
+// latency, and each accepted migration occupies the token for the VM's
+// transfer time (pre-copied RAM over the migration bandwidth). The token is
+// serial, so the clock is one running sum over the holds. One *iteration* is
+// |V| consecutive token holds (for Round-Robin exactly one pass over all
+// VMs), matching Fig. 2's x-axis. The recorded time series of the global
+// communication cost is what Fig. 3d-i and Fig. 4b plot, normalised by a
+// baseline (GA-approximated optimum or initial cost).
 //
 // Both centralized drivers skip a hold whose Theorem-1 answer cannot have
 // changed since it last reported !improvable (driver/settled_holds.hpp):
@@ -27,7 +28,6 @@
 #include "core/migration_engine.hpp"
 #include "core/token_policy.hpp"
 #include "driver/convergence.hpp"
-#include "sim/event_queue.hpp"
 
 namespace score::driver {
 
@@ -35,36 +35,42 @@ using core::Allocation;
 using core::ServerId;
 using core::VmId;
 
-/// Round budget and §VI timing model of both centralized drivers (SimConfig
-/// and MultiTokenConfig).
+// The §VI timing model both centralized drivers charge.
+/// Measurement + decision time charged per token hold (dom0 work).
+inline constexpr double kTokenHoldS = 0.02;
+/// Per-hop token transfer latency between consecutive holders' servers.
+inline constexpr double kTokenPassPerHopS = 0.0005;
+/// Bandwidth available to live migrations.
+inline constexpr double kMigrationBandwidthBps = 1e9;
+/// Pre-copy expansion: bytes moved ≈ factor × RAM (re-copied dirty pages).
+inline constexpr double kPrecopyFactor = 1.3;
+/// Fixed per-migration control overhead (setup + stop-and-copy).
+inline constexpr double kMigrationOverheadS = 0.1;
+
+/// Virtual time a hold keeps the token: the hold itself plus, when it
+/// migrated a VM of `spec`, the pre-copy transfer and its fixed overhead.
+inline double hold_busy_s(const core::VmSpec& spec, bool migrated) {
+  double busy = kTokenHoldS;
+  if (migrated) {
+    const double bytes = spec.ram_mb * 1e6 * kPrecopyFactor;
+    busy += bytes * 8.0 / kMigrationBandwidthBps + kMigrationOverheadS;
+  }
+  return busy;
+}
+
+/// Round budget of both centralized drivers (SimConfig and MultiTokenConfig).
 struct TokenRoundConfig {
   std::size_t iterations = 5;
   /// Stop early once an entire iteration makes no migration.
   bool stop_when_stable = true;
-  /// Measurement + decision time charged per token hold (dom0 work).
-  double token_hold_s = 0.02;
-  /// Per-hop token transfer latency between consecutive holders' servers.
-  double token_pass_per_hop_s = 0.0005;
-  /// Bandwidth available to live migrations.
-  double migration_bandwidth_bps = 1e9;
-  /// Pre-copy expansion: bytes moved ≈ factor × RAM (re-copied dirty pages).
-  double precopy_factor = 1.3;
-  /// Fixed per-migration control overhead (setup + stop-and-copy).
-  double migration_overhead_s = 0.1;
 
-  /// Throws std::invalid_argument naming the field unless `iterations` >= 1,
-  /// every time and factor is finite and >= 0 and migration_bandwidth_bps is
-  /// finite and > 0. Both drivers call it first in run(): a NaN or negative
-  /// value would corrupt the virtual clock that orders the multi-token
-  /// merge, and a zero budget would run one round in ScoreSimulation but
-  /// none in MultiTokenSimulation.
+  /// Throws std::invalid_argument unless `iterations` >= 1. Both drivers
+  /// call it first in run(): a zero budget would run one round in
+  /// ScoreSimulation but none in MultiTokenSimulation.
   void validate() const;
 };
 
-struct SimConfig : TokenRoundConfig {
-  /// Record a time-series point after every token hold (else per iteration).
-  bool record_every_hold = false;
-};
+using SimConfig = TokenRoundConfig;
 
 struct TimePoint {
   double time_s = 0.0;
@@ -111,12 +117,13 @@ struct SimResult {
 /// both produce SimResult) as the mode-independent convergence report.
 ConvergenceReport summarize(const SimResult& result);
 
-/// Single-token driver on the event queue. Under Round-Robin it commits the
-/// migration log and placement of MultiTokenSimulation at tokens = 1
-/// (tested); only two reported numbers differ: final_cost is the running
-/// Lemma-3 sum, not the reconciled Eq. (2) total (~1e-13 relative apart), and
-/// duration_s also charges the wrap-around token hop between passes. It is
-/// the only driver that takes a TokenPolicy.
+/// Single-token driver: one hold at a time on the virtual clock. Under
+/// Round-Robin it commits the migration log and placement of
+/// MultiTokenSimulation at tokens = 1 (tested); only two reported numbers
+/// differ: final_cost is the running Lemma-3 sum, not the reconciled Eq. (2)
+/// total (~1e-13 relative apart), and duration_s also charges the
+/// wrap-around token hop between passes. It is the only driver that takes a
+/// TokenPolicy.
 class ScoreSimulation {
  public:
   /// All references must outlive the simulation. The allocation is mutated.

@@ -4,7 +4,8 @@
 // applications and migrations are events on a simulated clock. We provide the
 // same facility as a minimal event queue: callbacks scheduled at absolute
 // simulated times, executed in time order (FIFO among equal timestamps).
-// ScoreSimulation and the Remedy control loop run on top of this.
+// The message-passing fabric (sim/network) and the distributed runtime on it
+// (hypervisor/distributed_runtime) run on top of this.
 #pragma once
 
 #include <cstdint>

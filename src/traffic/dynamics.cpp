@@ -6,7 +6,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "traffic/ingest.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -39,8 +38,8 @@ TrafficMatrix TrafficDynamics::advance(const TrafficMatrix& current,
                                        std::uint64_t epoch_seed) {
   util::Rng rng(epoch_seed);
   // The next epoch's rates, keyed by the (min, max) pair: an elephant's rate
-  // overwrites its pair, a mouse's rate adds to it. Neighbour order is left
-  // to the map because epoch() reads only the result's pairs().
+  // overwrites its pair, a mouse's rate adds to it. The matrix is built from
+  // the map in key order, so each row lists its peers in ascending id order.
   std::map<std::pair<VmId, VmId>, double> next;
 
   const auto elephants = elephant_pairs(current);
@@ -80,28 +79,9 @@ const TrafficMatrix& TrafficDynamics::epoch(std::size_t k) {
   while (cache_.size() <= k) {
     const std::uint64_t epoch_seed =
         dyn_.seed * 1000003ull + static_cast<std::uint64_t>(cache_.size());
-    // Synthesise the next epoch with the historical RNG stream, then express
-    // it as a FlowDeltaBatch and materialise it *through the apply path* —
-    // the stored epoch is the delta-reconstructed matrix. diff_batch's
-    // ulp-exact deltas make the reconstruction bit-identical to the fresh
-    // build, so golden traces cannot move, while streaming consumers get a
-    // batch that provably transforms epoch k-1 into epoch k.
-    const TrafficMatrix fresh = advance(cache_.back(), epoch_seed);
-    FlowDeltaBatch batch = diff_batch(cache_.back(), fresh);
-    TrafficMatrix next = cache_.back();
-    next.apply(batch);
-    deltas_.push_back(std::move(batch));
-    cache_.push_back(std::move(next));
+    cache_.push_back(advance(cache_.back(), epoch_seed));
   }
   return cache_[k];
-}
-
-const FlowDeltaBatch& TrafficDynamics::epoch_delta(std::size_t k) {
-  if (k == 0) {
-    throw std::invalid_argument("epoch_delta: epoch 0 has no predecessor");
-  }
-  epoch(k);  // materialises deltas_[k-1] on the way
-  return deltas_[k - 1];
 }
 
 double TrafficDynamics::elephant_overlap(std::size_t epoch_a, std::size_t epoch_b) {

@@ -9,15 +9,16 @@
 //
 // TrafficDynamics produces a deterministic sequence of per-epoch traffic
 // matrices with exactly this structure: persistent elephants with bounded rate
-// jitter, and a configurable fraction of mice re-drawn every epoch. The
-// moving-average helper models S-CORE's measurement window.
+// jitter, and a configurable fraction of mice re-drawn every epoch. Each epoch
+// is built whole from the previous epoch's pairs with its own RNG stream; the
+// flow-by-flow face of traffic change is traffic/ingest's FlowEventStream.
+// The moving-average helper models S-CORE's measurement window.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <vector>
 
-#include "traffic/flow_delta.hpp"
 #include "traffic/generator.hpp"
 #include "traffic/traffic_matrix.hpp"
 
@@ -49,14 +50,6 @@ class TrafficDynamics {
   /// references stay valid for the lifetime of this object (deque-backed).
   const TrafficMatrix& epoch(std::size_t k);
 
-  /// The FlowDeltaBatch transforming epoch k-1 into epoch k (k >= 1) — the
-  /// streaming face of the same evolution: applying it to a copy of
-  /// epoch(k-1) reproduces epoch(k) bit-for-bit (the per-epoch RNG streams
-  /// are unchanged; epochs are in fact materialised through this batch, so
-  /// matrix and batch can never disagree). Deterministic and cached like
-  /// epoch(); references stay valid for the lifetime of this object.
-  const FlowDeltaBatch& epoch_delta(std::size_t k);
-
   /// Jaccard overlap of the elephant pair-sets of two epochs — the
   /// "fixed-set hotspots" property (high for adjacent epochs).
   double elephant_overlap(std::size_t epoch_a, std::size_t epoch_b);
@@ -69,7 +62,6 @@ class TrafficDynamics {
   DynamicsConfig dyn_;
   TrafficMatrix base_;
   std::deque<TrafficMatrix> cache_;  ///< deque: stable references on growth
-  std::deque<FlowDeltaBatch> deltas_;  ///< deltas_[i]: epoch i -> epoch i+1
 };
 
 /// Element-wise mean of several matrices (all must have equal num_vms) — the

@@ -48,11 +48,6 @@ class FlowDeltaBatch {
   void push(VmId u, VmId v, double delta) { deltas_.push_back({u, v, delta}); }
   void push(const FlowDelta& d) { deltas_.push_back(d); }
 
-  /// Concatenate `other`'s deltas after this batch's (both orders kept).
-  void append(const FlowDeltaBatch& other) {
-    deltas_.insert(deltas_.end(), other.deltas_.begin(), other.deltas_.end());
-  }
-
   std::size_t size() const { return deltas_.size(); }
   bool empty() const { return deltas_.empty(); }
   void clear() { deltas_.clear(); }

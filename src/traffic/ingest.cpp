@@ -2,84 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 namespace score::traffic {
-
-double exact_delta(double from, double to) {
-  double d = to - from;
-  // fl(from + d) is monotonic in d, so walk d one ulp at a time toward the
-  // target. IEEE subtraction is already exact (Sterbenz) whenever
-  // from/2 <= to <= 2*from — the common case for jittered rates — so the
-  // loop almost never iterates.
-  for (int i = 0; i < 8 && from + d != to; ++i) {
-    d = std::nextafter(d, from + d < to
-                              ? std::numeric_limits<double>::infinity()
-                              : -std::numeric_limits<double>::infinity());
-  }
-  return d;
-}
-
-FlowDeltaBatch diff_batch(const TrafficMatrix& from, const TrafficMatrix& to) {
-  if (from.num_vms() != to.num_vms()) {
-    throw std::invalid_argument("diff_batch: size mismatch");
-  }
-  FlowDeltaBatch batch;
-  // Walk both sorted pair lists; emit one delta per pair whose rate differs.
-  const auto fp = from.pairs();
-  const auto tp = to.pairs();
-  std::size_t i = 0;
-  std::size_t j = 0;
-  auto key = [](const std::tuple<VmId, VmId, double>& p) {
-    return std::make_pair(std::get<0>(p), std::get<1>(p));
-  };
-  // The merge below silently misclassifies vanished/new pairs if either list
-  // is not strictly increasing by key. pairs() sorts on the way out of the
-  // CSR+overflow layout, so this holds today for any compaction state — make
-  // the precondition loud instead of trusting every future layout change.
-  auto check_sorted = [&key](const auto& pairs, const char* which) {
-    for (std::size_t k = 1; k < pairs.size(); ++k) {
-      if (!(key(pairs[k - 1]) < key(pairs[k]))) {
-        throw std::logic_error(std::string("diff_batch: ") + which +
-                               ".pairs() not strictly key-sorted");
-      }
-    }
-  };
-  check_sorted(fp, "from");
-  check_sorted(tp, "to");
-  while (i < fp.size() || j < tp.size()) {
-    if (j == tp.size() || (i < fp.size() && key(fp[i]) < key(tp[j]))) {
-      // Pair vanished: drive it exactly to zero (apply() removes it).
-      batch.push(std::get<0>(fp[i]), std::get<1>(fp[i]), -std::get<2>(fp[i]));
-      ++i;
-    } else if (i == fp.size() || key(tp[j]) < key(fp[i])) {
-      // New pair: the rate itself is the exact delta from zero.
-      batch.push(std::get<0>(tp[j]), std::get<1>(tp[j]), std::get<2>(tp[j]));
-      ++j;
-    } else {
-      const double before = std::get<2>(fp[i]);
-      const double after = std::get<2>(tp[j]);
-      if (before != after) {
-        const double d = exact_delta(before, after);
-        if (before + d == after) {
-          batch.push(std::get<0>(tp[j]), std::get<1>(tp[j]), d);
-        } else {
-          // No single representable delta lands exactly (the ulp grid at
-          // |d| is coarser than at |after| when magnitudes differ widely):
-          // retract to exactly zero, then re-add the exact target rate.
-          batch.push(std::get<0>(tp[j]), std::get<1>(tp[j]), -before);
-          batch.push(std::get<0>(tp[j]), std::get<1>(tp[j]), after);
-        }
-      }
-      ++i;
-      ++j;
-    }
-  }
-  return batch;
-}
 
 FlowEventStream::FlowEventStream(const TrafficMatrix& initial,
                                  const FlowEventConfig& config)

@@ -9,14 +9,8 @@
 // TrafficMatrix. The consumer applies batches at its own pace — the cost
 // caches fold each delta through the TrafficObserver seam, so ingest never
 // forces a global rebuild (see ARCHITECTURE.md, "Streaming ingest & drift
-// trigger").
-//
-// diff_batch() bridges the two worlds: it expresses one matrix as additive
-// deltas against another, choosing each delta so the reconstruction
-// `from.rate + delta` rounds to *exactly* `to.rate` — applying the batch to
-// a copy of `from` reproduces `to` bit-for-bit (pairs() equality), which is
-// what lets TrafficDynamics materialise epochs through the delta path
-// without moving golden traces.
+// trigger"). The two generators are independent: TrafficDynamics builds each
+// epoch whole, and no epoch is expressed as a batch.
 #pragma once
 
 #include <condition_variable>
@@ -30,26 +24,6 @@
 #include "util/rng.hpp"
 
 namespace score::traffic {
-
-/// Additive deltas transforming `from` into `to` (changed pairs only, in
-/// pairs() order). Deltas are ulp-adjusted — and fall back to an exact
-/// retract-then-re-add pair when no single representable delta lands — so
-/// applying the batch to a copy of `from` yields a matrix whose pairs()
-/// equal `to`'s exactly.
-///
-/// The merge walk requires both pairs() lists strictly increasing by (u, v)
-/// key — TrafficMatrix::pairs() guarantees this in any layout state, with
-/// row slack and moved rows (it sorts on the way out), and
-/// diff_batch verifies it (throws std::logic_error on violation) rather
-/// than silently misclassifying vanished/new pairs if a future matrix
-/// layout ever breaks the guarantee.
-FlowDeltaBatch diff_batch(const TrafficMatrix& from, const TrafficMatrix& to);
-
-/// The additive delta d with fl(from + d) == to, when one exists within a
-/// few ulps of to - from. Guaranteed exact when to is within [from/2,
-/// 2*from] (Sterbenz); diff_batch handles the cases where no exact single
-/// delta exists. Exposed for tests.
-double exact_delta(double from, double to);
 
 struct FlowEventConfig {
   /// Flow events synthesised per tick (one tick -> one FlowDeltaBatch).
@@ -80,8 +54,6 @@ class FlowEventStream {
   /// Synthesise the next tick's batch. Applying every batch in order to the
   /// initial matrix keeps matrix and mirror consistent: rates never clamp.
   FlowDeltaBatch next_batch();
-
-  std::size_t num_flows() const { return flows_.size(); }
 
  private:
   struct Flow {

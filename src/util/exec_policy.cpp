@@ -48,8 +48,7 @@ ExecPolicy ExecPolicy::parse(std::string_view spec) {
 }
 
 void for_each_shard(const ExecPolicy& policy, std::size_t jobs,
-                    const std::function<void(std::size_t)>& fn,
-                    ShardSchedule schedule) {
+                    const std::function<void(std::size_t)>& fn) {
   if (jobs == 0) return;
   const std::size_t workers = policy.threads_for(jobs);
   if (workers <= 1) {
@@ -74,30 +73,18 @@ void for_each_shard(const ExecPolicy& policy, std::size_t jobs,
       if (!guarded(j)) return;
     }
   };
-  auto run_stride = [&](std::size_t first) {
-    for (std::size_t j = first; j < jobs; j += workers) {
-      if (!guarded(j)) return;
-    }
-  };
 
-  // Either schedule is a pure function of (policy, jobs), never of thread
-  // timing: kBlock deals contiguous blocks with sizes differing by at most
-  // one, kCyclic strides worker w over w, w+workers, …
+  // Contiguous blocks with sizes differing by at most one: a pure function
+  // of (policy, jobs), never of thread timing.
   std::vector<std::thread> threads;
   threads.reserve(workers);
-  if (schedule == ShardSchedule::kCyclic) {
-    for (std::size_t w = 0; w < workers; ++w) {
-      threads.emplace_back(run_stride, w);
-    }
-  } else {
-    const std::size_t base = jobs / workers;
-    const std::size_t extra = jobs % workers;
-    std::size_t first = 0;
-    for (std::size_t w = 0; w < workers; ++w) {
-      const std::size_t size = base + (w < extra ? 1 : 0);
-      threads.emplace_back(run_block, first, first + size);
-      first += size;
-    }
+  const std::size_t base = jobs / workers;
+  const std::size_t extra = jobs % workers;
+  std::size_t first = 0;
+  for (std::size_t w = 0; w < workers; ++w) {
+    const std::size_t size = base + (w < extra ? 1 : 0);
+    threads.emplace_back(run_block, first, first + size);
+    first += size;
   }
   for (auto& t : threads) t.join();
   if (first_error) std::rethrow_exception(first_error);

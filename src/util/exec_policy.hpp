@@ -12,9 +12,10 @@
 //     exact sequence seq() does — the determinism tests rely on this.
 //
 // for_each_shard is the only primitive the codebase needs: shard walks in
-// the multi-token driver and per-shard reconciliation in ShardedCostOracle
-// both reduce to "run fn(t) for every shard index t". The callback must
-// touch only state owned by shard t; the driver gives no other guarantee.
+// the multi-token driver and the per-shard snapshot resync and
+// reconciliation in ShardedCostOracle all reduce to "run fn(t) for every
+// shard index t". The callback must touch only state owned by shard t; the
+// driver gives no other guarantee.
 #pragma once
 
 #include <cstddef>
@@ -58,27 +59,14 @@ class ExecPolicy {
   std::size_t n_threads_ = 0;
 };
 
-/// How a parallel for_each_shard deals job indices to its workers. Either
-/// way the assignment is a pure function of (policy, jobs) — never of thread
-/// timing — and each worker processes its jobs in ascending index order, so
-/// results stay deterministic for callbacks that touch only shard-owned
-/// state. (Modeled on distributed-ranges' block vs cyclic distributions.)
-///
-///   * kBlock  — contiguous index blocks, sizes differing by at most one.
-///     Adjacent shards share a worker; best when per-shard work is uniform.
-///   * kCyclic — worker w runs jobs w, w+workers, w+2·workers, …  Best when
-///     per-shard work is skewed (e.g. incremental begin_pass resyncs, whose
-///     touched-VM counts vary wildly across shards): striding deals the
-///     expensive shards round-robin instead of landing them on one worker.
-enum class ShardSchedule { kBlock, kCyclic };
-
 /// Runs fn(0) … fn(jobs-1) under the policy. Sequential policies (and
 /// par(1)) call fn in ascending index order on one thread; parallel policies
-/// deal indices to workers per `schedule` (kBlock default). The first
+/// deal contiguous index blocks, sizes differing by at most one, to their
+/// workers, each of which runs its block in ascending order. The assignment
+/// is a pure function of (policy, jobs), never of thread timing. The first
 /// exception thrown by any job is rethrown on the calling thread after all
 /// workers join.
 void for_each_shard(const ExecPolicy& policy, std::size_t jobs,
-                    const std::function<void(std::size_t)>& fn,
-                    ShardSchedule schedule = ShardSchedule::kBlock);
+                    const std::function<void(std::size_t)>& fn);
 
 }  // namespace score::util

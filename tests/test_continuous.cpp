@@ -222,6 +222,35 @@ TEST(Continuous, OverfullWorldRejectsArrivalsButKeepsRunning) {
   EXPECT_GT(rejected, 0u) << "capacity pressure should reject some tenants";
 }
 
+// The fresh reference is the Eq. (2) total of the re-optimised placement,
+// recomputed. It used to be ScoreSimulation's running Lemma-3 sum, which
+// cancelled to -1.76e-08 on epoch 0 of this world: the one
+// `score_cli --mode continuous --vms 64 --epochs 3` builds.
+TEST(Continuous, FreshReferenceIsANonNegativeEq2Total) {
+  topo::CanonicalTreeConfig tree;
+  tree.racks = 32;
+  tree.hosts_per_rack = 5;
+  tree.racks_per_pod = 4;
+  tree.cores = 4;
+  topo::CanonicalTree topology(tree);
+  driver::ContinuousConfig cfg;
+  cfg.generator.num_vms = 64;
+  cfg.generator.seed = 42;
+  cfg.dynamics.seed = 43;
+  cfg.intensity_scale = traffic::intensity_scale(traffic::Intensity::kSparse);
+  cfg.epochs = 3;
+  cfg.server_capacity.vm_slots = 4;
+  cfg.server_capacity.ram_mb = 4 * 256.0;
+  cfg.server_capacity.cpu_cores = 4.0;
+  cfg.iterations_per_epoch = 8;
+  driver::ContinuousEngine engine(topology, cfg);
+  const driver::SteadyStateReport report = engine.run();
+  ASSERT_EQ(report.epochs.size(), 3u);
+  for (const driver::EpochReport& er : report.epochs) {
+    EXPECT_GE(er.fresh_cost, 0.0) << "epoch " << er.epoch;
+  }
+}
+
 TEST(Continuous, InvalidConfigThrows) {
   topo::CanonicalTree topology(tree_config());
   driver::ContinuousConfig cfg = small_config();

@@ -15,7 +15,6 @@ namespace {
 
 using score::util::ExecPolicy;
 using score::util::for_each_shard;
-using score::util::ShardSchedule;
 
 TEST(ExecPolicy, DefaultsAndFactories) {
   EXPECT_FALSE(ExecPolicy{}.parallel());
@@ -92,37 +91,6 @@ TEST(ForEachShard, ParUsesMultipleThreads) {
 
 TEST(ForEachShard, ZeroJobsIsANoop) {
   for_each_shard(ExecPolicy::par(4), 0, [&](std::size_t) { FAIL(); });
-}
-
-TEST(ForEachShard, CyclicCoversEveryJobExactlyOnce) {
-  std::mutex mu;
-  std::multiset<std::size_t> seen;
-  for_each_shard(
-      ExecPolicy::par(4), 23,
-      [&](std::size_t t) {
-        std::lock_guard<std::mutex> lock(mu);
-        seen.insert(t);
-      },
-      ShardSchedule::kCyclic);
-  ASSERT_EQ(seen.size(), 23u);
-  for (std::size_t t = 0; t < 23; ++t) EXPECT_EQ(seen.count(t), 1u) << t;
-}
-
-TEST(ForEachShard, CyclicSeqRunsInAscendingOrder) {
-  std::vector<std::size_t> seen;
-  for_each_shard(
-      ExecPolicy::seq(), 5, [&](std::size_t t) { seen.push_back(t); },
-      ShardSchedule::kCyclic);
-  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(ForEachShard, CyclicExceptionPropagatesFromWorker) {
-  const auto boom = [&](std::size_t t) {
-    if (t == 3) throw std::runtime_error("shard 3 failed");
-  };
-  EXPECT_THROW(
-      for_each_shard(ExecPolicy::par(2), 6, boom, ShardSchedule::kCyclic),
-      std::runtime_error);
 }
 
 TEST(ForEachShard, ExceptionPropagatesFromWorker) {

@@ -2,14 +2,14 @@
 // cannot have changed since it last reported !improvable
 // (driver/settled_holds.hpp). This suite keeps the evaluate-every-hold walks
 // the drivers used to run — the multi-token phased pass and the
-// ScoreSimulation event loop — as executable references, and demands
-// bit-identical runs: migration log, cost series, iteration stats (except
-// `evaluations`) and final cost. It sweeps topologies, token counts,
-// execution policies, c_m, headroom, candidate caps, rack siblings, token
-// policies and tight capacity, runs to stability, and runs twice on one
-// simulation object with a traffic change in between. Every logged commit
-// is replayed on brute-force Eq. (2) and must strictly lower it. Labelled
-// `tokens`, so the sanitizer jobs run its par(2) cases.
+// ScoreSimulation loop on sim::EventQueue — as executable references, and
+// demands bit-identical runs: migration log, cost series, iteration stats
+// (except `evaluations`), final cost and duration. It sweeps topologies,
+// token counts, execution policies, c_m, headroom, candidate caps, rack
+// siblings, token policies and tight capacity, runs to stability, and runs
+// twice on one simulation object with a traffic change in between. Every
+// logged commit is replayed on brute-force Eq. (2) and must strictly lower
+// it. Labelled `tokens`, so the sanitizer jobs run its par(2) cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,6 +41,11 @@ using score::core::TokenPolicy;
 using score::core::VmId;
 using score::core::VmRange;
 using score::driver::IterationStats;
+using score::driver::kMigrationBandwidthBps;
+using score::driver::kMigrationOverheadS;
+using score::driver::kPrecopyFactor;
+using score::driver::kTokenHoldS;
+using score::driver::kTokenPassPerHopS;
 using score::driver::MigrationRecord;
 using score::driver::MultiTokenConfig;
 using score::driver::MultiTokenSimulation;
@@ -94,17 +99,16 @@ SimResult reference_multi_token(const MigrationEngine& engine, Allocation& alloc
       for (VmId u = partitions[t].first;; ++u) {
         const Decision d = engine.evaluate(snap, tm, u);
         if (d.improvable && !d.migrate) ++seen.blocked_holds;
-        double busy = config.token_hold_s;
+        double busy = kTokenHoldS;
         if (d.migrate) {
-          const double bytes = snap.spec(u).ram_mb * 1e6 * config.precopy_factor;
-          busy += bytes * 8.0 / config.migration_bandwidth_bps +
-                  config.migration_overhead_s;
+          const double bytes = snap.spec(u).ram_mb * 1e6 * kPrecopyFactor;
+          busy += bytes * 8.0 / kMigrationBandwidthBps + kMigrationOverheadS;
           snap.migrate(u, d.target);
           moves[t].push_back({u, d.target, busy_until + busy});
         }
         busy_until += busy;
         if (u == partitions[t].last) break;
-        busy_until += config.token_pass_per_hop_s *
+        busy_until += kTokenPassPerHopS *
                       topology.hop_count(snap.server_of(u), snap.server_of(u + 1));
       }
       max_busy = std::max(max_busy, busy_until);
@@ -183,11 +187,10 @@ SimResult reference_score_simulation(const MigrationEngine& engine,
     policy.observe(model, alloc, tm, holder);
     const Decision d = engine.evaluate(alloc, tm, holder);
     if (d.improvable && !d.migrate) ++seen.blocked_holds;
-    double busy = config.token_hold_s;
+    double busy = kTokenHoldS;
     if (d.migrate) {
-      const double bytes = alloc.spec(holder).ram_mb * 1e6 * config.precopy_factor;
-      busy += bytes * 8.0 / config.migration_bandwidth_bps +
-              config.migration_overhead_s;
+      const double bytes = alloc.spec(holder).ram_mb * 1e6 * kPrecopyFactor;
+      busy += bytes * 8.0 / kMigrationBandwidthBps + kMigrationOverheadS;
       result.migration_log.push_back(
           {result.iterations.size(), holder, alloc.server_of(holder), d.target});
       model.apply_migration(alloc, tm, holder, d.target);
@@ -196,7 +199,7 @@ SimResult reference_score_simulation(const MigrationEngine& engine,
       ++iteration_migrations;
     }
     ++iteration_holds;
-    if (config.record_every_hold || d.migrate) {
+    if (d.migrate) {
       result.series.push_back({queue.now() + busy, cost, result.total_migrations});
     }
     if (iteration_holds == num_vms) {
@@ -221,7 +224,7 @@ SimResult reference_score_simulation(const MigrationEngine& engine,
     const int hops = model.topology().hop_count(alloc.server_of(holder),
                                                 alloc.server_of(next));
     holder = next;
-    queue.schedule_in(busy + config.token_pass_per_hop_s * hops, process_hold);
+    queue.schedule_in(busy + kTokenPassPerHopS * hops, process_hold);
   };
   queue.schedule_at(0.0, process_hold);
   queue.run();
@@ -375,7 +378,6 @@ TEST(SettledHoldsDifferential, DriversMatchEvaluateEveryHold) {
           SCOPED_TRACE(where + " ScoreSimulation " + name);
           SimConfig cfg;
           cfg.iterations = 60;
-          cfg.record_every_hold = world % 2 == 1;
           Allocation want_alloc = alloc0;
           const auto want_policy = make_policy(name);
           const SimResult want = reference_score_simulation(

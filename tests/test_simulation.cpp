@@ -108,9 +108,8 @@ TEST_F(SimulationTest, CostNeverIncreasesAlongSeries) {
   auto alloc = random_allocation(topo_, 48, rng);
   RoundRobinPolicy rr;
   ScoreSimulation sim(engine_, rr, alloc, tm);
-  SimConfig cfg;
-  cfg.record_every_hold = true;
-  const SimResult res = sim.run(cfg);
+  const SimResult res = sim.run();
+  ASSERT_GT(res.series.size(), 2u);
   for (std::size_t i = 1; i < res.series.size(); ++i) {
     EXPECT_LE(res.series[i].cost, res.series[i - 1].cost + 1e-9);
     EXPECT_GE(res.series[i].time_s, res.series[i - 1].time_s);
@@ -182,14 +181,13 @@ TEST_F(SimulationTest, TimeAdvancesWithMigrationsAndHolds) {
   auto alloc = random_allocation(topo_, 32, rng);
   RoundRobinPolicy rr;
   ScoreSimulation sim(engine_, rr, alloc, tm);
-  SimConfig cfg;
-  cfg.token_hold_s = 0.02;
-  const SimResult res = sim.run(cfg);
+  const SimResult res = sim.run();
   // At least one full iteration of holds plus migration transfer times.
   const double min_time =
-      32 * cfg.token_hold_s +
+      32 * score::driver::kTokenHoldS +
       static_cast<double>(res.total_migrations) *
-          (196.0 * 1e6 * cfg.precopy_factor * 8.0 / cfg.migration_bandwidth_bps);
+          (196.0 * 1e6 * score::driver::kPrecopyFactor * 8.0 /
+           score::driver::kMigrationBandwidthBps);
   EXPECT_GE(res.duration_s, min_time * 0.99);
 }
 

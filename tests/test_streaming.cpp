@@ -1,10 +1,9 @@
 // Streaming ingest tests: the FlowDelta API and observer seam (folded costs
 // must agree with a from-scratch rebuild under any interleaving of applies,
-// batches, rescales and re-opts), the ulp-exact diff/reconstruction
-// path TrafficDynamics materialises epochs through, the drift trigger
-// (below threshold => no re-opt, above => exactly one), the IngestQueue
-// producer/consumer handoff, and the StreamingEngine end to end — including
-// the concurrent ingest + optimiser shape the TSan CI job runs.
+// batches, rescales and re-opts), the drift trigger (below threshold => no
+// re-opt, above => exactly one), the IngestQueue producer/consumer handoff,
+// and the StreamingEngine end to end — including the concurrent ingest +
+// optimiser shape the TSan CI job runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +12,6 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -24,7 +22,6 @@
 #include "driver/multi_token.hpp"
 #include "driver/streaming.hpp"
 #include "helpers.hpp"
-#include "traffic/dynamics.hpp"
 #include "traffic/ingest.hpp"
 
 namespace {
@@ -41,14 +38,11 @@ using score::testing::random_allocation;
 using score::testing::random_tm;
 using score::testing::tiny_tree_config;
 using score::topo::CanonicalTree;
-using score::traffic::diff_batch;
-using score::traffic::exact_delta;
 using score::traffic::FlowDelta;
 using score::traffic::FlowDeltaBatch;
 using score::traffic::FlowEventConfig;
 using score::traffic::FlowEventStream;
 using score::traffic::IngestQueue;
-using score::traffic::TrafficDynamics;
 using score::traffic::TrafficMatrix;
 using score::traffic::VmId;
 using score::util::Rng;
@@ -99,33 +93,6 @@ TEST(FlowDelta, BatchAppliesInOrderAndAccumulates) {
   EXPECT_DOUBLE_EQ(tm.rate(2, 3), 7.0);
 }
 
-TEST(FlowDelta, ExactDeltaReconstructsBitExactly) {
-  // Within the Sterbenz band [from/2, 2*from] — the jittered-rate common
-  // case — a single representable delta always lands exactly.
-  Rng rng(11);
-  for (int i = 0; i < 10000; ++i) {
-    const double from = rng.lognormal(0.0, 3.0);
-    const double to = from * rng.uniform(0.5, 2.0);
-    const double d = exact_delta(from, to);
-    EXPECT_EQ(from + d, to) << "from=" << from << " to=" << to;
-  }
-}
-
-TEST(FlowDelta, DiffBatchTransformsExactly) {
-  // Unconditionally bit-exact, even between unrelated matrices whose rates
-  // differ by orders of magnitude (the retract-then-re-add fallback).
-  Rng rng(23);
-  for (int round = 0; round < 20; ++round) {
-    TrafficMatrix a = random_tm(64, 3.0, rng);
-    TrafficMatrix b = random_tm(64, 3.0, rng);
-    TrafficMatrix reconstructed = a;
-    reconstructed.apply(diff_batch(a, b));
-    EXPECT_EQ(reconstructed.pairs(), b.pairs());
-    // And the empty diff is empty.
-    EXPECT_TRUE(diff_batch(b, b).empty());
-  }
-}
-
 // ------------------------------------------------------------ observer seam
 
 TEST(ObserverSeam, PureDeltaPathNeverRebuilds) {
@@ -153,7 +120,7 @@ TEST(ObserverSeam, PureDeltaPathNeverRebuilds) {
   EXPECT_GE(cached.deltas_folded(), applied / 2);
 }
 
-TEST(ObserverSeam, RescaleAppliedAsADiffBatchFoldsPerPair) {
+TEST(ObserverSeam, RescaleAppliedAsABatchFoldsPerPair) {
   CanonicalTree topo(tiny_tree_config());
   Rng rng(7);
   TrafficMatrix tm = random_tm(32, 2.0, rng);
@@ -162,8 +129,12 @@ TEST(ObserverSeam, RescaleAppliedAsADiffBatchFoldsPerPair) {
   CostModel brute(topo, LinkWeights::exponential(3));
   cached.bind(alloc, tm);
 
+  // rate + 0.5·rate rounds to the same double as 1.5·rate, so the batch
+  // lands exactly on the rescaled matrix.
   const TrafficMatrix target = tm.scaled(1.5);
-  tm.apply(diff_batch(tm, target));
+  FlowDeltaBatch batch;
+  for (const auto& [u, v, rate] : tm.pairs()) batch.push(u, v, rate * 0.5);
+  tm.apply(batch);
   EXPECT_EQ(tm.pairs(), target.pairs());
   expect_matches_brute(brute, cached, alloc, tm);
   EXPECT_EQ(cached.rebuilds(), 1u);  // every pair folded, no rebuild
@@ -305,23 +276,6 @@ TEST(ObserverSeam, FuzzInterleavedMutationsAndReopts) {
       expect_matches_brute(brute, cached, alloc, tm);
     }
   }
-}
-
-// ----------------------------------------------------------- dynamics delta
-
-TEST(DynamicsDelta, EpochDeltaReconstructsEpochsBitExactly) {
-  score::traffic::GeneratorConfig gen;
-  gen.num_vms = 96;
-  gen.seed = 42;
-  score::traffic::DynamicsConfig dyn;
-  dyn.seed = 2014;
-  TrafficDynamics dynamics(gen, dyn);
-  for (std::size_t k = 1; k <= 5; ++k) {
-    TrafficMatrix reconstructed = dynamics.epoch(k - 1);
-    reconstructed.apply(dynamics.epoch_delta(k));
-    EXPECT_EQ(reconstructed.pairs(), dynamics.epoch(k).pairs()) << "epoch " << k;
-  }
-  EXPECT_THROW(dynamics.epoch_delta(0), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- drift trigger
@@ -799,76 +753,6 @@ TEST(StreamingBugfix, CostRatioSurfacesZeroFreshReference) {
   trigger.arm(0.0);
   EXPECT_TRUE(std::isinf(trigger.drift(1e-300)));
   EXPECT_DOUBLE_EQ(trigger.drift(0.0), 0.0);
-}
-
-TEST(StreamingBugfix, DiffBatchWithLiveOverflowEntries) {
-  // Build a pair of matrices whose difference spans unchanged entries,
-  // vanished pairs (erased slots left as row slack) and post-build inserts
-  // (rows that outgrew their slots and moved to the arena's end, leaving
-  // their old region behind) in both directions. diff_batch's merge walk
-  // assumes strictly key-sorted pairs(); the matrix guarantees it for any
-  // layout state, and diff_batch now verifies rather than silently
-  // misclassifying.
-  Rng rng(9);
-  TrafficMatrix base = random_tm(64, 2.0, rng);
-  TrafficMatrix from = base;
-  TrafficMatrix to = base;
-  // New pairs on both sides (a built matrix has no slack, so the first
-  // compacts and leaves every row a free slot), plus removals and rate
-  // changes on existing pairs.
-  from.apply(FlowDelta{60, 63, 7.5});
-  from.apply(FlowDelta{1, 62, 0.25});
-  to.apply(FlowDelta{61, 63, 3.25});
-  to.apply(FlowDelta{0, 63, 1.5});
-  const auto existing = base.pairs();
-  ASSERT_GE(existing.size(), 4u);
-  const auto& [u0, v0, r0] = existing[0];
-  const auto& [u1, v1, r1] = existing[1];
-  to.apply(FlowDelta{u0, v0, -r0});  // vanish
-  to.apply(FlowDelta{u1, v1, r1 * 2.0});
-  // Then row 1 of `from` and row 2 of `to` take new peers (one new pair
-  // each, which the peer's free slot holds) until they outgrow their slots
-  // and move: the used end jumps past the row's old degree without a
-  // compaction. The regression's precondition: row slack and a moved row
-  // on both sides.
-  auto grow_until_moved = [](TrafficMatrix& m, VmId u) {
-    const std::uint64_t compactions = m.compactions();
-    for (VmId p = 10; p < 50; ++p) {
-      if (m.rate(u, p) > 0.0) continue;
-      const std::size_t used = m.csr_entries();
-      const std::size_t degree = m.neighbors(u).size();
-      m.apply(FlowDelta{u, p, 0.125});
-      if (m.compactions() != compactions) return false;
-      if (m.csr_entries() - used > degree) return true;
-    }
-    return false;
-  };
-  ASSERT_GT(from.compactions(), 0u);
-  ASSERT_GT(to.compactions(), 0u);
-  ASSERT_TRUE(grow_until_moved(from, 1));
-  ASSERT_TRUE(grow_until_moved(to, 2));
-  ASSERT_GT(from.overflow_entries(), 0u);
-  ASSERT_GT(to.overflow_entries(), 0u);
-
-  // pairs() must come out strictly key-sorted in this state.
-  for (const auto* m : {&from, &to}) {
-    const auto p = m->pairs();
-    for (std::size_t i = 1; i < p.size(); ++i) {
-      ASSERT_LT(std::make_pair(std::get<0>(p[i - 1]), std::get<1>(p[i - 1])),
-                std::make_pair(std::get<0>(p[i]), std::get<1>(p[i])));
-    }
-  }
-
-  // The diff must reconstruct `to` from `from` bit-exactly in this state.
-  const FlowDeltaBatch batch = diff_batch(from, to);
-  TrafficMatrix rebuilt = from;
-  rebuilt.apply(batch);
-  EXPECT_EQ(rebuilt.pairs(), to.pairs());
-  // And the reverse direction too (vanished/new roles swapped).
-  const FlowDeltaBatch reverse = diff_batch(to, from);
-  TrafficMatrix back = to;
-  back.apply(reverse);
-  EXPECT_EQ(back.pairs(), from.pairs());
 }
 
 // ------------------------------------------------------- MPMC ingest queue

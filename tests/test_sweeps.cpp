@@ -79,7 +79,6 @@ TEST_P(FullSweep, InvariantsHoldEndToEnd) {
   auto policy = score::core::make_policy(policy_name, static_cast<std::uint64_t>(seed));
   SimConfig cfg;
   cfg.iterations = 12;
-  cfg.record_every_hold = true;
   ScoreSimulation sim(engine, *policy, alloc, tm);
   const auto res = sim.run(cfg);
 
