@@ -40,17 +40,12 @@ HoldScratch& hold_scratch() {
 }  // namespace
 
 void EngineConfig::validate() const {
-  const auto non_negative = [](double v) {
-    return std::isfinite(v) && v >= 0.0;
-  };
-  require(non_negative(migration_cost), "migration_cost", "finite and >= 0");
-  require(non_negative(bandwidth_headroom_bps), "bandwidth_headroom_bps",
-          "finite and >= 0");
-  require(max_candidates > 0, "max_candidates", "> 0");
+  require(std::isfinite(migration_cost) && migration_cost >= 0.0,
+          "migration_cost", "finite and >= 0");
 }
 
 const std::vector<ServerId>& CandidateBuilder::build(
-    const topo::Topology& topology, const EngineConfig& config) {
+    const topo::Topology& topology) {
   // Neighbours ranked by (level desc, traffic desc): the highest-level,
   // heaviest peers are probed first (§V-B.5).
   std::sort(ranked_.begin(), ranked_.end(),
@@ -61,18 +56,10 @@ const std::vector<ServerId>& CandidateBuilder::build(
 
   servers_.clear();
   expanded_racks_.clear();
-  const std::size_t cap = config.max_candidates;
   const std::size_t hosts_per_rack =
       topology.num_hosts() / topology.num_racks();
   for (const Ranked& peer : ranked_) {
-    if (servers_.size() >= cap) break;
-    if (!config.probe_rack_siblings) {
-      if (std::find(servers_.begin(), servers_.end(), peer.host) ==
-          servers_.end()) {
-        servers_.push_back(peer.host);
-      }
-      continue;
-    }
+    if (servers_.size() >= kMaxCandidates) break;
     // A rack is expanded whole unless the cap stops it (and then the walk
     // ends), so every host of an expanded rack but the source is listed.
     const int rack = topology.rack_of(peer.host);
@@ -84,7 +71,8 @@ const std::vector<ServerId>& CandidateBuilder::build(
     servers_.push_back(peer.host);
     const auto first =
         static_cast<ServerId>(static_cast<std::size_t>(rack) * hosts_per_rack);
-    for (std::size_t i = 0; i < hosts_per_rack && servers_.size() < cap; ++i) {
+    for (std::size_t i = 0;
+         i < hosts_per_rack && servers_.size() < kMaxCandidates; ++i) {
       const auto sibling = static_cast<ServerId>(first + i);
       if (sibling != source_ && sibling != peer.host) {
         servers_.push_back(sibling);
@@ -99,7 +87,7 @@ bool MigrationEngine::target_feasible(const Allocation& alloc, ServerId target,
   if (!alloc.can_host(target, spec)) return false;
   const double residual_net =
       alloc.capacity(target).net_bps - alloc.used_net_bps(target);
-  return residual_net >= spec.net_bps + config_.bandwidth_headroom_bps;
+  return residual_net >= spec.net_bps;
 }
 
 std::vector<ServerId> MigrationEngine::candidate_servers(
@@ -112,7 +100,7 @@ std::vector<ServerId> MigrationEngine::candidate_servers(
     const ServerId zs = alloc.server_of(z);
     if (zs != source) builder.add_peer(topo.comm_level(source, zs), rate, zs);
   });
-  return builder.build(topo, config_);
+  return builder.build(topo);
 }
 
 Decision MigrationEngine::evaluate(const Allocation& alloc,
@@ -142,7 +130,7 @@ Decision MigrationEngine::evaluate(const Allocation& alloc,
                                   weights.prefix(std::min(2, top)),
                                   weights.prefix(top)};
   const VmSpec& spec = alloc.spec(u);
-  for (const ServerId target : scratch.candidates.build(topo, config_)) {
+  for (const ServerId target : scratch.candidates.build(topo)) {
     ++best.candidates_probed;
     const int rack = topo.rack_of(target);
     const int pod = topo.pod_of(target);

@@ -5,7 +5,7 @@
 //      breaking ties by pairwise traffic λ(z,u) — the order in which the Xen
 //      implementation probes candidate hypervisors;
 //   2. probes each neighbour's server for capacity (slots, RAM, CPU) and the
-//      bandwidth-headroom threshold of §V-C;
+//      residual host-NIC bandwidth of §V-C;
 //   3. computes the exact global-cost delta of moving u there (Lemma 3,
 //      local information only);
 //   4. migrates to the best candidate iff ΔC > c_m (Theorem 1).
@@ -13,7 +13,7 @@
 // Besides servers hosting neighbours, sibling servers in a neighbour's rack
 // are probed as fallbacks: localising to the rack captures most of the gain
 // when the neighbour's own server is full (the paper's "next best choice
-// with adequate bandwidth").
+// with adequate bandwidth"). At most kMaxCandidates servers are probed.
 //
 // A hold reads u's neighbour set once (each peer's server, rack, pod, rate
 // and its Lemma-3 term for u's current server), so a candidate costs one
@@ -30,34 +30,27 @@
 
 namespace score::core {
 
+/// Cap on distinct candidate servers probed per decision (capacity
+/// request/response round-trips in the real system).
+inline constexpr std::size_t kMaxCandidates = 32;
+
 struct EngineConfig {
   /// Migration (overhead) cost c_m; the paper's simulations use 0 for the
   /// GA comparison and sweep it in §VI (see bench_runner's ablation-cm rows).
   double migration_cost = 0.0;
-  /// Required residual host-NIC bandwidth at the target beyond the VM's own
-  /// demand (§V-C link-load threshold). 0 disables the extra headroom.
-  double bandwidth_headroom_bps = 0.0;
-  /// Cap on distinct candidate servers probed per decision (capacity
-  /// request/response round-trips in the real system).
-  std::size_t max_candidates = 32;
-  /// Also consider sibling servers within candidate racks when the primary
-  /// candidate server cannot host the VM.
-  bool probe_rack_siblings = true;
 
   /// Throws std::invalid_argument naming the field unless Theorem 1 is
-  /// meaningful: migration_cost and bandwidth_headroom_bps finite and >= 0
-  /// (a NaN c_m blocks every move, a negative one commits moves that raise
-  /// the cost), and max_candidates > 0.
+  /// meaningful: migration_cost finite and >= 0 (a NaN c_m blocks every
+  /// move, a negative one commits moves that raise the cost).
   void validate() const;
 };
 
 /// The §V-B.5 probe order of one hold, shared by MigrationEngine and the
 /// dom0 agents: peer hosts ranked from the highest communication level
 /// (heaviest traffic first within a level), each followed by its rack
-/// siblings when `probe_rack_siblings` is set, without repeats, never the
-/// holder's own server, at most `max_candidates`. Reuse one builder across
-/// holds: its buffers keep their capacity, so a warm builder allocates
-/// nothing.
+/// siblings, without repeats, never the holder's own server, at most
+/// kMaxCandidates. Reuse one builder across holds: its buffers keep their
+/// capacity, so a warm builder allocates nothing.
 class CandidateBuilder {
  public:
   /// Start a hold whose VM sits on `source`.
@@ -74,8 +67,7 @@ class CandidateBuilder {
 
   /// Rank the peers and list the candidate servers in probe order. The list
   /// stays valid until the next reset().
-  const std::vector<ServerId>& build(const topo::Topology& topology,
-                                     const EngineConfig& config);
+  const std::vector<ServerId>& build(const topo::Topology& topology);
 
  private:
   struct Ranked {
@@ -130,7 +122,8 @@ class MigrationEngine {
                                           VmId u) const;
 
   /// Full placement feasibility for a VM of `spec` on `target`: capacity
-  /// (slots, RAM, CPU, NIC) plus the §V-C bandwidth-headroom threshold.
+  /// (slots, RAM, CPU, NIC) and the §V-C check of the VM's bandwidth against
+  /// the target's residual NIC.
   /// Used by evaluate()'s candidate probing and by the multi-token driver
   /// to revalidate shard-local decisions against the live allocation at the
   /// merge barrier.

@@ -180,7 +180,7 @@ void Dom0Agent::on_token(const sim::Message& msg) {
   const Ipv4 holder = p.token.holder();
   const core::VmId u = vm_of_addr(holder);
   const double now = env_->comm().now();
-  const double window = cfg_->measurement_window_s;
+  const double window = kMeasurementWindowS;
   flows_.evict_idle(now - window);
   for (const auto& [peer, rate] : env_->hv().datapath_rates(u)) {
     FlowKey key;
@@ -206,7 +206,7 @@ void Dom0Agent::on_token(const sim::Message& msg) {
 
   // §V-B.4: probe every communicating VM for its dom0 location.
   pending_->stage = kLocations;
-  pending_->retries_left = cfg_->probe_retries;
+  pending_->retries_left = kProbeRetries;
   send_location_probes();
 }
 
@@ -248,7 +248,7 @@ void Dom0Agent::send_capacity_probes() {
 }
 
 void Dom0Agent::arm_probe_timer(Stage stage) {
-  env_->comm().arm_probe_timer(host_, cfg_->probe_timeout_s, pending_->nonce,
+  env_->comm().arm_probe_timer(host_, kProbeTimeoutS, pending_->nonce,
                                static_cast<int>(stage));
 }
 
@@ -335,7 +335,7 @@ void Dom0Agent::on_locations_complete() {
   // Lemma 3, from purely local data: measured λ, probed peer locations. The
   // delta needs no capacity, and Theorem 1 moves only when it exceeds c_m,
   // so only those candidates are probed. A hold with none ends here.
-  for (const topo::HostId cand : probe_order.build(topo, cfg_->engine)) {
+  for (const topo::HostId cand : probe_order.build(topo)) {
     double delta = 0.0;
     for (const Peer& peer : peers) {
       delta += 2.0 * peer.rate *
@@ -351,7 +351,7 @@ void Dom0Agent::on_locations_complete() {
     return;
   }
   p.stage = kCapacities;
-  p.retries_left = cfg_->probe_retries;
+  p.retries_left = kProbeRetries;
   send_capacity_probes();
 }
 
@@ -370,7 +370,7 @@ void Dom0Agent::on_capacities_complete() {
     const CapInfo& cap = cap_it->second;
     if (cap.free_slots == 0 || cap.free_ram_mb < spec.ram_mb ||
         cap.free_cpu < spec.cpu_cores ||
-        cap.free_net_bps < spec.net_bps + cfg_->engine.bandwidth_headroom_bps) {
+        cap.free_net_bps < spec.net_bps) {
       continue;
     }
     if (best == nullptr || cand.second > best->second) best = &cand;
@@ -408,7 +408,7 @@ void Dom0Agent::finish_hold(bool migrated, double migration_time_s) {
   TokenFrame& token = p.token;
   Hypervisor& hv = env_->hv();
   const Ipam& ipam = hv.ipam();
-  const double busy = cfg_->decision_time_s + migration_time_s;
+  const double busy = kDecisionTimeS + migration_time_s;
   // Token telemetry after each completed hold: the last one is the final one.
   const auto advance_ring = [&] {
     token.set_ring_pos(token.ring_pos() + 1);

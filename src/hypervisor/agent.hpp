@@ -7,7 +7,9 @@
 //   * AgentEnv — the hypervisor it stands on (world reads + live migration)
 //     plus the fabric (Communicator) and the placement-manager callbacks
 //     (hold accounting, run stop, token telemetry);
-//   * AgentConfig — the protocol constants of the run.
+//   * AgentConfig — the settings of the run (c_m and the token policy); the
+//     measurement window, decision time and probe timeout/retry budget are
+//     the constants below, one value per deployment as in §V.
 // It holds no reference to the event queue, the network, or the runtime:
 // everything it does is a deterministic function of delivered messages,
 // fired timers and the world visible through its env. That is the property
@@ -21,6 +23,7 @@
 // score_agent process and replays the resulting actions.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -36,14 +39,21 @@
 
 namespace score::hypervisor {
 
-/// Protocol constants shared by every agent of a run.
+/// Flow-statistics averaging window (§V-B.3).
+inline constexpr double kMeasurementWindowS = 60.0;
+/// dom0 processing time per token hold.
+inline constexpr double kDecisionTimeS = 0.01;
+/// Per-decision probe timeout: a holder missing location/capacity responses
+/// after this long retransmits the unanswered probes.
+inline constexpr double kProbeTimeoutS = 1.0;
+/// Probe retransmissions per decision stage before the holder decides on the
+/// responses it has.
+inline constexpr std::size_t kProbeRetries = 2;
+
+/// Settings shared by every agent of a run.
 struct AgentConfig {
-  core::EngineConfig engine;  ///< c_m, candidate cap, bandwidth headroom
+  core::EngineConfig engine;  ///< c_m
   bool use_hlf = false;       ///< token forwarding policy
-  double measurement_window_s = 60.0;
-  double decision_time_s = 0.01;
-  double probe_timeout_s = 1.0;
-  std::size_t probe_retries = 2;
 };
 
 /// Everything an agent may touch outside its own state.

@@ -199,7 +199,7 @@ struct AgentDaemon::Impl {
   Impl(const core::CostModel& model, core::Allocation& alloc,
        const traffic::TrafficMatrix& tm, const RuntimeConfig& config)
       : agent_cfg(agent_config_of(config)),
-        hv(model, alloc, tm, sim_hypervisor_config_of(config)),
+        hv(model, alloc, tm, config.migration_budget_mb),
         run_ctl(model, alloc, tm, config.iterations, config.stop_when_stable),
         env(hv, run_ctl),
         fingerprint(world_fingerprint(model, alloc, tm, config)) {}

@@ -29,65 +29,48 @@ RuntimeConfig validated(RuntimeConfig cfg, const core::CostModel& model,
   if (alloc.num_vms() != tm.num_vms()) {
     throw std::invalid_argument("DistributedScoreRuntime: alloc/TM mismatch");
   }
-  if (cfg.policy != "highest-level-first" && cfg.policy != "hlf" &&
-      cfg.policy != "round-robin" && cfg.policy != "rr") {
+  cfg.validate(model.topology().num_hosts());
+  return cfg;
+}
+
+}  // namespace
+
+void RuntimeConfig::validate(std::size_t num_hosts) const {
+  if (policy != "highest-level-first" && policy != "hlf" &&
+      policy != "round-robin" && policy != "rr") {
     throw std::invalid_argument("DistributedScoreRuntime: unknown policy '" +
-                                cfg.policy + "'");
+                                policy + "'");
   }
-  cfg.engine.validate();
+  engine.validate();
   // A zero budget would still run one round here but none in the
   // centralized drivers.
-  require(cfg.iterations >= 1, "iterations", ">= 1");
+  require(iterations >= 1, "iterations", ">= 1");
   // A value outside these ranges hangs the run (a token that is always lost,
   // a watchdog that re-arms at the same instant) or quietly disables it.
   const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
   const auto non_negative = [](double v) {
     return std::isfinite(v) && v >= 0.0;
   };
-  require(non_negative(cfg.message_loss_rate) && cfg.message_loss_rate < 1.0,
+  require(non_negative(migration_budget_mb), "migration_budget_mb",
+          "finite and >= 0");
+  require(non_negative(message_loss_rate) && message_loss_rate < 1.0,
           "message_loss_rate", "finite and in [0, 1)");
-  require(positive(cfg.measurement_window_s), "measurement_window_s",
+  require(positive(retransmit_timeout_s), "retransmit_timeout_s",
           "finite and > 0");
-  require(positive(cfg.probe_timeout_s), "probe_timeout_s", "finite and > 0");
-  require(positive(cfg.retransmit_timeout_s), "retransmit_timeout_s",
-          "finite and > 0");
-  require(non_negative(cfg.decision_time_s), "decision_time_s",
-          "finite and >= 0");
-  require(non_negative(cfg.per_hop_latency_s), "per_hop_latency_s",
-          "finite and >= 0");
-  require(non_negative(cfg.loopback_latency_s), "loopback_latency_s",
-          "finite and >= 0");
-  for (const ChurnEvent& ev : cfg.churn) {
-    if (ev.host >= model.topology().num_hosts()) {
+  for (const ChurnEvent& ev : churn) {
+    if (ev.host >= num_hosts) {
       throw std::invalid_argument(
           "DistributedScoreRuntime: churn host out of range");
     }
-    if (ev.time_s < 0.0) {
-      throw std::invalid_argument("DistributedScoreRuntime: churn time negative");
-    }
+    // A NaN time would stall the event queue, an infinite one never fires.
+    require(non_negative(ev.time_s), "churn time_s", "finite and >= 0");
   }
-  return cfg;
-}
-
-}  // namespace
-
-SimHypervisorConfig sim_hypervisor_config_of(const RuntimeConfig& cfg) {
-  SimHypervisorConfig hc;
-  hc.migration_model = cfg.migration_model;
-  hc.background_load = cfg.background_load;
-  hc.migration_seed = cfg.migration_seed;
-  hc.migration_budget_mb = cfg.migration_budget_mb;
-  return hc;
 }
 
 AgentConfig agent_config_of(const RuntimeConfig& cfg) {
   AgentConfig ac;
   ac.engine = cfg.engine;
   ac.use_hlf = cfg.policy == "highest-level-first" || cfg.policy == "hlf";
-  ac.measurement_window_s = cfg.measurement_window_s;
-  ac.decision_time_s = cfg.decision_time_s;
-  ac.probe_timeout_s = cfg.probe_timeout_s;
-  ac.probe_retries = cfg.probe_retries;
   return ac;
 }
 
@@ -121,10 +104,8 @@ struct DistributedScoreRuntime::Impl final : AgentEnv, RuntimeCore {
        AgentExecutor* custom_executor)
       : cfg(validated(std::move(c), m, a, t)),
         agent_cfg(agent_config_of(cfg)),
-        net(std::make_unique<sim::Network>(queue, m.topology(),
-                                           cfg.per_hop_latency_s,
-                                           cfg.loopback_latency_s)),
-        hvisor(m, a, t, sim_hypervisor_config_of(cfg)),
+        net(std::make_unique<sim::Network>(queue, m.topology())),
+        hvisor(m, a, t, cfg.migration_budget_mb),
         run_ctl(m, a, t, cfg.iterations, cfg.stop_when_stable),
         executor(custom_executor != nullptr ? custom_executor
                                             : &local_executor) {
@@ -405,32 +386,12 @@ std::uint64_t world_fingerprint(const core::CostModel& model,
 
   for (const char c : config.policy) h = fnv1a(h, static_cast<std::uint8_t>(c));
   h = fnv1a(h, f64(config.engine.migration_cost));
-  h = fnv1a(h, f64(config.engine.bandwidth_headroom_bps));
-  h = fnv1a(h, config.engine.max_candidates);
-  h = fnv1a(h, config.engine.probe_rack_siblings ? 1 : 0);
   h = fnv1a(h, config.iterations);
   h = fnv1a(h, config.stop_when_stable ? 1 : 0);
-  h = fnv1a(h, f64(config.measurement_window_s));
-  h = fnv1a(h, f64(config.decision_time_s));
-  h = fnv1a(h, f64(config.per_hop_latency_s));
-  h = fnv1a(h, f64(config.loopback_latency_s));
-  h = fnv1a(h, f64(config.migration_model.vm_ram_mb));
-  h = fnv1a(h, f64(config.migration_model.working_set_mean_mb));
-  h = fnv1a(h, f64(config.migration_model.working_set_std_mb));
-  h = fnv1a(h, f64(config.migration_model.dirty_rate_min_mbps));
-  h = fnv1a(h, f64(config.migration_model.dirty_rate_max_mbps));
-  h = fnv1a(h, f64(config.migration_model.link_bps));
-  h = fnv1a(h, f64(config.migration_model.efficiency));
-  h = fnv1a(h, f64(config.migration_model.stop_copy_threshold_mb));
-  h = fnv1a(h, static_cast<std::uint64_t>(config.migration_model.max_rounds));
-  h = fnv1a(h, f64(config.background_load));
-  h = fnv1a(h, config.migration_seed);
   h = fnv1a(h, f64(config.migration_budget_mb));
   h = fnv1a(h, f64(config.message_loss_rate));
   h = fnv1a(h, config.loss_seed);
   h = fnv1a(h, f64(config.retransmit_timeout_s));
-  h = fnv1a(h, f64(config.probe_timeout_s));
-  h = fnv1a(h, config.probe_retries);
   h = fnv1a(h, config.churn.size());
   for (const ChurnEvent& ev : config.churn) {
     h = fnv1a(h, f64(ev.time_s));

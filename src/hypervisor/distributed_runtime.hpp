@@ -30,7 +30,9 @@
 // Failure model. Every control message is subject to independent loss and
 // hosts may leave/join (churn schedule). Three recovery mechanisms compose:
 //   * probe timeout — a holder whose location/capacity probes go unanswered
-//     decides from the responses it has (possibly migrating nowhere);
+//     retransmits them (kProbeRetries times, kProbeTimeoutS apart, see
+//     agent.hpp) and then decides from the responses it has (possibly
+//     migrating nowhere);
 //   * token retransmission — the placement manager (which injected the
 //     token, §V-A) watches hold progress and re-injects its last token
 //     snapshot at the holder's *current* host when no hold completes within
@@ -63,7 +65,6 @@
 #include "hypervisor/communicator.hpp"
 #include "hypervisor/flow_table.hpp"
 #include "hypervisor/ipam.hpp"
-#include "hypervisor/live_migration.hpp"
 #include "hypervisor/run_control.hpp"
 #include "sim/network.hpp"
 #include "traffic/traffic_matrix.hpp"
@@ -72,7 +73,6 @@ namespace score::hypervisor {
 
 class AgentExecutor;
 struct AgentConfig;
-struct SimHypervisorConfig;
 
 /// One scheduled membership change. A leaving host is drained (its VMs
 /// live-migrated to feasible hosts) and its agent detached; a joining host
@@ -83,26 +83,14 @@ struct ChurnEvent {
   bool leave = true;  ///< true = leave, false = (re)join
 };
 
+/// The settings of a run. The fabric latencies (sim/network.hpp), the agents'
+/// measurement window, decision time and probe timeout/retry budget
+/// (agent.hpp) and the pre-copy model (hypervisor.hpp) are constants.
 struct RuntimeConfig {
   std::string policy = "round-robin";  ///< "round-robin" or "highest-level-first"
-  core::EngineConfig engine;           ///< c_m, candidate cap, bandwidth headroom
+  core::EngineConfig engine;           ///< c_m
   std::size_t iterations = 5;          ///< token-round budget, >= 1
   bool stop_when_stable = true;
-  double measurement_window_s = 60.0;  ///< flow-statistics averaging window
-  double decision_time_s = 0.01;       ///< dom0 processing per token hold
-
-  // ---- fabric ---------------------------------------------------------------
-  double per_hop_latency_s = 50e-6;   ///< control-message latency per hop
-  double loopback_latency_s = 5e-6;   ///< same-host delivery latency
-
-  // ---- live migration (pre-copy model, hypervisor/live_migration) -----------
-  /// Base pre-copy parameters; vm_ram_mb and the working set are rescaled to
-  /// each migrating VM's spec at decision time.
-  MigrationModelConfig migration_model;
-  /// Fraction of the migration link occupied by competing traffic (Fig. 5c/d
-  /// x-axis); slows every transfer.
-  double background_load = 0.0;
-  std::uint64_t migration_seed = 11;  ///< dirty-rate randomness
   /// Migration-cost budget: total modeled pre-copy MB the run may put on the
   /// wire (0 = unlimited). A Theorem-1-positive decision whose modeled
   /// transfer would overrun the remaining budget is rejected and counted.
@@ -121,13 +109,6 @@ struct RuntimeConfig {
   /// this long. Must be > 0 and should exceed the longest legal hold
   /// (decision + probe timeouts + one migration transfer).
   double retransmit_timeout_s = 5.0;
-  /// Per-decision probe timeout (> 0): a holder missing location/capacity
-  /// responses after this long retransmits the unanswered probes; once the
-  /// retry budget is spent it decides from what it has.
-  double probe_timeout_s = 1.0;
-  /// Probe retransmissions per decision stage before deciding on partial
-  /// information.
-  std::size_t probe_retries = 2;
   /// Host membership changes, applied at their scheduled simulated times.
   std::vector<ChurnEvent> churn;
 
@@ -135,6 +116,15 @@ struct RuntimeConfig {
   /// Record the full wire trace in RuntimeResult::trace (trace_hash is always
   /// computed; the verbatim trace costs memory proportional to messages).
   bool record_trace = false;
+
+  /// Throws std::invalid_argument naming the field unless the run can start
+  /// on a topology of `num_hosts` hosts: a known policy, an engine that
+  /// passes EngineConfig::validate, iterations >= 1, a finite budget >= 0, a
+  /// loss rate in [0, 1), a finite timeout > 0, and churn events at finite
+  /// times >= 0 on existing hosts. DistributedScoreRuntime checks it at
+  /// construction; score_scheduler and score_agent check it before they
+  /// wait on a peer.
+  void validate(std::size_t num_hosts) const;
 };
 
 /// One observed control-plane send, in send order (the determinism seam).
@@ -229,15 +219,13 @@ class DistributedScoreRuntime {
   std::unique_ptr<Impl> impl_;
 };
 
-/// The protocol constants an agent derives from a runtime config — the same
-/// mapping builds the in-process agents and every score_agent daemon replica.
+/// The settings an agent derives from a runtime config — the same mapping
+/// builds the in-process agents and every score_agent daemon replica.
 AgentConfig agent_config_of(const RuntimeConfig& config);
-/// The slice of a runtime config that parameterizes a (replica) SimHypervisor.
-SimHypervisorConfig sim_hypervisor_config_of(const RuntimeConfig& config);
 
 /// FNV-1a fingerprint over everything that determines a run's behavior:
 /// topology shape, capacities, VM specs and placement, traffic matrix, and
-/// the protocol-relevant RuntimeConfig fields. The scheduler and every
+/// every RuntimeConfig field but record_trace. The scheduler and every
 /// score_agent daemon build their worlds independently from CLI flags; equal
 /// fingerprints are the handshake precondition for a multi-process run.
 std::uint64_t world_fingerprint(const core::CostModel& model,

@@ -7,13 +7,13 @@ namespace score::hypervisor {
 SimHypervisor::SimHypervisor(const core::CostModel& model,
                              core::Allocation& alloc,
                              const traffic::TrafficMatrix& tm,
-                             SimHypervisorConfig config)
+                             double migration_budget_mb)
     : model_(&model),
       alloc_(&alloc),
       tm_(&tm),
-      cfg_(config),
+      migration_budget_mb_(migration_budget_mb),
       ipam_(model.topology()),
-      migration_rng_(cfg_.migration_seed) {
+      migration_rng_(kMigrationSeed) {
   if (alloc_->num_vms() != tm_->num_vms()) {
     throw std::invalid_argument("SimHypervisor: alloc/TM mismatch");
   }
@@ -33,10 +33,11 @@ HostCapacity SimHypervisor::host_capacity(topo::HostId host) const {
   return cap;
 }
 
-/// Pre-copy transfer for one VM: the config's model rescaled to the VM's RAM
-/// (working set and stop-and-copy threshold scale proportionally).
+/// Pre-copy transfer for one VM on an idle link: the default model rescaled
+/// to the VM's RAM (working set and stop-and-copy threshold scale
+/// proportionally).
 MigrationOutcome SimHypervisor::simulate_migration(const core::VmSpec& spec) {
-  MigrationModelConfig mc = cfg_.migration_model;
+  MigrationModelConfig mc;
   const double scale =
       spec.ram_mb > 0.0 && mc.vm_ram_mb > 0.0 ? spec.ram_mb / mc.vm_ram_mb : 1.0;
   mc.vm_ram_mb = spec.ram_mb;
@@ -44,7 +45,7 @@ MigrationOutcome SimHypervisor::simulate_migration(const core::VmSpec& spec) {
   mc.working_set_std_mb *= scale;
   mc.stop_copy_threshold_mb *= scale;
   const PreCopyMigrationModel precopy(mc);
-  return precopy.simulate(migration_rng_, cfg_.background_load);
+  return precopy.simulate(migration_rng_, 0.0);
 }
 
 Hypervisor::MigrateStatus SimHypervisor::migrate(core::VmId vm,
@@ -53,8 +54,8 @@ Hypervisor::MigrateStatus SimHypervisor::migrate(core::VmId vm,
   const core::VmSpec& spec = alloc_->spec(vm);
   const MigrationOutcome out = simulate_migration(spec);
   if (outcome != nullptr) *outcome = out;
-  if (cfg_.migration_budget_mb > 0.0 &&
-      migrated_mb_ + out.migrated_mb > cfg_.migration_budget_mb) {
+  if (migration_budget_mb_ > 0.0 &&
+      migrated_mb_ + out.migrated_mb > migration_budget_mb_) {
     ++budget_rejected_;
     return MigrateStatus::kBudgetRejected;
   }

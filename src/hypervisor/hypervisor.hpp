@@ -14,11 +14,14 @@
 //     operator's migration-MB budget enforced at commit time.
 //
 // SimHypervisor is the authoritative implementation: it owns the IPAM
-// directory, the pre-copy RNG and all migration accounting. Every replica of
-// the world (scheduler + each agent daemon) advances its own SimHypervisor
-// through the *same* sequence of migrate/replay calls, which keeps the
-// directories, allocations and RNG streams bit-identical across processes —
-// the invariant the multi-process control plane is built on.
+// directory, the pre-copy RNG and all migration accounting. Every transfer
+// follows the default testbed pre-copy model (MigrationModelConfig{}) on an
+// idle link, rescaled to the VM's RAM, with dirty rates drawn from an RNG
+// seeded with kMigrationSeed. Every replica of the world (scheduler + each
+// agent daemon) advances its own SimHypervisor through the *same* sequence
+// of migrate/replay calls, which keeps the directories, allocations and RNG
+// streams bit-identical across processes — the invariant the multi-process
+// control plane is built on.
 #pragma once
 
 #include <cstdint>
@@ -77,18 +80,16 @@ class Hypervisor {
                                 MigrationOutcome* outcome) = 0;
 };
 
-struct SimHypervisorConfig {
-  MigrationModelConfig migration_model;
-  double background_load = 0.0;
-  std::uint64_t migration_seed = 11;
-  double migration_budget_mb = 0.0;  ///< 0 = unlimited
-};
+/// Seed of the pre-copy dirty-rate RNG every replica starts from.
+inline constexpr std::uint64_t kMigrationSeed = 11;
 
 /// The simulated world: authoritative allocation + IPAM + pre-copy accounting.
 class SimHypervisor final : public Hypervisor {
  public:
+  /// `migration_budget_mb` caps the total modeled pre-copy MB of optimization
+  /// moves (0 = unlimited).
   SimHypervisor(const core::CostModel& model, core::Allocation& alloc,
-                const traffic::TrafficMatrix& tm, SimHypervisorConfig config);
+                const traffic::TrafficMatrix& tm, double migration_budget_mb);
 
   const topo::Topology& topology() const override { return model_->topology(); }
   const core::LinkWeights& weights() const override { return model_->weights(); }
@@ -134,7 +135,7 @@ class SimHypervisor final : public Hypervisor {
   const core::CostModel* model_;
   core::Allocation* alloc_;
   const traffic::TrafficMatrix* tm_;
-  SimHypervisorConfig cfg_;
+  double migration_budget_mb_;
   Ipam ipam_;
   util::Rng migration_rng_;
   std::vector<bool> host_up_;

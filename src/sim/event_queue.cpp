@@ -6,8 +6,11 @@
 namespace score::sim {
 
 void EventQueue::schedule_at(double when, EventFn fn) {
-  if (when < now_) {
-    throw std::invalid_argument("EventQueue::schedule_at: time in the past");
+  // Negated so a NaN time is rejected too: it would stop run_until at the
+  // heap's front with every later event still pending.
+  if (!(when >= now_)) {
+    throw std::invalid_argument(
+        "EventQueue::schedule_at: time in the past or NaN");
   }
   heap_.push_back(Entry{when, next_seq_++, std::move(fn)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});

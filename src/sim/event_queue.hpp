@@ -23,7 +23,8 @@ class EventQueue {
   /// Current simulated time (seconds). Starts at 0.
   double now() const { return now_; }
 
-  /// Schedule `fn` at absolute time `when` (>= now()).
+  /// Schedule `fn` at absolute time `when`. Throws std::invalid_argument
+  /// unless when >= now() (so a NaN time is rejected).
   void schedule_at(double when, EventFn fn);
 
   /// Schedule `fn` `delay` seconds from now (delay >= 0).

@@ -13,7 +13,7 @@ void Network::send(Message msg) {
   }
   const int hops = topo_->hop_count(msg.src, msg.dst);
   const double latency =
-      hops == 0 ? loopback_latency_s_ : per_hop_latency_s_ * hops;
+      hops == 0 ? kLoopbackLatencyS : kPerHopLatencyS * hops;
   queue_->schedule_in(latency, [this, m = std::move(msg)]() {
     const Handler& handler = handlers_[m.dst];
     if (handler) {

@@ -3,10 +3,10 @@
 // probes, §V-B) runs on.
 //
 // Delivery latency is proportional to the hop count between the endpoints'
-// hosts (same-host delivery still pays a loopback latency), matching how the
-// paper's control messages traverse the same tree as data traffic. Messages
-// between a fixed pair are delivered in FIFO order (the event queue breaks
-// timestamp ties by scheduling order).
+// hosts (kPerHopLatencyS per hop; same-host delivery still pays
+// kLoopbackLatencyS), matching how the paper's control messages traverse the
+// same tree as data traffic. Messages between a fixed pair are delivered in
+// FIFO order (the event queue breaks timestamp ties by scheduling order).
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,11 @@
 
 namespace score::sim {
 
+/// Control-message latency per hop between the endpoints' hosts.
+inline constexpr double kPerHopLatencyS = 50e-6;
+/// Same-host delivery latency.
+inline constexpr double kLoopbackLatencyS = 5e-6;
+
 struct Message {
   topo::HostId src = 0;
   topo::HostId dst = 0;
@@ -30,13 +35,8 @@ class Network {
  public:
   using Handler = std::function<void(const Message&)>;
 
-  Network(EventQueue& queue, const topo::Topology& topology,
-          double per_hop_latency_s = 50e-6, double loopback_latency_s = 5e-6)
-      : queue_(&queue),
-        topo_(&topology),
-        per_hop_latency_s_(per_hop_latency_s),
-        loopback_latency_s_(loopback_latency_s),
-        handlers_(topology.num_hosts()) {}
+  Network(EventQueue& queue, const topo::Topology& topology)
+      : queue_(&queue), topo_(&topology), handlers_(topology.num_hosts()) {}
 
   /// Install the dom0 message handler for a host. One handler per host.
   void attach(topo::HostId host, Handler handler) {
@@ -79,8 +79,6 @@ class Network {
  private:
   EventQueue* queue_;
   const topo::Topology* topo_;
-  double per_hop_latency_s_;
-  double loopback_latency_s_;
   std::vector<Handler> handlers_;
   Observer observer_;
   double loss_rate_ = 0.0;

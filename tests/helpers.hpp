@@ -54,7 +54,7 @@ inline core::Allocation random_allocation(const topo::Topology& topology,
 }
 
 /// Four-slot servers at ~60% occupancy by two VM shapes, so some candidates
-/// are full and, with headroom, some lack NIC bandwidth.
+/// lack a free slot, RAM, CPU or NIC bandwidth.
 inline core::Allocation mixed_allocation(const topo::Topology& topology,
                                          std::size_t num_vms, util::Rng& rng) {
   core::ServerCapacity cap;

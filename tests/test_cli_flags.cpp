@@ -1,7 +1,8 @@
 // score_cli flag hygiene: unknown flags and mode-incompatible combinations
 // must exit non-zero with a ONE-LINE diagnostic on stderr (no help-text
 // dump), and the diagnostic must name the offending flag. Runs the real
-// binary (injected by CMake as SCORE_CLI_BIN) through popen.
+// binaries (injected by CMake as SCORE_CLI_BIN and SCORE_SCHEDULER_BIN)
+// through popen.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,8 +16,8 @@ struct CliResult {
   std::string output;  // stdout + stderr interleaved
 };
 
-CliResult run_cli(const std::string& args) {
-  const std::string cmd = std::string(SCORE_CLI_BIN) + " " + args + " 2>&1";
+CliResult run_tool(const std::string& bin, const std::string& args) {
+  const std::string cmd = bin + " " + args + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr);
   CliResult r;
@@ -27,6 +28,10 @@ CliResult run_cli(const std::string& args) {
     r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   }
   return r;
+}
+
+CliResult run_cli(const std::string& args) {
+  return run_tool(SCORE_CLI_BIN, args);
 }
 
 std::size_t line_count(const std::string& s) {
@@ -122,6 +127,64 @@ TEST(CliFlags, MigrationCostThatBreaksTheorem1IsRejected) {
   expect_one_line_rejection(
       "--mode streaming --vms 16 --ticks 2 --batch-size 8 --cm nan",
       "migration_cost");
+}
+
+// Every --policy name but rr and hlf used to run Highest-Level-First in
+// the distributed runtime, and the Round-Robin multi-token walk ignored
+// --policy altogether; both exited 0.
+TEST(CliFlags, PolicyIsRunOrRejected) {
+  const std::string world = "--topology fattree --k 4 --vms 32 --iterations 1";
+  for (const char* name : {"bogus", "random", "htf"}) {
+    expect_one_line_rejection(
+        "--mode distributed " + world + " --policy " + name, "policy");
+    expect_one_line_rejection(
+        "--mode continuous " + world + " --epochs 1 --loss 0.01 --policy " +
+            name,
+        "policy");
+  }
+  for (const char* walk :
+       {"--mode streaming --ticks 2 --batch-size 8", "--tokens 2",
+        "--mode continuous --epochs 1"}) {
+    expect_one_line_rejection(std::string(walk) + " " + world + " --policy rr",
+                              "--policy");
+  }
+  for (const char* name : {"rr", "round-robin", "hlf", "highest-level-first"}) {
+    const CliResult r =
+        run_cli("--mode distributed " + world + " --policy " + name);
+    EXPECT_EQ(r.exit_code, 0) << name << "\n" << r.output;
+  }
+  for (const char* name : {"rr", "hlf", "random", "htf"}) {
+    const CliResult r = run_cli(world + " --policy " + name);
+    EXPECT_EQ(r.exit_code, 0) << name << "\n" << r.output;
+  }
+  // The scheduler refuses before it listens: `timeout` exits 124 if it
+  // waits for an agent instead.
+  const CliResult scheduler = run_tool(
+      "timeout 10 " + std::string(SCORE_SCHEDULER_BIN),
+      "--agents 1 " + world + " --policy bogus");
+  EXPECT_EQ(scheduler.exit_code, 2) << scheduler.output;
+  EXPECT_NE(scheduler.output.find("policy"), std::string::npos)
+      << scheduler.output;
+}
+
+// A negative or NaN --budget-mb used to run with no budget. In continuous
+// mode a negative or NaN --loss, or a NaN --budget-mb, silently ran the
+// centralized optimiser instead of the runtime that rejects it.
+TEST(CliFlags, BadLossAndBudgetAreRejected) {
+  const std::string world = "--topology fattree --k 4 --vms 32 --iterations 1";
+  for (const std::string mode :
+       {"--mode distributed", "--mode continuous --epochs 1"}) {
+    const std::string args = mode + " " + world;
+    expect_one_line_rejection(args + " --budget-mb -5", "migration_budget_mb");
+    expect_one_line_rejection(args + " --budget-mb nan", "migration_budget_mb");
+    expect_one_line_rejection(args + " --loss -0.1", "message_loss_rate");
+    expect_one_line_rejection(args + " --loss nan", "message_loss_rate");
+  }
+  // A zero loss still runs the centralized optimiser.
+  const CliResult r =
+      run_cli("--mode continuous --epochs 1 " + world + " --loss 0");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("(centralized)"), std::string::npos) << r.output;
 }
 
 TEST(CliFlags, ValidCombosStillRun) {

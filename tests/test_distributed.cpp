@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "driver/simulation.hpp"
@@ -99,7 +101,7 @@ TEST(Ipam, FormatIpv4) {
 TEST(Network, DeliversToHandlerWithLatency) {
   CanonicalTree topo(tiny_tree_config());
   EventQueue queue;
-  Network net(queue, topo, /*per_hop=*/1e-3, /*loopback=*/1e-4);
+  Network net(queue, topo);
   double delivered_at = -1.0;
   int got_type = 0;
   net.attach(31, [&](const Message& m) {
@@ -108,8 +110,8 @@ TEST(Network, DeliversToHandlerWithLatency) {
   });
   net.send(Message{0, 31, 7, {1, 2, 3}});
   queue.run();
-  // Hosts 0 and 31 are cross-core: 6 hops -> 6 ms.
-  EXPECT_DOUBLE_EQ(delivered_at, 6e-3);
+  // Hosts 0 and 31 are cross-core: 6 hops.
+  EXPECT_DOUBLE_EQ(delivered_at, 6 * score::sim::kPerHopLatencyS);
   EXPECT_EQ(got_type, 7);
   EXPECT_EQ(net.messages_sent(), 1u);
   EXPECT_EQ(net.bytes_sent(), 3u);
@@ -118,12 +120,12 @@ TEST(Network, DeliversToHandlerWithLatency) {
 TEST(Network, LoopbackLatencyForSameHost) {
   CanonicalTree topo(tiny_tree_config());
   EventQueue queue;
-  Network net(queue, topo, 1e-3, 1e-4);
+  Network net(queue, topo);
   double delivered_at = -1.0;
   net.attach(4, [&](const Message&) { delivered_at = queue.now(); });
   net.send(Message{4, 4, 1, {}});
   queue.run();
-  EXPECT_DOUBLE_EQ(delivered_at, 1e-4);
+  EXPECT_DOUBLE_EQ(delivered_at, score::sim::kLoopbackLatencyS);
 }
 
 TEST(Network, DropsWithoutHandler) {
@@ -309,18 +311,11 @@ TEST_F(DistributedTest, RejectsBadConfig) {
   const Bad bad[] = {
       {"message_loss_rate", &RuntimeConfig::message_loss_rate,
        {1.0, 1.5, -0.1, nan, inf}},
-      {"measurement_window_s", &RuntimeConfig::measurement_window_s,
-       {0.0, -1.0, nan, inf}},
-      {"probe_timeout_s", &RuntimeConfig::probe_timeout_s,
-       {0.0, -1.0, nan, inf}},
       {"retransmit_timeout_s", &RuntimeConfig::retransmit_timeout_s,
        {0.0, -1.0, nan, inf}},
-      {"decision_time_s", &RuntimeConfig::decision_time_s,
-       {-0.01, nan, inf}},
-      {"per_hop_latency_s", &RuntimeConfig::per_hop_latency_s,
-       {-1e-6, nan, inf}},
-      {"loopback_latency_s", &RuntimeConfig::loopback_latency_s,
-       {-1e-6, nan, inf}},
+      // A negative or NaN budget used to run with no budget at all.
+      {"migration_budget_mb", &RuntimeConfig::migration_budget_mb,
+       {-5.0, -1e-300, nan, inf}},
   };
   for (const Bad& b : bad) {
     for (const double v : b.values) {
@@ -348,13 +343,25 @@ TEST_F(DistributedTest, RejectsBadConfig) {
           << e.what();
     }
   }
+  // A NaN churn time used to end the run at once with no round done, and
+  // an infinite one never fired.
+  for (const double t : {-1.0, nan, inf}) {
+    RuntimeConfig c;
+    c.churn.push_back({t, 1, true});
+    try {
+      DistributedScoreRuntime runtime(model_, alloc, tm, c);
+      ADD_FAILURE() << "churn time " << t << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("churn"), std::string::npos)
+          << e.what();
+    }
+  }
   // The edges of the legal ranges still run.
   RuntimeConfig edge;
   edge.iterations = 1;
-  edge.decision_time_s = 0.0;
-  edge.per_hop_latency_s = 0.0;
-  edge.loopback_latency_s = 0.0;
   edge.message_loss_rate = 0.0;
+  edge.migration_budget_mb = 0.0;
+  edge.churn.push_back({0.0, 1, false});
   EXPECT_NO_THROW(DistributedScoreRuntime(model_, alloc, tm, edge).run());
 }
 
@@ -379,13 +386,59 @@ TEST_F(DistributedTest, RejectsEngineConfigsThatBreakTheorem1) {
     RuntimeConfig c;
     c.engine.migration_cost = v;
     rejected(c, "migration_cost");
-    c = RuntimeConfig{};
-    c.engine.bandwidth_headroom_bps = v;
-    rejected(c, "bandwidth_headroom_bps");
   }
-  RuntimeConfig none;
-  none.engine.max_candidates = 0;
-  rejected(none, "max_candidates");
+}
+
+// The handshake proves that the scheduler and every daemon run the same
+// world. Every setting that changes what a run does must therefore change
+// the fingerprint, and the trace switch, which only records, must not.
+TEST_F(DistributedTest, EverySettingMovesTheWorldFingerprint) {
+  Rng rng(42);
+  auto tm = random_tm(16, 2.0, rng);
+  auto alloc = random_allocation(topo_, 16, rng);
+  const RuntimeConfig base;
+  const auto fingerprint = [&](const RuntimeConfig& c) {
+    return score::hypervisor::world_fingerprint(model_, alloc, tm, c);
+  };
+  std::vector<std::pair<const char*, RuntimeConfig>> changed;
+  const auto change = [&](const char* field, auto edit) {
+    RuntimeConfig c = base;
+    edit(c);
+    changed.emplace_back(field, c);
+  };
+  change("policy", [](RuntimeConfig& c) { c.policy = "highest-level-first"; });
+  change("engine.migration_cost",
+         [](RuntimeConfig& c) { c.engine.migration_cost = 1.0; });
+  change("iterations", [](RuntimeConfig& c) { ++c.iterations; });
+  change("stop_when_stable",
+         [](RuntimeConfig& c) { c.stop_when_stable = !c.stop_when_stable; });
+  change("migration_budget_mb",
+         [](RuntimeConfig& c) { c.migration_budget_mb = 64.0; });
+  change("message_loss_rate",
+         [](RuntimeConfig& c) { c.message_loss_rate = 0.05; });
+  change("loss_seed", [](RuntimeConfig& c) { ++c.loss_seed; });
+  change("retransmit_timeout_s",
+         [](RuntimeConfig& c) { c.retransmit_timeout_s = 2.0; });
+  change("churn", [](RuntimeConfig& c) { c.churn.push_back({0.5, 3, true}); });
+  // Each field of a churn event counts too.
+  change("churn time_s",
+         [](RuntimeConfig& c) { c.churn.push_back({0.75, 3, true}); });
+  change("churn host",
+         [](RuntimeConfig& c) { c.churn.push_back({0.5, 4, true}); });
+  change("churn leave",
+         [](RuntimeConfig& c) { c.churn.push_back({0.5, 3, false}); });
+
+  std::vector<std::uint64_t> seen = {fingerprint(base)};
+  for (const auto& [field, config] : changed) {
+    const std::uint64_t fp = fingerprint(config);
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), fp), 0)
+        << field << " leaves the fingerprint of an earlier config";
+    seen.push_back(fp);
+  }
+
+  RuntimeConfig traced = base;
+  traced.record_trace = true;
+  EXPECT_EQ(fingerprint(traced), fingerprint(base));
 }
 
 TEST_F(DistributedTest, SimulatedTimeAdvances) {
@@ -482,25 +535,6 @@ TEST_F(DistributedTest, TraceOmittedUnlessRequested) {
   const auto res = DistributedScoreRuntime(model_, alloc, tm).run();
   EXPECT_TRUE(res.trace.empty());
   EXPECT_NE(res.trace_hash, 0u);  // the hash is always computed
-}
-
-// ------------------------------------------------------- fabric latency knob
-
-TEST_F(DistributedTest, PerHopLatencyStretchesSimulatedTime) {
-  Rng rng(46);
-  auto tm = random_tm(16, 2.0, rng);
-  auto alloc_fast = random_allocation(topo_, 16, rng);
-  auto alloc_slow = alloc_fast;
-
-  RuntimeConfig fast;
-  fast.decision_time_s = 0.0;
-  RuntimeConfig slow = fast;
-  slow.per_hop_latency_s = 1e-2;
-  slow.loopback_latency_s = 1e-3;
-  const auto f = DistributedScoreRuntime(model_, alloc_fast, tm, fast).run();
-  const auto s = DistributedScoreRuntime(model_, alloc_slow, tm, slow).run();
-  EXPECT_GT(s.duration_s, f.duration_s);
-  EXPECT_DOUBLE_EQ(f.final_cost, s.final_cost);  // latency never changes decisions
 }
 
 // --------------------------------------------------- live-migration modeling
@@ -619,7 +653,7 @@ class ProbePayloadTest : public DistributedTest,
       : rng_(53),
         tm_(random_tm(16, 2.0, rng_)),
         alloc_(random_allocation(topo_, 16, rng_)),
-        hv_(model_, alloc_, tm_, {}) {
+        hv_(model_, alloc_, tm_, /*migration_budget_mb=*/0.0) {
     agent_.bind(this, &cfg_, 1);
   }
 

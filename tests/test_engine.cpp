@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "helpers.hpp"
@@ -26,6 +27,7 @@ using score::core::CostModel;
 using score::core::Decision;
 using score::core::EngineConfig;
 using score::core::kInvalidServer;
+using score::core::kMaxCandidates;
 using score::core::LinkWeights;
 using score::core::MigrationEngine;
 using score::core::ServerCapacity;
@@ -115,9 +117,7 @@ TEST_F(EngineTest, RespectsSlotCapacity) {
   const VmId v = alloc.add_vm(VmSpec{}, static_cast<ServerId>(topo_.num_hosts() - 1));
   TrafficMatrix tm(2, {{u, v, 100.0}});
 
-  EngineConfig cfg;
-  cfg.probe_rack_siblings = true;
-  MigrationEngine engine(model_, cfg);
+  MigrationEngine engine(model_);
   const Decision d = engine.evaluate(alloc, tm, u);
   // v's server is full; the engine must fall back to a rack sibling.
   ASSERT_TRUE(d.migrate);
@@ -138,34 +138,31 @@ TEST_F(EngineTest, NoFeasibleTargetMeansNoMigration) {
   }
   TrafficMatrix tm(alloc.num_vms(), {{u, v, 100.0}});
 
-  EngineConfig cfg;
-  cfg.max_candidates = 5;  // only the full rack is probed
-  cfg.probe_rack_siblings = true;
-  MigrationEngine engine(model_, cfg);
-  EXPECT_FALSE(engine.evaluate(alloc, tm, u).migrate);
+  // v's server and its rack siblings are the only candidates, all full.
+  MigrationEngine engine(model_);
+  const Decision d = engine.evaluate(alloc, tm, u);
+  EXPECT_FALSE(d.migrate);
+  EXPECT_EQ(d.candidates_probed, 4u);
 }
 
-TEST_F(EngineTest, BandwidthHeadroomBlocksBusyTargets) {
+TEST_F(EngineTest, BusyNicSendsTheVmToARackSibling) {
   ServerCapacity cap;
   cap.net_bps = 1e9;
   Allocation alloc(topo_.num_hosts(), cap);
   VmSpec chatty;
-  chatty.net_bps = 0.5e9;
+  chatty.net_bps = 0.6e9;
   const VmId u = alloc.add_vm(chatty, 0);
   const VmId v = alloc.add_vm(chatty, static_cast<ServerId>(topo_.num_hosts() - 1));
   TrafficMatrix tm(2, {{u, v, 100.0}});
 
-  EngineConfig cfg;
-  cfg.bandwidth_headroom_bps = 0.2e9;  // 0.5 used + 0.5 vm + 0.2 headroom > 1.0
-  cfg.probe_rack_siblings = false;
-  MigrationEngine engine(model_, cfg);
-  EXPECT_FALSE(engine.evaluate(alloc, tm, u).migrate);
-
-  cfg.probe_rack_siblings = true;  // empty sibling hosts satisfy the headroom
-  MigrationEngine engine2(model_, cfg);
-  const Decision d = engine2.evaluate(alloc, tm, u);
+  // 0.6 Gb/s used + 0.6 Gb/s for u exceeds v's 1 Gb/s host; its empty rack
+  // siblings have room.
+  MigrationEngine engine(model_);
+  EXPECT_FALSE(engine.target_feasible(alloc, alloc.server_of(v), chatty));
+  const Decision d = engine.evaluate(alloc, tm, u);
   ASSERT_TRUE(d.migrate);
   EXPECT_NE(d.target, alloc.server_of(v));
+  EXPECT_EQ(topo_.rack_of(d.target), topo_.rack_of(alloc.server_of(v)));
 }
 
 TEST_F(EngineTest, CandidateOrderPrefersHighestLevelHeaviestPeers) {
@@ -180,27 +177,33 @@ TEST_F(EngineTest, CandidateOrderPrefersHighestLevelHeaviestPeers) {
                        {u, far_light, 1.0},
                        {u, far_heavy, 5.0}});
 
-  EngineConfig cfg;
-  cfg.probe_rack_siblings = false;
-  MigrationEngine engine(model_, cfg);
-  const auto candidates = engine.candidate_servers(alloc, tm, u);
-  ASSERT_EQ(candidates.size(), 4u);
-  EXPECT_EQ(candidates[0], alloc.server_of(far_heavy));
-  EXPECT_EQ(candidates[1], alloc.server_of(far_light));
-  EXPECT_EQ(candidates[2], alloc.server_of(podmate));
-  EXPECT_EQ(candidates[3], alloc.server_of(rackmate));
+  // Each peer's host, in (level, rate) order, followed by the rest of its
+  // rack: far_light's rack is far_heavy's, and u's own host 0 is skipped.
+  MigrationEngine engine(model_);
+  EXPECT_EQ(engine.candidate_servers(alloc, tm, u),
+            (std::vector<ServerId>{31, 28, 29, 30, 4, 5, 6, 7, 1, 2, 3}));
 }
 
 TEST_F(EngineTest, MaxCandidatesCapsProbes) {
-  Rng rng(4);
-  auto tm = random_tm(32, 6.0, rng);
-  auto alloc = random_allocation(topo_, 32, rng);
-  EngineConfig cfg;
-  cfg.max_candidates = 3;
-  MigrationEngine engine(model_, cfg);
-  for (VmId u = 0; u < 32; ++u) {
-    EXPECT_LE(engine.evaluate(alloc, tm, u).candidates_probed, 3u);
+  // A hub with one peer in each other rack of fat-tree k=8: 31 racks of 4
+  // hosts would list 124 candidates.
+  const FatTree fat(score::topo::FatTreeConfig{.k = 8});
+  const CostModel model(fat, LinkWeights::exponential(fat.max_level()));
+  Allocation alloc(fat.num_hosts(), ServerCapacity{});
+  const VmId hub = alloc.add_vm(VmSpec{}, 0);
+  score::traffic::FlowDeltaBatch flows;
+  for (std::size_t rack = 1; rack < fat.num_racks(); ++rack) {
+    const VmId peer =
+        alloc.add_vm(VmSpec{}, static_cast<ServerId>(rack * fat.half_k()));
+    flows.push(hub, peer, 1.0 + static_cast<double>(rack));
   }
+  ASSERT_EQ(alloc.num_vms(), 32u);
+  const TrafficMatrix tm(alloc.num_vms(), std::move(flows));
+  const MigrationEngine engine(model);
+  EXPECT_EQ(engine.candidate_servers(alloc, tm, hub).size(),
+            kMaxCandidates);
+  EXPECT_EQ(engine.evaluate(alloc, tm, hub).candidates_probed,
+            kMaxCandidates);
 }
 
 TEST_F(EngineTest, EvaluateAndApplyReducesGlobalCostByDelta) {
@@ -263,19 +266,11 @@ TEST_F(EngineTest, ConfigsThatBreakTheorem1AreRejected) {
     EngineConfig cm;
     cm.migration_cost = v;
     rejected(cm, "migration_cost");
-    EngineConfig headroom;
-    headroom.bandwidth_headroom_bps = v;
-    rejected(headroom, "bandwidth_headroom_bps");
   }
-  EngineConfig none;
-  none.max_candidates = 0;
-  rejected(none, "max_candidates");
 
-  // The edges of the legal ranges stay legal.
+  // The edges of the legal range stay legal.
   EngineConfig edge;
   edge.migration_cost = 0.0;
-  edge.bandwidth_headroom_bps = 0.0;
-  edge.max_candidates = 1;
   EXPECT_NO_THROW(MigrationEngine(model_, edge));
   edge.migration_cost = std::numeric_limits<double>::max();
   EXPECT_NO_THROW(MigrationEngine(model_, edge));
@@ -342,12 +337,13 @@ TEST(CommLevel, EveryHostPairFollowsTheDocumentedRule) {
 // ---- differential oracle ----------------------------------------------------
 
 /// The straightforward candidate list: rank every off-host peer by (level
-/// desc, rate desc), then append each peer's server and, with rack siblings
-/// on, every other host of its rack, skipping repeats by linear search.
+/// desc, rate desc), list each peer's server and every other host of its
+/// rack, skipping repeats by linear search, and keep the first
+/// kMaxCandidates. Counts a list that the cap cut in `cut`.
 std::vector<ServerId> reference_candidates(const Topology& topo,
-                                           const EngineConfig& cfg,
                                            const Allocation& alloc,
-                                           const TrafficMatrix& tm, VmId u) {
+                                           const TrafficMatrix& tm, VmId u,
+                                           std::size_t* cut = nullptr) {
   const ServerId source = alloc.server_of(u);
   std::vector<std::tuple<int, double, ServerId>> ranked;
   tm.for_each_neighbor(u, [&](VmId z, double rate) {
@@ -364,7 +360,6 @@ std::vector<ServerId> reference_candidates(const Topology& topo,
   });
   std::vector<ServerId> candidates;
   const auto push_unique = [&](ServerId s) {
-    if (candidates.size() >= cfg.max_candidates) return;
     if (std::find(candidates.begin(), candidates.end(), s) ==
         candidates.end()) {
       candidates.push_back(s);
@@ -373,15 +368,16 @@ std::vector<ServerId> reference_candidates(const Topology& topo,
   const std::size_t hosts_per_rack = topo.num_hosts() / topo.num_racks();
   for (const auto& [level, rate, zs] : ranked) {
     push_unique(zs);
-    if (cfg.probe_rack_siblings) {
-      const auto first = static_cast<ServerId>(
-          static_cast<std::size_t>(topo.rack_of(zs)) * hosts_per_rack);
-      for (std::size_t i = 0; i < hosts_per_rack; ++i) {
-        const auto sibling = static_cast<ServerId>(first + i);
-        if (sibling != source) push_unique(sibling);
-      }
+    const auto first = static_cast<ServerId>(
+        static_cast<std::size_t>(topo.rack_of(zs)) * hosts_per_rack);
+    for (std::size_t i = 0; i < hosts_per_rack; ++i) {
+      const auto sibling = static_cast<ServerId>(first + i);
+      if (sibling != source) push_unique(sibling);
     }
-    if (candidates.size() >= cfg.max_candidates) break;
+  }
+  if (candidates.size() > kMaxCandidates) {
+    candidates.resize(kMaxCandidates);
+    if (cut != nullptr) ++*cut;
   }
   return candidates;
 }
@@ -394,9 +390,8 @@ Decision reference_evaluate(const MigrationEngine& engine,
                             VmId u) {
   Decision best;
   const VmSpec& spec = alloc.spec(u);
-  for (const ServerId target :
-       reference_candidates(engine.cost_model().topology(), engine.config(),
-                            alloc, tm, u)) {
+  for (const ServerId target : reference_candidates(
+           engine.cost_model().topology(), alloc, tm, u)) {
     ++best.candidates_probed;
     const double delta =
         engine.cost_model().migration_delta(alloc, tm, u, target);
@@ -416,71 +411,63 @@ Decision reference_evaluate(const MigrationEngine& engine,
 // The engine gathers u's peers once, builds candidates without repeats by
 // skipping expanded racks, and probes capacity only for a candidate that
 // would win. Every decision must equal the straightforward algorithm's, to
-// the bit, on every topology and across candidate caps, rack siblings,
-// headroom and c_m, including states where the walk has already converged;
-// `improvable` must be set exactly when some candidate, feasible or not,
-// beats c_m.
+// the bit, on every topology and c_m, over 20 worlds each whose slot, RAM,
+// CPU and NIC pressure leaves improvable holds capacity-blocked and cuts
+// long candidate lists at the cap, including states where the walk has
+// already converged; `improvable` must be set exactly when some candidate,
+// feasible or not, beats c_m.
 TEST(EngineOracle, EvaluateMatchesTheStraightforwardAlgorithm) {
   std::size_t decisions = 0;
   std::size_t migrations = 0;
   std::size_t infeasible_probes = 0;
   std::size_t blocked = 0;  // improvable, yet no candidate above c_m fits
+  std::size_t capped = 0;   // candidate lists cut at kMaxCandidates
   std::uint64_t seed = 100;
   for (const LevelCase& c : level_cases()) {
     const Topology& topo = *c.topology;
     const CostModel model(topo, LinkWeights::exponential(topo.max_level()));
     const std::size_t num_vms = topo.num_hosts() * 5 / 2;
-    for (const bool siblings : {true, false}) {
-      for (const std::size_t cap : {1u, 3u, 24u, 32u, 64u}) {
-        for (const double headroom : {0.0, 0.3e9}) {
-          for (const double cm : {0.0, model.pair_cost(50.0, 2)}) {
-            Rng rng(++seed);
-            const TrafficMatrix tm = random_tm(num_vms, 6.0, rng);
-            Allocation alloc = mixed_allocation(topo, num_vms, rng);
-            EngineConfig cfg;
-            cfg.probe_rack_siblings = siblings;
-            cfg.max_candidates = cap;
-            cfg.bandwidth_headroom_bps = headroom;
-            cfg.migration_cost = cm;
-            const MigrationEngine engine(model, cfg);
-            const std::string where = topo.name() + " siblings " +
-                                      std::to_string(siblings) + " cap " +
-                                      std::to_string(cap) + " headroom " +
-                                      std::to_string(headroom) + " c_m " +
-                                      std::to_string(cm);
-            // Three rounds, committing the reference's moves, so later
-            // rounds see near-converged states full of tied deltas.
-            for (int round = 0; round < 3; ++round) {
-              for (VmId u = 0; u < num_vms; ++u) {
-                const std::vector<ServerId> expected_candidates =
-                    reference_candidates(topo, cfg, alloc, tm, u);
-                ASSERT_EQ(engine.candidate_servers(alloc, tm, u),
-                          expected_candidates)
-                    << where << " vm " << u;
-                const Decision want = reference_evaluate(engine, alloc, tm, u);
-                const Decision got = engine.evaluate(alloc, tm, u);
-                ASSERT_EQ(got.target, want.target) << where << " vm " << u;
-                ASSERT_EQ(got.migrate, want.migrate) << where << " vm " << u;
-                ASSERT_EQ(got.improvable, want.improvable)
-                    << where << " vm " << u;
-                if (got.improvable && !got.migrate) ++blocked;
-                ASSERT_EQ(got.candidates_probed, want.candidates_probed)
-                    << where << " vm " << u;
-                ASSERT_EQ(std::bit_cast<std::uint64_t>(got.delta),
-                          std::bit_cast<std::uint64_t>(want.delta))
-                    << where << " vm " << u << ": " << got.delta << " vs "
-                    << want.delta;
-                for (const ServerId s : expected_candidates) {
-                  if (!engine.target_feasible(alloc, s, alloc.spec(u))) {
-                    ++infeasible_probes;
-                  }
-                }
-                ++decisions;
-                if (want.migrate) {
-                  model.apply_migration(alloc, tm, u, want.target);
-                  ++migrations;
-                }
+    for (const double cm : {0.0, model.pair_cost(50.0, 2)}) {
+      EngineConfig cfg;
+      cfg.migration_cost = cm;
+      const MigrationEngine engine(model, cfg);
+      for (int world = 0; world < 20; ++world) {
+        Rng rng(++seed);
+        const TrafficMatrix tm = random_tm(num_vms, 6.0, rng);
+        Allocation alloc = mixed_allocation(topo, num_vms, rng);
+        const std::string where = topo.name() + " world " +
+                                  std::to_string(world) + " c_m " +
+                                  std::to_string(cm);
+        // Three rounds, committing the reference's moves, so later rounds
+        // see near-converged states full of tied deltas.
+        for (int round = 0; round < 3; ++round) {
+          for (VmId u = 0; u < num_vms; ++u) {
+            const std::vector<ServerId> expected_candidates =
+                reference_candidates(topo, alloc, tm, u, &capped);
+            ASSERT_EQ(engine.candidate_servers(alloc, tm, u),
+                      expected_candidates)
+                << where << " vm " << u;
+            const Decision want = reference_evaluate(engine, alloc, tm, u);
+            const Decision got = engine.evaluate(alloc, tm, u);
+            ASSERT_EQ(got.target, want.target) << where << " vm " << u;
+            ASSERT_EQ(got.migrate, want.migrate) << where << " vm " << u;
+            ASSERT_EQ(got.improvable, want.improvable) << where << " vm " << u;
+            if (got.improvable && !got.migrate) ++blocked;
+            ASSERT_EQ(got.candidates_probed, want.candidates_probed)
+                << where << " vm " << u;
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got.delta),
+                      std::bit_cast<std::uint64_t>(want.delta))
+                << where << " vm " << u << ": " << got.delta << " vs "
+                << want.delta;
+            for (const ServerId s : expected_candidates) {
+              if (!engine.target_feasible(alloc, s, alloc.spec(u))) {
+                ++infeasible_probes;
               }
+            }
+            ++decisions;
+            if (want.migrate) {
+              model.apply_migration(alloc, tm, u, want.target);
+              ++migrations;
             }
           }
         }
@@ -492,6 +479,7 @@ TEST(EngineOracle, EvaluateMatchesTheStraightforwardAlgorithm) {
   EXPECT_GT(migrations, 1000u);
   EXPECT_GT(infeasible_probes, 1000u);
   EXPECT_GT(blocked, 100u);
+  EXPECT_GT(capped, 1000u);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // accounting, and policy-agnostic invariants.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "driver/simulation.hpp"
 #include "helpers.hpp"
 #include "sim/event_queue.hpp"
@@ -61,6 +63,20 @@ TEST(EventQueue, RejectsPastScheduling) {
   q.schedule_at(1.0, [] {});
   q.step();
   EXPECT_THROW(q.schedule_at(0.5, [] {}), std::invalid_argument);
+}
+
+// A NaN time used to be accepted; run() then stopped at it, at the heap's
+// front, and left it and every later event pending.
+TEST(EventQueue, RejectsNanTime) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EventQueue q;
+  bool fired = false;
+  q.schedule_at(1.0, [&] { fired = true; });
+  EXPECT_THROW(q.schedule_at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_in(nan, [] {}), std::invalid_argument);
+  q.run();
+  EXPECT_TRUE(fired);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, RunUntilLeavesLaterEventsPending) {

@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
     const std::size_t retries = flags.get_count("reconnect-retries");
 
     tools::World w = tools::build_world(flags);
+    w.runtime.validate(w.topology->num_hosts());
     hypervisor::AgentDaemon daemon(*w.model, *w.alloc, *w.tm, w.runtime);
     daemon.set_crash_after_tasks(flags.get_count("crash-after-tasks"));
 

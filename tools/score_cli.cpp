@@ -58,6 +58,13 @@ std::string fmt_ratio(double r) {
   return os.str();
 }
 
+/// Continuous mode re-optimises through the distributed runtime when --loss
+/// or --budget-mb is nonzero (NaN included, so the runtime rejects it).
+bool runs_runtime(const util::Flags& flags) {
+  return flags.get_double("loss") != 0.0 ||
+         flags.get_double("budget-mb") != 0.0;
+}
+
 /// Reject flag combinations that contradict the selected mode, with a
 /// one-line diagnostic naming both the flag and the mode it needs. Only
 /// flags the user actually passed are checked — defaults never conflict.
@@ -87,6 +94,14 @@ void validate_mode_combos(const util::Flags& flags) {
   // features (continuous and streaming modes reuse the multi-token walk).
   require("tokens", !dist, "--mode centralized, continuous or streaming");
   require("threads", !dist, "--mode centralized, continuous or streaming");
+  // --policy orders the single-token loop and the runtime's token; the
+  // multi-token walk (streaming, --tokens > 1, continuous without the
+  // runtime) always visits VMs in Round-Robin order.
+  const bool single_token =
+      mode == "centralized" && flags.get_count("tokens") <= 1;
+  require("policy", single_token || dist || (cont && runs_runtime(flags)),
+          "a single-token centralized run, --mode distributed, or --mode "
+          "continuous with --loss or --budget-mb");
   require("ga", !dist && !cont && !strm, "--mode centralized");
   // Continuous-mode-only knobs.
   require("epochs", cont, "--mode continuous");
@@ -122,7 +137,7 @@ int run_continuous(const topo::Topology& topology, const util::Flags& flags) {
   cfg.engine.migration_cost = flags.get_double("cm");
   cfg.tokens = flags.get_count("tokens");
   cfg.exec = tools::exec_policy(flags);
-  if (flags.get_double("loss") > 0.0 || flags.get_double("budget-mb") > 0.0) {
+  if (runs_runtime(flags)) {
     cfg.mode = "distributed";
     cfg.runtime.message_loss_rate = flags.get_double("loss");
     cfg.runtime.migration_budget_mb = flags.get_double("budget-mb");

@@ -78,6 +78,7 @@ int main(int argc, char** argv) {
     }
 
     tools::World w = tools::build_world(flags);
+    w.runtime.validate(w.topology->num_hosts());
 
     util::ServerSocket server =
         util::ServerSocket::listen(flags.get_string("listen"));

@@ -57,7 +57,9 @@ inline void register_world_flags(util::Flags& flags) {
   flags.add_int("seed", 42, "workload / placement seed");
   flags.add_string("placement", "random",
                    "initial placement: random | round-robin | packed");
-  flags.add_string("policy", "hlf", "token policy: rr | hlf | random | htf");
+  flags.add_string("policy", "hlf",
+                   "token policy: rr | hlf | random | htf (single-token run); "
+                   "rr | hlf (distributed runtime)");
   flags.add_int("iterations", 8, "max token-passing iterations");
   flags.add_double("cm", 0.0,
                    "migration cost c_m (cost units, finite, >= 0)");
@@ -123,12 +125,14 @@ inline util::ExecPolicy exec_policy(const util::Flags& flags) {
   return threads > 0 ? util::ExecPolicy::par(threads) : util::ExecPolicy::seq();
 }
 
-/// The distributed runtime's token policy for --policy: rr / round-robin
-/// select Round-Robin, every other name Highest-Level-First.
+/// The distributed runtime's token policy for --policy: rr and hlf name
+/// their long forms; any other name passes through unchanged, for the
+/// runtime to reject.
 inline std::string runtime_policy(const util::Flags& flags) {
   const std::string name = flags.get_string("policy");
-  return name == "rr" || name == "round-robin" ? "round-robin"
-                                               : "highest-level-first";
+  if (name == "rr") return "round-robin";
+  if (name == "hlf") return "highest-level-first";
+  return name;
 }
 
 /// Build the world and the distributed runtime config from parsed flags.
