@@ -24,7 +24,6 @@ CachedCostModel& CachedCostModel::operator=(const CachedCostModel& other) {
   tm_version_ = 0;
   pending_rebuild_ = false;
   total_ = 0.0;
-  vm_cost_.clear();
   rebuilds_ = 0;
   incremental_updates_ = 0;
   deltas_folded_ = 0;
@@ -59,13 +58,9 @@ void CachedCostModel::on_rate_change(traffic::VmId u, traffic::VmId v,
     pending_rebuild_ = true;
     return;
   }
-  // Both endpoints' pair cost changes by the same amount (the pair's cost
-  // counts once in each endpoint's Eq. (1) sum and once in Eq. (2)).
+  // The pair's cost counts once in Eq. (2).
   const int lvl = level(*alloc_, u, v);
-  const double d = pair_cost(new_rate, lvl) - pair_cost(old_rate, lvl);
-  vm_cost_[u] += d;
-  vm_cost_[v] += d;
-  total_ += d;
+  total_ += pair_cost(new_rate, lvl) - pair_cost(old_rate, lvl);
   tm_version_ = tm_->version();
   ++deltas_folded_;
   verify_cache();
@@ -78,7 +73,6 @@ void CachedCostModel::on_matrix_destroyed() {
   alloc_ = nullptr;
   tm_ = nullptr;
   pending_rebuild_ = false;
-  vm_cost_.clear();
   total_ = 0.0;
 }
 
@@ -87,13 +81,10 @@ void CachedCostModel::rebuild() const {
   // so a freshly bound cache is bit-identical to the brute-force value (the
   // bench trajectory compares checksums across runs).
   const std::size_t n = tm_->num_vms();
-  vm_cost_.assign(n, 0.0);
   total_ = 0.0;
   for (VmId u = 0; u < n; ++u) {
     tm_->for_each_neighbor(u, [&](VmId v, double rate) {
-      const double c = pair_cost(rate, level(*alloc_, u, v));
-      vm_cost_[u] += c;
-      if (u < v) total_ += c;
+      if (u < v) total_ += pair_cost(rate, level(*alloc_, u, v));
     });
   }
   alloc_version_ = alloc_->version();
@@ -118,21 +109,6 @@ void CachedCostModel::verify_cache() const {
                            " diverged from brute-force Eq. (2) total " +
                            std::to_string(brute));
   }
-  for (VmId u = 0; u < vm_cost_.size(); ++u) {
-    const double vm_brute = CostModel::vm_cost(*alloc_, *tm_, u);
-    // Cancellation residue in an incrementally maintained sum scales with
-    // the magnitudes folded through it (≈ the global total), not with the
-    // current — possibly zero — per-VM value.
-    const double tol =
-        1e-7 * (1.0 + std::abs(vm_brute)) + 1e-9 * std::abs(total_);
-    if (std::abs(vm_cost_[u] - vm_brute) > tol) {
-      throw std::logic_error("CachedCostModel: cached vm_cost[" +
-                             std::to_string(u) + "] " +
-                             std::to_string(vm_cost_[u]) +
-                             " diverged from brute-force Eq. (1) value " +
-                             std::to_string(vm_brute));
-    }
-  }
 #endif
 }
 
@@ -142,14 +118,6 @@ double CachedCostModel::total_cost(const Allocation& alloc,
   sync();
   verify_cache();
   return total_;
-}
-
-double CachedCostModel::vm_cost(const Allocation& alloc,
-                                const traffic::TrafficMatrix& tm, VmId u) const {
-  if (!bound_to(alloc, tm)) return CostModel::vm_cost(alloc, tm, u);
-  sync();
-  verify_cache();
-  return vm_cost_.at(u);
 }
 
 void CachedCostModel::apply_migration(Allocation& alloc,
@@ -170,12 +138,9 @@ void CachedCostModel::apply_migration(Allocation& alloc,
   double diff = 0.0;
   tm.for_each_neighbor(u, [&](VmId z, double rate) {
     const ServerId zs = alloc.server_of(z);
-    const double delta = pair_cost(rate, topology_ref.comm_level(zs, target)) -
-                         pair_cost(rate, topology_ref.comm_level(zs, source));
-    vm_cost_[z] += delta;
-    diff += delta;
+    diff += pair_cost(rate, topology_ref.comm_level(zs, target)) -
+            pair_cost(rate, topology_ref.comm_level(zs, source));
   });
-  vm_cost_[u] += diff;
   total_ += diff;
   alloc_version_ = alloc.version();
   ++incremental_updates_;

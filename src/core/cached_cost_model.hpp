@@ -4,21 +4,18 @@
 // on each call, yet the paper's whole point is that migration effects are
 // local: moving u only changes the levels of pairs incident to u, and a flow
 // coming up or down only changes the cost of that one pair. This model binds
-// to one (Allocation, TrafficMatrix) instance and maintains
-//
-//   * vm_cost_[u]  — C^A(u), Eq. (1), for every VM, and
-//   * total_       — C^A,   Eq. (2),
-//
-// updating both in O(|Vu|) when a migration is routed through
+// to one (Allocation, TrafficMatrix) instance and maintains the Eq. (2)
+// total C^A, updating it in O(|Vu|) when a migration is routed through
 // apply_migration and in O(1) when a traffic delta arrives through the
-// TrafficObserver seam, so total_cost on the bound pair is O(1).
+// TrafficObserver seam, so total_cost on the bound pair is O(1). Per-VM
+// Eq. (1) sums are not cached: vm_cost is always the brute-force base.
 //
 // Coherence contract (see ARCHITECTURE.md, "Incremental cost cache"):
 //   * Migrations committed through apply_migration are folded incrementally.
 //   * Traffic mutations on the bound matrix (TrafficMatrix::apply, its only
 //     mutator) arrive as on_rate_change callbacks — bind() registers the
 //     cache as an observer — and are folded in O(1):
-//     ΔC = 2·(λ' − λ)·prefix(ℓ(u,v)) on vm_cost_[u], vm_cost_[v] and total_.
+//     ΔC = 2·(λ' − λ)·prefix(ℓ(u,v)) on total_.
 //   * The version counters on both containers remain the fallback and
 //     cross-check path: a cache that missed the notifications (an
 //     unregistered copy, a bulk update such as wholesale assignment, or an
@@ -41,7 +38,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/cost_model.hpp"
 #include "traffic/flow_delta.hpp"
@@ -58,8 +54,8 @@ class CachedCostModel final : public CostModel, public traffic::TrafficObserver 
   ~CachedCostModel() override;
 
   /// Copies start UNBOUND (model parameters only): observer registration is
-  /// per-object, so a copy could never keep inherited sums current. Bind the
-  /// copy explicitly to use it incrementally.
+  /// per-object, so a copy could never keep an inherited total current. Bind
+  /// the copy explicitly to use it incrementally.
   CachedCostModel(const CachedCostModel& other);
   CachedCostModel& operator=(const CachedCostModel& other);
 
@@ -78,11 +74,7 @@ class CachedCostModel final : public CostModel, public traffic::TrafficObserver 
   double total_cost(const Allocation& alloc,
                     const traffic::TrafficMatrix& tm) const override;
 
-  /// O(1) on the bound pair; brute-force fallback otherwise.
-  double vm_cost(const Allocation& alloc, const traffic::TrafficMatrix& tm,
-                 VmId u) const override;
-
-  /// Commits the migration and folds it into the sums in O(|Vu|).
+  /// Commits the migration and folds it into the total in O(|Vu|).
   void apply_migration(Allocation& alloc, const traffic::TrafficMatrix& tm,
                        VmId u, ServerId target) const override;
 
@@ -113,7 +105,6 @@ class CachedCostModel final : public CostModel, public traffic::TrafficObserver 
   /// already stale): the next query rebuilds regardless of the counters.
   mutable bool pending_rebuild_ = false;
   mutable double total_ = 0.0;
-  mutable std::vector<double> vm_cost_;
   mutable std::uint64_t rebuilds_ = 0;
   mutable std::uint64_t incremental_updates_ = 0;
   mutable std::uint64_t deltas_folded_ = 0;

@@ -47,8 +47,8 @@ class CostModel {
   }
 
   /// C^A(u), Eq. (1).
-  virtual double vm_cost(const Allocation& alloc, const traffic::TrafficMatrix& tm,
-                         VmId u) const;
+  double vm_cost(const Allocation& alloc, const traffic::TrafficMatrix& tm,
+                 VmId u) const;
 
   /// C^A, Eq. (2): every unordered pair counted once.
   virtual double total_cost(const Allocation& alloc,

@@ -1,6 +1,7 @@
-// Mode-independent convergence report — the common currency between the
+// Mode-independent convergence records — the common currency between the
 // centralized drivers (driver/simulation, driver/multi_token) and the
-// message-passing distributed runtime (hypervisor/distributed_runtime).
+// message-passing distributed runtime (hypervisor/distributed_runtime): one
+// IterationStats per token-passing round and one ConvergenceReport per run.
 //
 // The paper's headline comparison is distributed-vs-centralized: does the
 // token-passing protocol, deciding from purely local information, land on
@@ -9,9 +10,9 @@
 // benches and tests can diff them field by field (tools/bench_runner's
 // `distributed-vs-centralized` suite is built on exactly this).
 // This header is pure data with no driver includes, so lower consumers
-// (e.g. score_hypervisor's RuntimeResult::report()) can produce the struct
-// without compiling against the simulation drivers; the SimResult summarizer
-// lives next to SimResult in driver/simulation.hpp.
+// (e.g. score_hypervisor's RunControl and RuntimeResult::report()) can
+// produce both structs without compiling against the simulation drivers;
+// the SimResult summarizer lives next to SimResult in driver/simulation.hpp.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +20,18 @@
 #include <string>
 
 namespace score::driver {
+
+/// One token-passing round (|V| holds), recorded by every driver.
+struct IterationStats {
+  std::size_t holds = 0;
+  /// Holds that ran Theorem 1; the rest were settled
+  /// (driver/settled_holds.hpp). Every distributed hold runs it.
+  std::size_t evaluations = 0;
+  std::size_t migrations = 0;
+  double migrated_ratio = 0.0;  ///< migrations / holds (Fig. 2 y-axis)
+  double cost_at_end = 0.0;
+  double time_at_end_s = 0.0;  ///< simulated seconds
+};
 
 struct ConvergenceReport {
   std::string mode;  ///< "centralized" or "distributed"

@@ -7,6 +7,7 @@
 #include "core/token_policy.hpp"
 #include "driver/multi_token.hpp"
 #include "driver/simulation.hpp"
+#include "hypervisor/distributed_runtime.hpp"
 #include "util/rng.hpp"
 
 namespace score::driver {
@@ -28,9 +29,12 @@ ConvergenceReport reoptimize(const core::CostModel& model,
                              std::size_t iterations) {
   config.validate();
   if (config.distributed()) {
-    hypervisor::RuntimeConfig rcfg = config.runtime;
+    hypervisor::RuntimeConfig rcfg;
+    rcfg.policy = config.token_policy;
     rcfg.engine = config.engine;
     rcfg.iterations = iterations;
+    rcfg.message_loss_rate = config.message_loss_rate;
+    rcfg.migration_budget_mb = config.migration_budget_mb;
     hypervisor::DistributedScoreRuntime runtime(model, alloc, tm, rcfg);
     return runtime.run().report();
   }

@@ -12,7 +12,6 @@
 #include "core/cost_model.hpp"
 #include "core/migration_engine.hpp"
 #include "driver/convergence.hpp"
-#include "hypervisor/distributed_runtime.hpp"
 #include "topology/topology.hpp"
 #include "traffic/traffic_matrix.hpp"
 #include "util/exec_policy.hpp"
@@ -30,11 +29,14 @@ struct OptimizerConfig {
   /// Centralized mode: where shard walks run (results are identical).
   util::ExecPolicy exec = util::ExecPolicy::seq();
   core::EngineConfig engine;
-  /// Distributed mode: fabric/failure/migration-model base config, including
-  /// the token policy (`runtime.policy`); reoptimize() overrides `engine`
-  /// and `iterations`. The centralized path and the fresh reference always
-  /// visit VMs in Round-Robin order.
-  hypervisor::RuntimeConfig runtime;
+  /// Distributed mode: the runtime's token policy, control-message loss rate
+  /// and migration-MB budget (the hypervisor::RuntimeConfig fields of the
+  /// same meaning); reoptimize() leaves every other runtime setting at its
+  /// default. The centralized path and the fresh reference always visit VMs
+  /// in Round-Robin order.
+  std::string token_policy = "round-robin";
+  double message_loss_rate = 0.0;
+  double migration_budget_mb = 0.0;
   /// Iteration cap of the fresh reference (run to stability; the cap only
   /// bounds pathological cases).
   std::size_t reopt_iterations = 12;
@@ -47,8 +49,9 @@ struct OptimizerConfig {
 
 /// At most `iterations` token rounds on the live state (fewer once a round
 /// commits nothing) through MultiTokenSimulation (centralized, any token
-/// count) or DistributedScoreRuntime. A caching `model` must be bound to
-/// (alloc, tm).
+/// count) or DistributedScoreRuntime (a RuntimeConfig built from `engine`,
+/// `iterations` and the three distributed-mode settings). A caching `model`
+/// must be bound to (alloc, tm).
 ConvergenceReport reoptimize(const core::CostModel& model,
                              core::Allocation& alloc,
                              const traffic::TrafficMatrix& tm,

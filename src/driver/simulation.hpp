@@ -78,16 +78,6 @@ struct TimePoint {
   std::size_t migrations = 0;  ///< cumulative
 };
 
-struct IterationStats {
-  std::size_t holds = 0;
-  /// Holds that ran Theorem 1; the rest were settled (driver/settled_holds.hpp).
-  std::size_t evaluations = 0;
-  std::size_t migrations = 0;
-  double migrated_ratio = 0.0;  ///< migrations / holds (Fig. 2 y-axis)
-  double cost_at_end = 0.0;
-  double time_at_end_s = 0.0;
-};
-
 /// One committed migration, in commit order — the determinism tests compare
 /// whole logs across execution policies.
 struct MigrationRecord {

@@ -94,8 +94,8 @@ void Dom0Agent::on_message(const sim::Message& msg) {
       put_u32(payload, get_u32(msg.payload, 0));                 // subject VM
       put_u32(payload, env_->hv().ipam().host_address(host_));   // our dom0 addr
       put_u32(payload, get_u32(msg.payload, 4));                 // echo nonce
-      env_->comm().send(CtrlMsg::kLocationResponse, host_, msg.src,
-                        std::move(payload));
+      env_->send(CtrlMsg::kLocationResponse, host_, msg.src,
+                 std::move(payload));
       return;
     }
     case CtrlMsg::kLocationResponse: {
@@ -125,8 +125,8 @@ void Dom0Agent::on_message(const sim::Message& msg) {
       put_u32(payload, static_cast<std::uint32_t>(cap.free_cpu * 1000.0));
       put_u32(payload,
               static_cast<std::uint32_t>(cap.free_net_bps / 1000.0));  // kbps
-      env_->comm().send(CtrlMsg::kCapacityResponse, host_, msg.src,
-                        std::move(payload));
+      env_->send(CtrlMsg::kCapacityResponse, host_, msg.src,
+                 std::move(payload));
       return;
     }
     case CtrlMsg::kCapacityResponse: {
@@ -164,8 +164,7 @@ void Dom0Agent::on_token(const sim::Message& msg) {
   // current hypervisor.
   const topo::HostId holder_host = ipam.vm_host(token.holder());
   if (holder_host != host_) {
-    env_->comm().send(CtrlMsg::kToken, host_, holder_host,
-                      std::move(token).bytes());
+    env_->send(CtrlMsg::kToken, host_, holder_host, std::move(token).bytes());
     return;
   }
 
@@ -179,7 +178,7 @@ void Dom0Agent::on_token(const sim::Message& msg) {
   // stays bounded on long runs).
   const Ipv4 holder = p.token.holder();
   const core::VmId u = vm_of_addr(holder);
-  const double now = env_->comm().now();
+  const double now = env_->now();
   const double window = kMeasurementWindowS;
   flows_.evict_idle(now - window);
   for (const auto& [peer, rate] : env_->hv().datapath_rates(u)) {
@@ -223,8 +222,8 @@ void Dom0Agent::send_location_probes() {
     put_u32(payload, peer_ip);
     put_u32(payload, p.nonce);
     // The fabric routes the probe to the peer VM's current host.
-    env_->comm().send(CtrlMsg::kLocationRequest, host_,
-                      env_->hv().ipam().vm_host(peer_ip), std::move(payload));
+    env_->send(CtrlMsg::kLocationRequest, host_,
+               env_->hv().ipam().vm_host(peer_ip), std::move(payload));
   }
   arm_probe_timer(kLocations);
 }
@@ -240,16 +239,15 @@ void Dom0Agent::send_capacity_probes() {
     ++p.awaiting_capacities;
     std::vector<std::uint8_t> payload;
     put_u32(payload, p.nonce);
-    env_->comm().send(CtrlMsg::kCapacityRequest, host_,
-                      env_->hv().ipam().host_of_address(dom0),
-                      std::move(payload));
+    env_->send(CtrlMsg::kCapacityRequest, host_,
+               env_->hv().ipam().host_of_address(dom0), std::move(payload));
   }
   arm_probe_timer(kCapacities);
 }
 
 void Dom0Agent::arm_probe_timer(Stage stage) {
-  env_->comm().arm_probe_timer(host_, kProbeTimeoutS, pending_->nonce,
-                               static_cast<int>(stage));
+  env_->arm_probe_timer(host_, kProbeTimeoutS, pending_->nonce,
+                        static_cast<int>(stage));
 }
 
 /// Probe timeout: when responses are lost (or their hosts left), the holder
@@ -357,7 +355,7 @@ void Dom0Agent::on_locations_complete() {
 
 void Dom0Agent::on_capacities_complete() {
   PendingDecision& p = *pending_;
-  Hypervisor& hv = env_->hv();
+  const SimHypervisor& hv = env_->hv();
   const core::VmId u = vm_of_addr(p.token.holder());
   const core::VmSpec& spec = hv.vm_spec(u);
 
@@ -392,8 +390,7 @@ void Dom0Agent::on_capacities_complete() {
     return;
   }
   MigrationOutcome outcome;
-  if (hv.migrate(u, target, &outcome) !=
-      Hypervisor::MigrateStatus::kCommitted) {
+  if (env_->migrate(u, target, &outcome) != MigrateStatus::kCommitted) {
     finish_hold(false, 0.0);
     return;
   }
@@ -406,18 +403,17 @@ void Dom0Agent::on_capacities_complete() {
 void Dom0Agent::finish_hold(bool migrated, double migration_time_s) {
   PendingDecision& p = *pending_;
   TokenFrame& token = p.token;
-  Hypervisor& hv = env_->hv();
+  const SimHypervisor& hv = env_->hv();
   const Ipam& ipam = hv.ipam();
   const double busy = kDecisionTimeS + migration_time_s;
-  // Token telemetry after each completed hold: the last one is the final one.
-  const auto advance_ring = [&] {
+  // Each completed hold advances the ring and reports the token header.
+  const auto complete_hold = [&](bool moved) {
     token.set_ring_pos(token.ring_pos() + 1);
-    env_->token_telemetry(token.epoch(), token.ring_pos(),
-                          token.aggregate_delta());
+    return env_->hold_complete(moved, token.epoch(), token.ring_pos(),
+                               token.aggregate_delta());
   };
-  advance_ring();
 
-  bool run_on = env_->hold_complete(migrated);
+  bool run_on = complete_hold(migrated);
   Ipv4 next = token.holder();
   if (run_on) {
     // Forward past VMs stranded on departed hosts (drain failures): each
@@ -426,8 +422,7 @@ void Dom0Agent::finish_hold(bool migrated, double migration_time_s) {
       next = cfg_->use_hlf ? next_highest_level_first(token, next)
                            : next_round_robin(token, next);
       if (hv.host_up(ipam.vm_host(next))) break;
-      advance_ring();
-      run_on = env_->hold_complete(false);
+      run_on = complete_hold(false);
     }
   }
   if (!run_on) {
@@ -445,8 +440,8 @@ void Dom0Agent::finish_hold(bool migrated, double migration_time_s) {
   token.set_holder(next);
   const topo::HostId next_host = ipam.vm_host(next);
   // The token leaves after the dom0 work (and any migration) completes.
-  env_->comm().send_after(busy, CtrlMsg::kToken, host_, next_host,
-                          std::move(token).bytes());
+  env_->send_after(busy, CtrlMsg::kToken, host_, next_host,
+                   std::move(token).bytes());
   pending_.reset();
 }
 

@@ -4,9 +4,11 @@
 // control plane).
 //
 // The agent sees the world only through two seams:
-//   * AgentEnv — the hypervisor it stands on (world reads + live migration)
-//     plus the fabric (Communicator) and the placement-manager callbacks
-//     (hold accounting, run stop, token telemetry);
+//   * AgentEnv — what its own hypervisor measures (a read-only
+//     SimHypervisor), its one world mutation (live migration), the fabric
+//     (now / send / send_after / arm_probe_timer) and the placement
+//     manager's run control (hold completion with the token header, run
+//     stop, probe statistics);
 //   * AgentConfig — the settings of the run (c_m and the token policy); the
 //     measurement window, decision time and probe timeout/retry budget are
 //     the constants below, one value per deployment as in §V.
@@ -56,19 +58,46 @@ struct AgentConfig {
   bool use_hlf = false;       ///< token forwarding policy
 };
 
-/// Everything an agent may touch outside its own state.
+/// Everything an agent may touch outside its own state. The runtime
+/// implements it over the simulated world and fabric; a score_agent daemon
+/// records every call as a TaskAction for the scheduler to replay.
 class AgentEnv {
  public:
   virtual ~AgentEnv() = default;
-  virtual Hypervisor& hv() = 0;
-  virtual Communicator& comm() = 0;
+
+  // ---- the hypervisor the agent stands on -----------------------------------
+  /// Every world read: directory, capacities, datapath counters, liveness.
+  virtual const SimHypervisor& hv() const = 0;
+  /// The agent's one world mutation (SimHypervisor::migrate).
+  virtual MigrateStatus migrate(core::VmId vm, topo::HostId target,
+                                MigrationOutcome* outcome) = 0;
+
+  // ---- the control-plane fabric ---------------------------------------------
+  /// Current control-plane time (simulated seconds).
+  virtual double now() const = 0;
+  /// Send a framed control message into the fabric.
+  virtual void send(CtrlMsg type, topo::HostId from, topo::HostId to,
+                    std::vector<std::uint8_t> payload) = 0;
+  /// Send after a local busy period (decision time + migration transfer) —
+  /// the delayed token hand-off that the watchdog must not mistake for loss.
+  virtual void send_after(double delay, CtrlMsg type, topo::HostId from,
+                          topo::HostId to,
+                          std::vector<std::uint8_t> payload) = 0;
+  /// Arm a probe-stage timeout for `host`'s agent. Timers are data, not
+  /// closures: the (nonce, stage) pair serializes across the process
+  /// boundary and discriminates stale timers (the guard lives in the agent).
+  virtual void arm_probe_timer(topo::HostId host, double delay,
+                               std::uint32_t nonce, int stage) = 0;
+
+  // ---- placement-manager run control ----------------------------------------
   virtual bool stopped() const = 0;
-  /// Hold finished; returns false when the run is over (token not forwarded).
-  virtual bool hold_complete(bool migrated) = 0;
+  /// Hold finished, with the holding agent's view of the token header (the
+  /// run's telemetry: the last hold's header is the final one). Returns
+  /// false when the run is over (token not forwarded).
+  virtual bool hold_complete(bool migrated, std::uint32_t epoch,
+                             std::uint32_t ring_pos,
+                             double aggregate_delta) = 0;
   virtual void stop_run() = 0;
-  /// The holding agent's view of the token header — the run's telemetry.
-  virtual void token_telemetry(std::uint32_t epoch, std::uint32_t ring_pos,
-                               double aggregate_delta) = 0;
   virtual void note_probe_retransmits(std::size_t count) = 0;
   virtual void note_probe_timeout() = 0;
 };

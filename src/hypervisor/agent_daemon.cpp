@@ -11,7 +11,6 @@
 #include "hypervisor/hypervisor.hpp"
 #include "hypervisor/run_control.hpp"
 #include "hypervisor/task_codec.hpp"
-#include "hypervisor/task_handler.hpp"
 
 namespace score::hypervisor {
 
@@ -21,150 +20,87 @@ namespace {
   throw std::runtime_error("agent_daemon: " + what);
 }
 
-/// Replica hypervisor that records every migration attempt as a TaskAction.
-/// Reads pass straight through; migrate() applies to the replica first (the
-/// RNG draw and the budget check must happen here, where the decision is
-/// made) and records the outcome for the scheduler to replay.
-class RecordingHypervisor final : public Hypervisor {
- public:
-  RecordingHypervisor(SimHypervisor& inner, std::vector<TaskAction>& actions)
-      : inner_(&inner), actions_(&actions) {}
-
-  const topo::Topology& topology() const override { return inner_->topology(); }
-  const core::LinkWeights& weights() const override {
-    return inner_->weights();
-  }
-  const Ipam& ipam() const override { return inner_->ipam(); }
-  const core::VmSpec& vm_spec(core::VmId vm) const override {
-    return inner_->vm_spec(vm);
-  }
-  HostCapacity host_capacity(topo::HostId host) const override {
-    return inner_->host_capacity(host);
-  }
-  bool can_host(topo::HostId host, const core::VmSpec& spec) const override {
-    return inner_->can_host(host, spec);
-  }
-  traffic::NeighborView datapath_rates(core::VmId vm) const override {
-    return inner_->datapath_rates(vm);
-  }
-  bool host_up(topo::HostId host) const override {
-    return inner_->host_up(host);
-  }
-  MigrateStatus migrate(core::VmId vm, topo::HostId target,
-                        MigrationOutcome* outcome) override {
-    const MigrateStatus status = inner_->migrate(vm, target, outcome);
-    TaskAction a;
-    if (status == MigrateStatus::kCommitted) {
-      a.kind = TaskActionKind::kMigration;
-      a.vm = vm;
-      a.target = target;
-    } else {
-      a.kind = TaskActionKind::kBudgetReject;
-      a.vm = vm;
-    }
-    actions_->push_back(std::move(a));
-    return status;
-  }
-
- private:
-  SimHypervisor* inner_;
-  std::vector<TaskAction>* actions_;
-};
-
-/// The agent environment inside a daemon: the fabric is a recorder (sends
-/// and timer arms become TaskActions), the hypervisor is the recording
-/// replica, and the run-control callbacks both record and advance the local
-/// RunControl replica.
-class RecordingEnv final : public AgentEnv, public Communicator {
+/// The agent environment inside a daemon: reads come from the local replica
+/// and every call is recorded, in order, as a TaskAction for the scheduler
+/// to replay. The state-mutating subset also advances the replica
+/// (SimHypervisor + RunControl) so the next decision sees the world the
+/// in-process agent would have seen.
+class RecordingEnv final : public AgentEnv {
  public:
   RecordingEnv(SimHypervisor& hv, RunControl& run_ctl)
-      : rec_hv_(hv, actions_), run_ctl_(&run_ctl) {}
+      : hv_(&hv), run_ctl_(&run_ctl) {}
 
   void set_now(double t) { now_ = t; }
   std::vector<TaskAction> take_actions() { return std::exchange(actions_, {}); }
 
-  // ---- Communicator ---------------------------------------------------------
+  const SimHypervisor& hv() const override { return *hv_; }
+  MigrateStatus migrate(core::VmId vm, topo::HostId target,
+                        MigrationOutcome* outcome) override {
+    // The RNG draw and the budget check happen here, where the decision is
+    // made; the scheduler replays the outcome.
+    const MigrateStatus status = hv_->migrate(vm, target, outcome);
+    const bool committed = status == MigrateStatus::kCommitted;
+    TaskAction& a = record(committed ? TaskActionKind::kMigration
+                                     : TaskActionKind::kBudgetReject);
+    a.vm = vm;
+    if (committed) a.target = target;
+    return status;
+  }
+
   double now() const override { return now_; }
   void send(CtrlMsg type, topo::HostId from, topo::HostId to,
             std::vector<std::uint8_t> payload) override {
-    record_send(0.0, type, from, to, std::move(payload));
+    send_after(0.0, type, from, to, std::move(payload));
   }
   void send_after(double delay, CtrlMsg type, topo::HostId from,
                   topo::HostId to, std::vector<std::uint8_t> payload) override {
-    record_send(delay, type, from, to, std::move(payload));
-  }
-  void arm_probe_timer(topo::HostId host, double delay, std::uint32_t nonce,
-                       int stage) override {
-    TaskAction a;
-    a.kind = TaskActionKind::kArmTimer;
-    a.host = host;
-    a.delay_s = delay;
-    a.nonce = nonce;
-    a.stage = static_cast<std::uint8_t>(stage);
-    actions_.push_back(std::move(a));
-  }
-
-  // ---- AgentEnv -------------------------------------------------------------
-  Hypervisor& hv() override { return rec_hv_; }
-  Communicator& comm() override { return *this; }
-  bool stopped() const override { return run_ctl_->stopped(); }
-  bool hold_complete(bool migrated) override {
-    TaskAction a;
-    a.kind = TaskActionKind::kHold;
-    a.migrated = migrated;
-    a.epoch = staged_epoch_;
-    a.ring_pos = staged_ring_pos_;
-    a.aggregate_delta = staged_delta_;
-    actions_.push_back(std::move(a));
-    return run_ctl_->hold_complete(migrated, now_);
-  }
-  void stop_run() override {
-    TaskAction a;
-    a.kind = TaskActionKind::kStopRun;
-    actions_.push_back(std::move(a));
-    run_ctl_->stop(now_);
-  }
-  void token_telemetry(std::uint32_t epoch, std::uint32_t ring_pos,
-                       double aggregate_delta) override {
-    // Staged rather than recorded: the agent always reports telemetry
-    // immediately before the matching hold_complete, so the kHold action
-    // carries it — one action instead of two, same replay order.
-    staged_epoch_ = epoch;
-    staged_ring_pos_ = ring_pos;
-    staged_delta_ = aggregate_delta;
-  }
-  void note_probe_retransmits(std::size_t count) override {
-    TaskAction a;
-    a.kind = TaskActionKind::kProbeRetransmit;
-    a.count = static_cast<std::uint32_t>(count);
-    actions_.push_back(std::move(a));
-  }
-  void note_probe_timeout() override {
-    TaskAction a;
-    a.kind = TaskActionKind::kProbeTimeout;
-    actions_.push_back(std::move(a));
-  }
-
- private:
-  void record_send(double delay, CtrlMsg type, topo::HostId from,
-                   topo::HostId to, std::vector<std::uint8_t> payload) {
-    TaskAction a;
-    a.kind = TaskActionKind::kSend;
+    TaskAction& a = record(TaskActionKind::kSend);
     a.msg_type = static_cast<std::uint8_t>(type);
     a.src = from;
     a.dst = to;
     a.delay_s = delay;
     a.payload = std::move(payload);
-    actions_.push_back(std::move(a));
+  }
+  void arm_probe_timer(topo::HostId host, double delay, std::uint32_t nonce,
+                       int stage) override {
+    TaskAction& a = record(TaskActionKind::kArmTimer);
+    a.host = host;
+    a.delay_s = delay;
+    a.nonce = nonce;
+    a.stage = static_cast<std::uint8_t>(stage);
   }
 
-  std::vector<TaskAction> actions_;
-  RecordingHypervisor rec_hv_;
+  bool stopped() const override { return run_ctl_->stopped(); }
+  bool hold_complete(bool migrated, std::uint32_t epoch, std::uint32_t ring_pos,
+                     double aggregate_delta) override {
+    TaskAction& a = record(TaskActionKind::kHold);
+    a.migrated = migrated;
+    a.epoch = epoch;
+    a.ring_pos = ring_pos;
+    a.aggregate_delta = aggregate_delta;
+    return run_ctl_->hold_complete(migrated, now_);
+  }
+  void stop_run() override {
+    record(TaskActionKind::kStopRun);
+    run_ctl_->stop(now_);
+  }
+  void note_probe_retransmits(std::size_t count) override {
+    record(TaskActionKind::kProbeRetransmit).count =
+        static_cast<std::uint32_t>(count);
+  }
+  void note_probe_timeout() override { record(TaskActionKind::kProbeTimeout); }
+
+ private:
+  TaskAction& record(TaskActionKind kind) {
+    TaskAction& a = actions_.emplace_back();
+    a.kind = kind;
+    return a;
+  }
+
+  SimHypervisor* hv_;
   RunControl* run_ctl_;
+  std::vector<TaskAction> actions_;
   double now_ = 0.0;
-  std::uint32_t staged_epoch_ = 0;
-  std::uint32_t staged_ring_pos_ = 0;
-  double staged_delta_ = 0.0;
 };
 
 }  // namespace
@@ -262,8 +198,7 @@ struct AgentDaemon::Impl {
         run_ctl.hold_complete(a.migrated, t);
         return;
       case TaskActionKind::kMigration:
-        if (hv.migrate(a.vm, a.target, nullptr) !=
-            Hypervisor::MigrateStatus::kCommitted) {
+        if (hv.migrate(a.vm, a.target, nullptr) != MigrateStatus::kCommitted) {
           fail("replica diverged: applied migration did not commit");
         }
         return;
@@ -343,14 +278,13 @@ struct AgentDaemon::Impl {
 
   /// Execute one kDeliver/kTimer — or replay the cached result if the
   /// scheduler re-delivered the previous task after a reconnect.
-  template <typename Exec>
   void serve_task(util::ReliableLink& link, const TaskFrame& frame,
-                  Exec&& exec) {
+                  TaskFrame (Impl::*exec)(const TaskFrame&)) {
     if (frame.seq != 0 && frame.seq == cached_seq) {
       link.send(encode_task(cached_result));
       return;
     }
-    TaskFrame out = exec(frame);
+    TaskFrame out = (this->*exec)(frame);
     cached_seq = frame.seq;
     cached_result = out;
     if (crash_after_tasks != 0 && tasks >= crash_after_tasks) {
@@ -386,26 +320,24 @@ std::size_t AgentDaemon::serve(util::ReliableLink& link) {
   hello.agent_id = d.inited ? d.agent_id : 0;
   link.send(encode_task(hello));
 
-  TaskHandler handler;
-  handler.on(TaskType::kInit, [&d](const TaskFrame& f) { d.on_init(f); });
-  handler.on(TaskType::kAdopt, [&d](const TaskFrame& f) { d.on_adopt(f); });
-  handler.on(TaskType::kApply, [&d](const TaskFrame& f) { d.on_apply(f); });
-  handler.on(TaskType::kDeliver, [&d, &link](const TaskFrame& f) {
-    d.serve_task(link, f, [&d](const TaskFrame& t) { return d.on_deliver(t); });
-  });
-  handler.on(TaskType::kTimer, [&d, &link](const TaskFrame& f) {
-    d.serve_task(link, f, [&d](const TaskFrame& t) { return d.on_timer(t); });
-  });
-  handler.on(TaskType::kShutdown, [&d, &link](const TaskFrame& f) {
-    link.send(encode_task(d.on_shutdown(f)));
-  });
-
   while (!d.done) {
     std::optional<std::vector<std::uint8_t>> buf = link.recv(-1.0);
     if (!buf) continue;  // recv(-1) only returns frames or throws
     const TaskFrame frame = decode_task(*buf);
-    if (!handler.dispatch(frame)) {
-      fail("unexpected frame type from the scheduler");
+    switch (frame.type) {
+      case TaskType::kInit: d.on_init(frame); break;
+      case TaskType::kAdopt: d.on_adopt(frame); break;
+      case TaskType::kApply: d.on_apply(frame); break;
+      case TaskType::kDeliver:
+        d.serve_task(link, frame, &Impl::on_deliver);
+        break;
+      case TaskType::kTimer:
+        d.serve_task(link, frame, &Impl::on_timer);
+        break;
+      case TaskType::kShutdown:
+        link.send(encode_task(d.on_shutdown(frame)));
+        break;
+      default: fail("unexpected frame type from the scheduler");
     }
   }
 

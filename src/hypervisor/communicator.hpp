@@ -1,27 +1,10 @@
-// Communicator seam — how a dom0 agent reaches the control-plane fabric.
-//
-// The agents never touch sim::Network or the event queue directly: every
-// control message (token, location/capacity probes), every delayed token
-// hand-off and every probe timeout goes through this interface. Two
-// implementations exist:
-//   * SimCommunicator — the in-process fabric: wraps sim::EventQueue +
-//     sim::Network and keeps the runtime's message accounting and the
-//     placement manager's last-token snapshot (watchdog state).
-//   * the recording communicator inside score_agent daemons (agent_daemon) —
-//     sends become ordered actions in a result frame, shipped back to the
-//     scheduler over the socket transport and replayed into the authoritative
-//     SimCommunicator there.
-// Timers are data, not closures — arm_probe_timer carries (host, nonce,
-// stage) so a pending timeout serializes across the process boundary.
+// Control-plane message types — what the dom0 agents say to each other over
+// the fabric (sim::Message::type). An agent sends through its AgentEnv
+// (agent.hpp): in-process the runtime puts each message on sim::Network
+// (distributed_runtime), inside a score_agent daemon every send becomes an
+// ordered action in a result frame that the scheduler replays into that
+// same network (agent_daemon, remote_executor).
 #pragma once
-
-#include <cstdint>
-#include <functional>
-#include <vector>
-
-#include "sim/event_queue.hpp"
-#include "sim/network.hpp"
-#include "topology/topology.hpp"
 
 namespace score::hypervisor {
 
@@ -32,80 +15,6 @@ enum class CtrlMsg : int {
   kLocationResponse = 3,
   kCapacityRequest = 4,
   kCapacityResponse = 5,
-};
-
-class Communicator {
- public:
-  virtual ~Communicator() = default;
-
-  /// Current control-plane time (simulated seconds).
-  virtual double now() const = 0;
-
-  /// Send a framed control message into the fabric.
-  virtual void send(CtrlMsg type, topo::HostId from, topo::HostId to,
-                    std::vector<std::uint8_t> payload) = 0;
-
-  /// Send after a local busy period (decision time + migration transfer) —
-  /// the delayed token hand-off that the watchdog must not mistake for loss.
-  virtual void send_after(double delay, CtrlMsg type, topo::HostId from,
-                          topo::HostId to,
-                          std::vector<std::uint8_t> payload) = 0;
-
-  /// Arm a probe-stage timeout for `host`'s agent. The (nonce, stage) pair
-  /// discriminates stale timers; the fire-time guard lives in the agent.
-  virtual void arm_probe_timer(topo::HostId host, double delay,
-                               std::uint32_t nonce, int stage) = 0;
-};
-
-/// The in-process fabric: event queue + sim::Network, plus the runtime's
-/// message accounting and the watchdog's token snapshot.
-class SimCommunicator final : public Communicator {
- public:
-  /// `stopped` gates delayed sends; `probe_timer_sink` routes fired timers to
-  /// the agent executor. `keep_token_snapshot` enables the O(|V|) last-token
-  /// copy only when a watchdog exists to read it.
-  SimCommunicator(sim::EventQueue& queue, sim::Network& net,
-                  bool keep_token_snapshot, std::function<bool()> stopped,
-                  std::function<void(topo::HostId, std::uint32_t, int)>
-                      probe_timer_sink);
-
-  double now() const override { return queue_->now(); }
-  void send(CtrlMsg type, topo::HostId from, topo::HostId to,
-            std::vector<std::uint8_t> payload) override;
-  void send_after(double delay, CtrlMsg type, topo::HostId from,
-                  topo::HostId to, std::vector<std::uint8_t> payload) override;
-  void arm_probe_timer(topo::HostId host, double delay, std::uint32_t nonce,
-                       int stage) override;
-
-  // ---- watchdog state (placement-manager role) ------------------------------
-  /// Retain token snapshots from now on (a failover-capable executor needs
-  /// one to re-inject from even when loss/churn did not arm the watchdog).
-  void enable_token_snapshot() { keep_token_snapshot_ = true; }
-  const std::vector<std::uint8_t>& last_token_payload() const {
-    return last_token_payload_;
-  }
-  void set_last_token_payload(std::vector<std::uint8_t> payload) {
-    last_token_payload_ = std::move(payload);
-  }
-  std::uint64_t sends() const { return sends_; }
-  std::size_t scheduled_token_sends() const { return scheduled_token_sends_; }
-
-  // ---- control-plane footprint ----------------------------------------------
-  std::uint64_t token_messages = 0;
-  std::uint64_t token_bytes = 0;
-  std::uint64_t location_messages = 0;
-  std::uint64_t capacity_messages = 0;
-  std::uint64_t control_bytes = 0;
-
- private:
-  sim::EventQueue* queue_;
-  sim::Network* net_;
-  bool keep_token_snapshot_;
-  std::function<bool()> stopped_;
-  std::function<void(topo::HostId, std::uint32_t, int)> probe_timer_sink_;
-  std::vector<std::uint8_t> last_token_payload_;
-  std::uint64_t sends_ = 0;
-  std::size_t scheduled_token_sends_ = 0;
 };
 
 }  // namespace score::hypervisor

@@ -83,18 +83,21 @@ struct DistributedScoreRuntime::Impl final : AgentEnv, RuntimeCore {
   std::unique_ptr<sim::Network> net;
   SimHypervisor hvisor;
   RunControl run_ctl;
-  std::unique_ptr<SimCommunicator> communicator;
   LocalAgentExecutor local_executor;
   AgentExecutor* executor;
 
   RuntimeResult result;
 
   // Watchdog state (placement-manager role): activity counters compared
-  // between retransmission-timeout ticks; the last token snapshot lives in
-  // the communicator. The token is declared lost — and re-injected — only on
-  // true quiescence: no hold completed, no control message moved (probe
-  // retransmissions are progress), and no token send is waiting out a
-  // migration transfer.
+  // between retransmission-timeout ticks, plus the last token sent. The token
+  // is declared lost — and re-injected — only on true quiescence: no hold
+  // completed, no control message moved (probe retransmissions are
+  // progress), and no token send is waiting out a migration transfer. The
+  // O(|V|) token snapshot is copied only when a watchdog exists to read it.
+  bool keep_token_snapshot;
+  std::vector<std::uint8_t> last_token_payload;
+  std::uint64_t sends = 0;
+  std::size_t scheduled_token_sends = 0;
   std::uint64_t holds_at_last_check = 0;
   std::uint64_t sends_at_last_check = 0;
   bool watchdog_scheduled = false;
@@ -108,12 +111,8 @@ struct DistributedScoreRuntime::Impl final : AgentEnv, RuntimeCore {
         hvisor(m, a, t, cfg.migration_budget_mb),
         run_ctl(m, a, t, cfg.iterations, cfg.stop_when_stable),
         executor(custom_executor != nullptr ? custom_executor
-                                            : &local_executor) {
-    communicator = std::make_unique<SimCommunicator>(
-        queue, *net, watchdog_armed(), [this] { return run_ctl.stopped(); },
-        [this](topo::HostId h, std::uint32_t nonce, int stage) {
-          executor->fire_probe_timer(h, nonce, stage);
-        });
+                                            : &local_executor),
+        keep_token_snapshot(watchdog_armed()) {
     for (topo::HostId h = 0; h < m.topology().num_hosts(); ++h) {
       net->attach(h, [this](const sim::Message& msg) {
         executor->deliver(msg);
@@ -152,20 +151,58 @@ struct DistributedScoreRuntime::Impl final : AgentEnv, RuntimeCore {
     return cfg.message_loss_rate > 0.0 || !cfg.churn.empty();
   }
 
-  // ---- AgentEnv (the world as the in-process agents see it) -----------------
-  Hypervisor& hv() override { return hvisor; }
-  Communicator& comm() override { return *communicator; }
-  bool stopped() const override { return run_ctl.stopped(); }
-  bool hold_complete(bool migrated) override {
-    return run_ctl.hold_complete(migrated, queue.now());
+  // ---- AgentEnv (the world and fabric as the in-process agents see them) ----
+  const SimHypervisor& hv() const override { return hvisor; }
+  MigrateStatus migrate(core::VmId vm, topo::HostId target,
+                        MigrationOutcome* outcome) override {
+    return hvisor.migrate(vm, target, outcome);
   }
-  void stop_run() override { run_ctl.stop(queue.now()); }
-  void token_telemetry(std::uint32_t epoch, std::uint32_t ring_pos,
-                       double aggregate_delta) override {
+  double now() const override { return queue.now(); }
+  void send(CtrlMsg type, topo::HostId from, topo::HostId to,
+            std::vector<std::uint8_t> payload) override {
+    ++sends;
+    switch (type) {
+      case CtrlMsg::kToken:
+        if (keep_token_snapshot) last_token_payload = payload;
+        ++result.token_messages;
+        result.token_bytes += payload.size();
+        break;
+      case CtrlMsg::kLocationRequest:
+      case CtrlMsg::kLocationResponse: ++result.location_messages; break;
+      case CtrlMsg::kCapacityRequest:
+      case CtrlMsg::kCapacityResponse: ++result.capacity_messages; break;
+    }
+    result.control_bytes += payload.size();
+    net->send(
+        sim::Message{from, to, static_cast<int>(type), std::move(payload)});
+  }
+  void send_after(double delay, CtrlMsg type, topo::HostId from,
+                  topo::HostId to, std::vector<std::uint8_t> payload) override {
+    // The watchdog sees the scheduled send and does not mistake the busy
+    // period (decision + migration transfer) for a lost token.
+    ++scheduled_token_sends;
+    queue.schedule_in(delay, [this, type, from, to,
+                              buf = std::move(payload)]() mutable {
+      --scheduled_token_sends;
+      if (run_ctl.stopped()) return;
+      send(type, from, to, std::move(buf));
+    });
+  }
+  void arm_probe_timer(topo::HostId host, double delay, std::uint32_t nonce,
+                       int stage) override {
+    queue.schedule_in(delay, [this, host, nonce, stage] {
+      executor->fire_probe_timer(host, nonce, stage);
+    });
+  }
+  bool stopped() const override { return run_ctl.stopped(); }
+  bool hold_complete(bool migrated, std::uint32_t epoch, std::uint32_t ring_pos,
+                     double aggregate_delta) override {
     result.final_epoch = epoch;
     result.final_ring_pos = ring_pos;
     result.aggregate_delta = aggregate_delta;
+    return run_ctl.hold_complete(migrated, queue.now());
   }
+  void stop_run() override { run_ctl.stop(queue.now()); }
   void note_probe_retransmits(std::size_t count) override {
     result.probe_retransmits += count;
   }
@@ -177,9 +214,7 @@ struct DistributedScoreRuntime::Impl final : AgentEnv, RuntimeCore {
   SimHypervisor& sim_hypervisor() override { return hvisor; }
   const RunControl& run_control() const override { return run_ctl; }
   sim::EventQueue& event_queue() override { return queue; }
-  void enable_failover_recovery() override {
-    communicator->enable_token_snapshot();
-  }
+  void enable_failover_recovery() override { keep_token_snapshot = true; }
   void notify_failover() override {
     // Lazily start the watchdog: fault-free runs never schedule it, so the
     // event queue (and hence the trace) is untouched until a daemon is
@@ -194,15 +229,15 @@ struct DistributedScoreRuntime::Impl final : AgentEnv, RuntimeCore {
   void watchdog_tick() {
     if (run_ctl.stopped()) return;
     const bool quiescent = run_ctl.total_holds() == holds_at_last_check &&
-                           communicator->sends() == sends_at_last_check &&
-                           communicator->scheduled_token_sends() == 0;
-    if (quiescent && !communicator->last_token_payload().empty()) {
+                           sends == sends_at_last_check &&
+                           scheduled_token_sends == 0;
+    if (quiescent && !last_token_payload.empty()) {
       // Nothing moved for a whole tick: the token was lost in flight (or its
       // destination host left). Re-inject the last snapshot at the holder
       // VM's *current* host; the receiving agent restarts its decision
       // idempotently. A hold still retransmitting probes or waiting out a
       // migration transfer is progress, not loss — it is left alone.
-      TokenFrame tok(communicator->last_token_payload());
+      TokenFrame tok(last_token_payload);
       topo::HostId dst = hvisor.ipam().vm_host(tok.holder());
       if (!hvisor.host_up(dst)) {
         // The holder VM is stranded on a departed host (its drain found no
@@ -226,14 +261,13 @@ struct DistributedScoreRuntime::Impl final : AgentEnv, RuntimeCore {
           run_ctl.stop(queue.now());
           return;
         }
-        communicator->set_last_token_payload(std::move(tok).bytes());
+        last_token_payload = std::move(tok).bytes();
       }
       ++result.token_reinjections;
-      communicator->send(CtrlMsg::kToken, dst, dst,
-                         communicator->last_token_payload());
+      send(CtrlMsg::kToken, dst, dst, last_token_payload);
     }
     holds_at_last_check = run_ctl.total_holds();
-    sends_at_last_check = communicator->sends();
+    sends_at_last_check = sends;
     queue.schedule_in(cfg.retransmit_timeout_s, [this] { watchdog_tick(); });
   }
 
@@ -286,8 +320,7 @@ struct DistributedScoreRuntime::Impl final : AgentEnv, RuntimeCore {
       token.entries[id].vm_id = addr_of_vm(id);
     }
     const topo::HostId first_host = hvisor.ipam().vm_host(token.holder);
-    communicator->send(CtrlMsg::kToken, first_host, first_host,
-                       encode_token(token));
+    send(CtrlMsg::kToken, first_host, first_host, encode_token(token));
     queue.run();
     executor->finish();
 
@@ -295,11 +328,6 @@ struct DistributedScoreRuntime::Impl final : AgentEnv, RuntimeCore {
     result.final_cost = hvisor.model().total_cost(hvisor.alloc(), hvisor.tm());
     result.total_migrations = run_ctl.total_migrations();
     result.iterations = run_ctl.iterations();
-    result.token_messages = communicator->token_messages;
-    result.token_bytes = communicator->token_bytes;
-    result.location_messages = communicator->location_messages;
-    result.capacity_messages = communicator->capacity_messages;
-    result.control_bytes = communicator->control_bytes;
     result.messages_lost = net->messages_lost();
     result.migrated_mb = hvisor.migrated_mb();
     result.migration_time_s = hvisor.migration_time_s();

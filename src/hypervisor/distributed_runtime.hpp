@@ -10,10 +10,11 @@
 // agent runs behind).
 //
 // The runtime is the composition root: it owns the event queue and fabric
-// (sim::Network behind a SimCommunicator), the authoritative world
-// (SimHypervisor), the convergence ledger (RunControl), and the
-// placement-manager roles — token injection, the retransmission watchdog,
-// and host churn with drains. The agents themselves live behind the
+// (sim::Network), the authoritative world (SimHypervisor), the convergence
+// ledger (RunControl), and the placement-manager roles — token injection,
+// the retransmission watchdog, and host churn with drains. It is also the
+// in-process agents' AgentEnv: their sends go straight onto sim::Network and
+// are counted into RuntimeResult. The agents themselves live behind the
 // AgentExecutor seam:
 //   * by default a LocalAgentExecutor runs every Dom0Agent in-process;
 //   * a RemoteAgentExecutor (remote_executor.hpp) dispatches each delivery
@@ -148,7 +149,7 @@ struct RuntimeResult {
   double final_cost = 0.0;
   std::size_t total_migrations = 0;
   double duration_s = 0.0;
-  std::vector<RuntimeIteration> iterations;
+  std::vector<driver::IterationStats> iterations;
 
   // Control-plane footprint (the overhead the paper argues is small).
   std::uint64_t token_messages = 0;

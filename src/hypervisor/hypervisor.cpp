@@ -48,9 +48,8 @@ MigrationOutcome SimHypervisor::simulate_migration(const core::VmSpec& spec) {
   return precopy.simulate(migration_rng_, 0.0);
 }
 
-Hypervisor::MigrateStatus SimHypervisor::migrate(core::VmId vm,
-                                                 topo::HostId target,
-                                                 MigrationOutcome* outcome) {
+MigrateStatus SimHypervisor::migrate(core::VmId vm, topo::HostId target,
+                                     MigrationOutcome* outcome) {
   const core::VmSpec& spec = alloc_->spec(vm);
   const MigrationOutcome out = simulate_migration(spec);
   if (outcome != nullptr) *outcome = out;

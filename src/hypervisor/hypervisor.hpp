@@ -1,10 +1,12 @@
-// Hypervisor seam — the per-host virtualization substrate the dom0 agents
-// stand on, abstracted so the same agent decision logic runs against the
-// simulated world (SimHypervisor) or a replica of it inside a score_agent
-// daemon process.
+// SimHypervisor — the per-host virtualization substrate the dom0 agents
+// stand on: the simulated world every agent, the scheduler and each
+// score_agent daemon replica run over. An agent reaches it only through its
+// AgentEnv (agent.hpp), which hands out a const reference for reads and
+// routes the one world mutation, migrate(), through the env so a daemon can
+// record it.
 //
-// The interface covers exactly what the S-CORE pipeline needs from its
-// hypervisor and the placement manager's directory:
+// It covers exactly what the S-CORE pipeline needs from its hypervisor and
+// the placement manager's directory:
 //   * static topology + IPAM reads (location cost mapping, §V-B.4),
 //   * residual-capacity reads answered in capacity responses (§V-B.5),
 //   * the datapath byte counters the flow table is polled from (§V-B.1),
@@ -13,19 +15,17 @@
 //     with pre-copy transfer timing from hypervisor/live_migration and the
 //     operator's migration-MB budget enforced at commit time.
 //
-// SimHypervisor is the authoritative implementation: it owns the IPAM
-// directory, the pre-copy RNG and all migration accounting. Every transfer
-// follows the default testbed pre-copy model (MigrationModelConfig{}) on an
-// idle link, rescaled to the VM's RAM, with dirty rates drawn from an RNG
-// seeded with kMigrationSeed. Every replica of the world (scheduler + each
-// agent daemon) advances its own SimHypervisor through the *same* sequence
-// of migrate/replay calls, which keeps the directories, allocations and RNG
-// streams bit-identical across processes — the invariant the multi-process
-// control plane is built on.
+// It owns the IPAM directory, the pre-copy RNG and all migration accounting.
+// Every transfer follows the default testbed pre-copy model
+// (MigrationModelConfig{}) on an idle link, rescaled to the VM's RAM, with
+// dirty rates drawn from an RNG seeded with kMigrationSeed. Every replica of
+// the world (scheduler + each agent daemon) advances its own SimHypervisor
+// through the *same* sequence of migrate/replay calls, which keeps the
+// directories, allocations and RNG streams bit-identical across processes —
+// the invariant the multi-process control plane is built on.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -45,30 +45,40 @@ struct HostCapacity {
   double free_net_bps = 0.0;
 };
 
-class Hypervisor {
- public:
-  enum class MigrateStatus {
-    kCommitted,       ///< applied to the allocation and the IPAM directory
-    kBudgetRejected,  ///< Theorem-1 win priced out by the migration-MB budget
-  };
+/// Outcome of SimHypervisor::migrate.
+enum class MigrateStatus {
+  kCommitted,       ///< applied to the allocation and the IPAM directory
+  kBudgetRejected,  ///< Theorem-1 win priced out by the migration-MB budget
+};
 
-  virtual ~Hypervisor() = default;
+/// Seed of the pre-copy dirty-rate RNG every replica starts from.
+inline constexpr std::uint64_t kMigrationSeed = 11;
+
+/// The simulated world: authoritative allocation + IPAM + pre-copy accounting.
+class SimHypervisor {
+ public:
+  /// `migration_budget_mb` caps the total modeled pre-copy MB of optimization
+  /// moves (0 = unlimited).
+  SimHypervisor(const core::CostModel& model, core::Allocation& alloc,
+                const traffic::TrafficMatrix& tm, double migration_budget_mb);
 
   // ---- static world + directory reads ---------------------------------------
-  virtual const topo::Topology& topology() const = 0;
-  virtual const core::LinkWeights& weights() const = 0;
-  virtual const Ipam& ipam() const = 0;
-  virtual const core::VmSpec& vm_spec(core::VmId vm) const = 0;
+  const topo::Topology& topology() const { return model_->topology(); }
+  const core::LinkWeights& weights() const { return model_->weights(); }
+  const Ipam& ipam() const { return ipam_; }
+  const core::VmSpec& vm_spec(core::VmId vm) const { return alloc_->spec(vm); }
 
   // ---- local hypervisor reads -----------------------------------------------
-  virtual HostCapacity host_capacity(topo::HostId host) const = 0;
-  virtual bool can_host(topo::HostId host, const core::VmSpec& spec) const = 0;
+  HostCapacity host_capacity(topo::HostId host) const;
+  bool can_host(topo::HostId host, const core::VmSpec& spec) const {
+    return alloc_->can_host(host, spec);
+  }
   /// Ground-truth per-peer traffic rates for a VM (the simulated Open vSwitch
   /// the flow table is polled from).
-  virtual traffic::NeighborView datapath_rates(core::VmId vm) const = 0;
-
-  // ---- host lifecycle (churn) -----------------------------------------------
-  virtual bool host_up(topo::HostId host) const = 0;
+  traffic::NeighborView datapath_rates(core::VmId vm) const {
+    return tm_->neighbors(vm);
+  }
+  bool host_up(topo::HostId host) const { return host_up_.at(host); }
 
   // ---- live migration -------------------------------------------------------
   /// Migrate `vm` to `target`: draws the pre-copy model (RNG), enforces the
@@ -76,39 +86,10 @@ class Hypervisor {
   /// and the IPAM directory. `outcome` (optional) receives the modeled
   /// transfer either way — a budget reject still consumed the dirty-rate
   /// draw, which is what keeps replica RNG streams aligned.
-  virtual MigrateStatus migrate(core::VmId vm, topo::HostId target,
-                                MigrationOutcome* outcome) = 0;
-};
-
-/// Seed of the pre-copy dirty-rate RNG every replica starts from.
-inline constexpr std::uint64_t kMigrationSeed = 11;
-
-/// The simulated world: authoritative allocation + IPAM + pre-copy accounting.
-class SimHypervisor final : public Hypervisor {
- public:
-  /// `migration_budget_mb` caps the total modeled pre-copy MB of optimization
-  /// moves (0 = unlimited).
-  SimHypervisor(const core::CostModel& model, core::Allocation& alloc,
-                const traffic::TrafficMatrix& tm, double migration_budget_mb);
-
-  const topo::Topology& topology() const override { return model_->topology(); }
-  const core::LinkWeights& weights() const override { return model_->weights(); }
-  const Ipam& ipam() const override { return ipam_; }
-  const core::VmSpec& vm_spec(core::VmId vm) const override {
-    return alloc_->spec(vm);
-  }
-  HostCapacity host_capacity(topo::HostId host) const override;
-  bool can_host(topo::HostId host, const core::VmSpec& spec) const override {
-    return alloc_->can_host(host, spec);
-  }
-  traffic::NeighborView datapath_rates(core::VmId vm) const override {
-    return tm_->neighbors(vm);
-  }
-  bool host_up(topo::HostId host) const override { return host_up_.at(host); }
   MigrateStatus migrate(core::VmId vm, topo::HostId target,
-                        MigrationOutcome* outcome) override;
+                        MigrationOutcome* outcome);
 
-  // ---- placement-manager extras (not part of the agent-facing seam) ---------
+  // ---- placement-manager roles ----------------------------------------------
   void set_host_up(topo::HostId host, bool up) { host_up_.at(host) = up; }
 
   /// Drain transfer off a leaving host: same pre-copy model and accounting,

@@ -238,7 +238,7 @@ void RemoteAgentExecutor::flush_pending(std::uint32_t agent) {
   TaskFrame apply;
   apply.type = TaskType::kApply;
   apply.seq = ch.next_seq++;
-  apply.time_s = core_->env().comm().now();
+  apply.time_s = core_->env().now();
   apply.actions = ch.pending;  // copied: cleared only once the link took it
   send_frame(agent, apply);
   ch.pending.clear();
@@ -442,24 +442,21 @@ void RemoteAgentExecutor::replay(const TaskFrame& result,
     switch (a.kind) {
       case TaskActionKind::kSend:
         if (a.delay_s == 0.0) {
-          env.comm().send(static_cast<CtrlMsg>(a.msg_type), a.src, a.dst,
-                          std::vector<std::uint8_t>(a.payload));
+          env.send(static_cast<CtrlMsg>(a.msg_type), a.src, a.dst,
+                   std::vector<std::uint8_t>(a.payload));
         } else {
-          env.comm().send_after(a.delay_s, static_cast<CtrlMsg>(a.msg_type),
-                                a.src, a.dst,
-                                std::vector<std::uint8_t>(a.payload));
+          env.send_after(a.delay_s, static_cast<CtrlMsg>(a.msg_type), a.src,
+                         a.dst, std::vector<std::uint8_t>(a.payload));
         }
         break;
       case TaskActionKind::kArmTimer:
-        env.comm().arm_probe_timer(a.host, a.delay_s, a.nonce, a.stage);
+        env.arm_probe_timer(a.host, a.delay_s, a.nonce, a.stage);
         break;
       case TaskActionKind::kHold:
-        env.token_telemetry(a.epoch, a.ring_pos, a.aggregate_delta);
-        env.hold_complete(a.migrated);
+        env.hold_complete(a.migrated, a.epoch, a.ring_pos, a.aggregate_delta);
         break;
       case TaskActionKind::kMigration:
-        if (hv.migrate(a.vm, a.target, nullptr) !=
-            Hypervisor::MigrateStatus::kCommitted) {
+        if (hv.migrate(a.vm, a.target, nullptr) != MigrateStatus::kCommitted) {
           fail("authoritative world rejected a migration agent " +
                std::to_string(agent) + " committed — replica drift");
         }
@@ -530,7 +527,7 @@ void RemoteAgentExecutor::drain_window() {
 void RemoteAgentExecutor::deliver(const sim::Message& msg) {
   TaskFrame task;
   task.type = TaskType::kDeliver;
-  task.time_s = core_->env().comm().now();
+  task.time_s = core_->env().now();
   task.msg_type = static_cast<std::uint8_t>(msg.type);
   task.src = msg.src;
   task.dst = msg.dst;
@@ -578,7 +575,7 @@ void RemoteAgentExecutor::fire_probe_timer(topo::HostId host,
   drain_window();
   TaskFrame task;
   task.type = TaskType::kTimer;
-  task.time_s = core_->env().comm().now();
+  task.time_s = core_->env().now();
   task.host = host;
   task.nonce = nonce;
   task.stage = static_cast<std::uint8_t>(stage);

@@ -20,13 +20,14 @@ bool RunControl::hold_complete(bool migrated, double now_s) {
     ++total_migrations_;
   }
   if (iter_holds_ == tm_->num_vms()) {
-    RuntimeIteration it;
+    driver::IterationStats it;
     it.holds = iter_holds_;
     it.evaluations = iter_holds_;
     it.migrations = iter_migrations_;
     it.migrated_ratio =
         static_cast<double>(iter_migrations_) / static_cast<double>(iter_holds_);
     it.cost_at_end = model_->total_cost(*alloc_, *tm_);
+    it.time_at_end_s = now_s;
     iterations_.push_back(it);
     const bool stable = stop_when_stable_ && iter_migrations_ == 0;
     iter_holds_ = 0;

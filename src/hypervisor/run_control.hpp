@@ -1,5 +1,6 @@
 // RunControl — the placement manager's convergence ledger: hold and
-// migration counters per token-passing round, the stop condition (iteration
+// migration counters per token-passing round (driver::IterationStats, the
+// record the centralized drivers keep too), the stop condition (iteration
 // cap or stability), and the run clock.
 //
 // It is deliberately pure bookkeeping over the world state so that every
@@ -13,19 +14,10 @@
 #include <vector>
 
 #include "core/cost_model.hpp"
+#include "driver/convergence.hpp"
 #include "traffic/traffic_matrix.hpp"
 
 namespace score::hypervisor {
-
-struct RuntimeIteration {
-  std::size_t holds = 0;
-  /// Holds that ran Theorem 1: every distributed hold does (the centralized
-  /// drivers skip settled ones), so this equals `holds`.
-  std::size_t evaluations = 0;
-  std::size_t migrations = 0;
-  double migrated_ratio = 0.0;
-  double cost_at_end = 0.0;
-};
 
 class RunControl {
  public:
@@ -43,7 +35,9 @@ class RunControl {
   /// Simulated time at which the run stopped (valid once stopped()).
   double duration_s() const { return duration_s_; }
 
-  const std::vector<RuntimeIteration>& iterations() const { return iterations_; }
+  const std::vector<driver::IterationStats>& iterations() const {
+    return iterations_;
+  }
   std::size_t total_migrations() const { return total_migrations_; }
   std::uint64_t total_holds() const { return total_holds_; }
 
@@ -54,7 +48,7 @@ class RunControl {
   std::size_t max_iterations_;
   bool stop_when_stable_;
 
-  std::vector<RuntimeIteration> iterations_;
+  std::vector<driver::IterationStats> iterations_;
   std::size_t iter_holds_ = 0;
   std::size_t iter_migrations_ = 0;
   std::size_t total_migrations_ = 0;

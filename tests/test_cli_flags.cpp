@@ -167,6 +167,25 @@ TEST(CliFlags, PolicyIsRunOrRejected) {
       << scheduler.output;
 }
 
+// Continuous mode with a nonzero --loss or --budget-mb re-optimises every
+// epoch through the distributed runtime, which has one token and no worker
+// threads: --tokens and --threads used to be ignored there, exiting 0.
+TEST(CliFlags, WalkFlagsAreRejectedWhenTheRuntimeRuns) {
+  const std::string world =
+      "--mode continuous --topology fattree --k 4 --vms 32 --epochs 2";
+  for (const char* runtime : {"--loss 0.01", "--budget-mb 64"}) {
+    expect_one_line_rejection(world + " " + runtime + " --tokens 4",
+                              "--tokens");
+    expect_one_line_rejection(world + " " + runtime + " --threads 2",
+                              "--threads");
+  }
+  // A zero loss and budget keep the multi-token walk, which reads both.
+  const CliResult r =
+      run_cli(world + " --loss 0 --budget-mb 0 --tokens 4 --threads 2");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("(centralized)"), std::string::npos) << r.output;
+}
+
 // A negative or NaN --budget-mb used to run with no budget. In continuous
 // mode a negative or NaN --loss, or a NaN --budget-mb, silently ran the
 // centralized optimiser instead of the runtime that rejects it.

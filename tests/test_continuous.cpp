@@ -10,7 +10,9 @@
 
 #include "core/scenario_io.hpp"
 #include "driver/continuous.hpp"
+#include "driver/reoptimize.hpp"
 #include "helpers.hpp"
+#include "hypervisor/distributed_runtime.hpp"
 #include "topology/canonical_tree.hpp"
 
 namespace score {
@@ -201,6 +203,57 @@ TEST(Continuous, DistributedModeIsDeterministicAndReconverges) {
     EXPECT_GE(er.rounds, 1u);
   }
   EXPECT_GT(ra.total_migrated_mb(), 0.0);
+}
+
+// reoptimize() builds the runtime's config from the engine, the round budget
+// and the three distributed-mode settings, leaving every other runtime
+// setting at its default: a direct run with the same settings is the same run.
+TEST(Continuous, DistributedReoptimizeMatchesADirectRuntimeRun) {
+  topo::CanonicalTree topology(tree_config());
+  const core::CostModel model(
+      topology, core::LinkWeights::exponential(topology.max_level()));
+  util::Rng rng(41);
+  const traffic::TrafficMatrix tm = testing::random_tm(64, 3.0, rng);
+  const core::Allocation initial =
+      testing::random_allocation(topology, 64, rng);
+  constexpr std::size_t kRounds = 3;
+  for (const char* policy : {"round-robin", "highest-level-first"}) {
+    for (const double loss : {0.0, 0.05}) {
+      for (const double budget_mb : {0.0, 1000.0}) {
+        driver::OptimizerConfig cfg;
+        cfg.mode = "distributed";
+        cfg.engine.migration_cost = 1.0;
+        cfg.token_policy = policy;
+        cfg.message_loss_rate = loss;
+        cfg.migration_budget_mb = budget_mb;
+        core::Allocation via_seam = initial;
+        const driver::ConvergenceReport got =
+            driver::reoptimize(model, via_seam, tm, cfg, kRounds);
+
+        hypervisor::RuntimeConfig rcfg;
+        rcfg.policy = policy;
+        rcfg.engine.migration_cost = 1.0;
+        rcfg.iterations = kRounds;
+        rcfg.message_loss_rate = loss;
+        rcfg.migration_budget_mb = budget_mb;
+        core::Allocation direct = initial;
+        const hypervisor::RuntimeResult want =
+            hypervisor::DistributedScoreRuntime(model, direct, tm, rcfg).run();
+
+        const std::string run = std::string(policy) + " loss " +
+                                std::to_string(loss) + " budget " +
+                                std::to_string(budget_mb);
+        // Each setting reaches the run: losses happen, the budget binds.
+        EXPECT_EQ(want.messages_lost > 0, loss > 0.0) << run;
+        EXPECT_EQ(want.budget_rejected > 0, budget_mb > 0.0) << run;
+        EXPECT_GT(want.total_migrations, 0u) << run;
+        EXPECT_EQ(got.trace_hash, want.trace_hash) << run;
+        EXPECT_EQ(got.final_cost, want.final_cost) << run;
+        EXPECT_EQ(got.migrations, want.total_migrations) << run;
+        EXPECT_EQ(got.migrated_mb, want.migrated_mb) << run;
+      }
+    }
+  }
 }
 
 TEST(Continuous, OverfullWorldRejectsArrivalsButKeepsRunning) {

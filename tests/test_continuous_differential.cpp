@@ -78,7 +78,7 @@ TEST(ContinuousDifferential, DistributedZeroLossMatchesCentralizedPerEpoch) {
   const driver::SteadyStateReport central = central_engine.run();
 
   cfg.mode = "distributed";
-  cfg.runtime.message_loss_rate = 0.0;
+  cfg.message_loss_rate = 0.0;
   driver::ContinuousEngine dist_engine(topology, cfg);
   const driver::SteadyStateReport dist = dist_engine.run();
 

@@ -640,8 +640,7 @@ TEST_F(DistributedTest, StrandedVmsEndRunInsteadOfLivelock) {
 /// A world an agent can stand on outside any runtime: its sends are recorded
 /// instead of delivered, so one message can be handed to it directly.
 class ProbePayloadTest : public DistributedTest,
-                         public score::hypervisor::AgentEnv,
-                         public score::hypervisor::Communicator {
+                         public score::hypervisor::AgentEnv {
  protected:
   struct Sent {
     CtrlMsg type;
@@ -671,12 +670,30 @@ class ProbePayloadTest : public DistributedTest,
   }
 
   // AgentEnv
-  score::hypervisor::Hypervisor& hv() override { return hv_; }
-  score::hypervisor::Communicator& comm() override { return *this; }
+  const score::hypervisor::SimHypervisor& hv() const override { return hv_; }
+  score::hypervisor::MigrateStatus migrate(
+      VmId vm, score::topo::HostId target,
+      score::hypervisor::MigrationOutcome* outcome) override {
+    return hv_.migrate(vm, target, outcome);
+  }
+  double now() const override { return 0.0; }
+  void send(CtrlMsg type, score::topo::HostId, score::topo::HostId to,
+            std::vector<std::uint8_t> payload) override {
+    sent_.emplace_back(type, payload.size());
+    log_.push_back({type, to, std::move(payload)});
+  }
+  void send_after(double, CtrlMsg type, score::topo::HostId from,
+                  score::topo::HostId to,
+                  std::vector<std::uint8_t> payload) override {
+    send(type, from, to, std::move(payload));
+  }
+  void arm_probe_timer(score::topo::HostId, double, std::uint32_t,
+                       int) override {}
   bool stopped() const override { return false; }
-  bool hold_complete(bool) override { return true; }
+  bool hold_complete(bool, std::uint32_t, std::uint32_t, double) override {
+    return true;
+  }
   void stop_run() override {}
-  void token_telemetry(std::uint32_t, std::uint32_t, double) override {}
   void note_probe_retransmits(std::size_t) override {}
   void note_probe_timeout() override {}
 
@@ -719,21 +736,6 @@ class ProbePayloadTest : public DistributedTest,
     }
     return log_;
   }
-
-  // Communicator
-  double now() const override { return 0.0; }
-  void send(CtrlMsg type, score::topo::HostId, score::topo::HostId to,
-            std::vector<std::uint8_t> payload) override {
-    sent_.emplace_back(type, payload.size());
-    log_.push_back({type, to, std::move(payload)});
-  }
-  void send_after(double, CtrlMsg type, score::topo::HostId from,
-                  score::topo::HostId to,
-                  std::vector<std::uint8_t> payload) override {
-    send(type, from, to, std::move(payload));
-  }
-  void arm_probe_timer(score::topo::HostId, double, std::uint32_t,
-                       int) override {}
 
   Rng rng_;
   score::traffic::TrafficMatrix tm_;

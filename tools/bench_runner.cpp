@@ -645,7 +645,6 @@ bool run_steady_state(const RunOptions& opt, bench::JsonReport& report) {
       cfg.iterations_per_epoch = 4;
       cfg.reopt_iterations = 8;
       cfg.mode = "distributed";
-      cfg.runtime.retransmit_timeout_s = 30.0;
       // Nonzero Theorem-1 migration cost: with c_m = 0 every decision is
       // scale-invariant and the intensity sweep would be a no-op. At ×1 this
       // prunes marginal moves; at ×50 almost every win clears it.

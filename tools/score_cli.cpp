@@ -91,9 +91,14 @@ void validate_mode_combos(const util::Flags& flags) {
   require("budget-mb", dist || cont, "--mode distributed or continuous");
   require("trace", dist || cont, "--mode distributed or continuous");
   // Multi-token parallelism and the GA normaliser are centralized-loop
-  // features (continuous and streaming modes reuse the multi-token walk).
-  require("tokens", !dist, "--mode centralized, continuous or streaming");
-  require("threads", !dist, "--mode centralized, continuous or streaming");
+  // features (continuous and streaming modes reuse the multi-token walk;
+  // continuous mode with --loss or --budget-mb runs the runtime instead).
+  const bool walk = !dist && !runs_runtime(flags);
+  const char* walk_modes =
+      "--mode centralized or streaming, or --mode continuous without --loss "
+      "or --budget-mb";
+  require("tokens", walk, walk_modes);
+  require("threads", walk, walk_modes);
   // --policy orders the single-token loop and the runtime's token; the
   // multi-token walk (streaming, --tokens > 1, continuous without the
   // runtime) always visits VMs in Round-Robin order.
@@ -139,12 +144,12 @@ int run_continuous(const topo::Topology& topology, const util::Flags& flags) {
   cfg.exec = tools::exec_policy(flags);
   if (runs_runtime(flags)) {
     cfg.mode = "distributed";
-    cfg.runtime.message_loss_rate = flags.get_double("loss");
-    cfg.runtime.migration_budget_mb = flags.get_double("budget-mb");
+    cfg.message_loss_rate = flags.get_double("loss");
+    cfg.migration_budget_mb = flags.get_double("budget-mb");
   }
   // --policy reaches the distributed per-epoch optimiser only; the
   // centralized multi-token path visits VMs in Round-Robin order.
-  cfg.runtime.policy = tools::runtime_policy(flags);
+  cfg.token_policy = tools::runtime_policy(flags);
 
   driver::ContinuousEngine engine(topology, cfg);
   driver::SteadyStateReport report;
