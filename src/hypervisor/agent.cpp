@@ -91,6 +91,7 @@ void Dom0Agent::on_message(const sim::Message& msg) {
       // A peer's dom0 asks where we are: answer with subject VM + our address
       // (the NAT redirect delivers the probe to dom0, which replies, §V-B.4).
       std::vector<std::uint8_t> payload;
+      payload.reserve(kLocationResponseBytes);
       put_u32(payload, get_u32(msg.payload, 0));                 // subject VM
       put_u32(payload, env_->hv().ipam().host_address(host_));   // our dom0 addr
       put_u32(payload, get_u32(msg.payload, 4));                 // echo nonce
@@ -106,9 +107,12 @@ void Dom0Agent::on_message(const sim::Message& msg) {
       }
       if (get_u32(msg.payload, 8) != pending_->nonce) return;  // stale attempt
       const Ipv4 subject = get_u32(msg.payload, 0);
-      const Ipv4 dom0 = get_u32(msg.payload, 4);
-      if (pending_->peer_dom0.count(subject)) return;  // duplicate
-      pending_->peer_dom0[subject] = dom0;
+      const auto peer = std::lower_bound(
+          peers_.begin(), peers_.end(), subject,
+          [](const Peer& p, Ipv4 vm) { return p.vm < vm; });
+      // A VM that was never probed, or a duplicate answer.
+      if (peer == peers_.end() || peer->vm != subject || peer->dom0) return;
+      peer->dom0 = get_u32(msg.payload, 4);
       if (--pending_->awaiting_locations == 0) on_locations_complete();
       return;
     }
@@ -118,6 +122,7 @@ void Dom0Agent::on_message(const sim::Message& msg) {
       // CPU and NIC bandwidth, §V-B.5) for our server.
       const HostCapacity cap = env_->hv().host_capacity(host_);
       std::vector<std::uint8_t> payload;
+      payload.reserve(kCapacityResponseBytes);
       put_u32(payload, get_u32(msg.payload, 0));                // echo nonce
       put_u32(payload, env_->hv().ipam().host_address(host_));  // who answers
       put_u32(payload, static_cast<std::uint32_t>(cap.free_slots));
@@ -137,13 +142,16 @@ void Dom0Agent::on_message(const sim::Message& msg) {
       }
       if (get_u32(msg.payload, 0) != pending_->nonce) return;  // stale attempt
       const Ipv4 who = get_u32(msg.payload, 4);
-      if (pending_->capacities.count(who)) return;  // duplicate
-      CapInfo info;
+      const auto cand =
+          std::find_if(candidates_.begin(), candidates_.end(),
+                       [who](const Candidate& c) { return c.dom0 == who; });
+      // A host that was never probed, or a duplicate answer.
+      if (cand == candidates_.end() || cand->cap) return;
+      CapInfo& info = cand->cap.emplace();
       info.free_slots = get_u32(msg.payload, 8);
       info.free_ram_mb = get_u32(msg.payload, 12);
       info.free_cpu = get_u32(msg.payload, 16) / 1000.0;
       info.free_net_bps = get_u32(msg.payload, 20) * 1000.0;
-      pending_->capacities[who] = info;
       if (--pending_->awaiting_capacities == 0) on_capacities_complete();
       return;
     }
@@ -154,9 +162,10 @@ void Dom0Agent::on_message(const sim::Message& msg) {
 
 void Dom0Agent::on_token(const sim::Message& msg) {
   if (env_->stopped()) return;
-  // The hop's one copy of the frame, validated once; from here on it is
-  // edited in place and forwarded by move.
-  TokenFrame token(msg.payload);
+  // The delivered frame is adopted, not copied (sim/network.hpp's delivery
+  // contract), and validated in full; from here on it is edited in place
+  // and forwarded by move.
+  TokenFrame token(std::move(msg.payload));
   const Ipam& ipam = env_->hv().ipam();
 
   // A token can land on a stale host when the holder VM was drained while the
@@ -168,37 +177,31 @@ void Dom0Agent::on_token(const sim::Message& msg) {
     return;
   }
 
-  PendingDecision p(std::move(token), next_nonce_++);
+  pending_.emplace(std::move(token), next_nonce_++);
+  peers_.clear();
+  candidates_.clear();
 
-  // §V-B.1/3: poll the datapath into the flow table, then aggregate the
-  // per-peer throughput over the measurement window. Ground-truth byte
-  // counters come from the TM (the simulated Open vSwitch). Entries that
-  // predate the window — left by drained VMs or aborted decision attempts —
-  // are expired first so they cannot skew the aggregation (and the table
-  // stays bounded on long runs).
-  const Ipv4 holder = p.token.holder();
-  const core::VmId u = vm_of_addr(holder);
+  // §V-B.1/3: each peer's throughput over the measurement window, from the
+  // datapath byte counters (ground truth from the TM, the simulated Open
+  // vSwitch), quantised to whole bytes per window. Flows are kept only
+  // "until a migration decision is made for a VM" (§V-B.1), so nothing of
+  // them outlives the hold.
+  const Ipv4 holder = pending_->token.holder();
   const double now = env_->now();
   const double window = kMeasurementWindowS;
-  flows_.evict_idle(now - window);
-  for (const auto& [peer, rate] : env_->hv().datapath_rates(u)) {
-    FlowKey key;
-    key.src_ip = holder;
-    key.dst_ip = addr_of_vm(peer);
-    key.src_port = static_cast<std::uint16_t>(peer & 0xFFFF);
-    key.dst_port = 443;
+  // The window as two clock readings span it, which in floating point need
+  // not equal `window`; the decisions depend on these bits.
+  const double dur = now - (now - window);
+  for (const auto& [peer, rate] :
+       env_->hv().datapath_rates(vm_of_addr(holder))) {
     const auto bytes = static_cast<std::uint64_t>(rate * window / 8.0);
-    flows_.update(key, 0, 0, now - window);  // window start marker
-    flows_.update(key, bytes, bytes / 1500 + 1, now);
+    Peer& entry = peers_.emplace_back();
+    entry.vm = addr_of_vm(peer);
+    entry.rate = static_cast<double>(bytes) / dur * 8.0;  // back to TM units
   }
-  for (const auto& [peer_ip, rate_Bps] : flows_.peer_rates_Bps(holder, now)) {
-    p.peer_rates.emplace_back(peer_ip, rate_Bps * 8.0);  // back to TM units
-  }
-  // Flows persist "until a migration decision is made for a VM" (§V-B.1).
-  flows_.clear_ip(holder);
-
-  pending_ = std::move(p);
-  if (pending_->peer_rates.empty()) {
+  std::sort(peers_.begin(), peers_.end(),
+            [](const Peer& a, const Peer& b) { return a.vm < b.vm; });
+  if (peers_.empty()) {
     finish_hold(false, 0.0);
     return;
   }
@@ -214,16 +217,16 @@ void Dom0Agent::on_token(const sim::Message& msg) {
 void Dom0Agent::send_location_probes() {
   PendingDecision& p = *pending_;
   p.awaiting_locations = 0;
-  for (const auto& [peer_ip, rate] : p.peer_rates) {
-    (void)rate;
-    if (p.peer_dom0.count(peer_ip)) continue;  // already answered
+  for (const Peer& peer : peers_) {
+    if (peer.dom0) continue;  // already answered
     ++p.awaiting_locations;
     std::vector<std::uint8_t> payload;
-    put_u32(payload, peer_ip);
+    payload.reserve(kLocationRequestBytes);
+    put_u32(payload, peer.vm);
     put_u32(payload, p.nonce);
     // The fabric routes the probe to the peer VM's current host.
     env_->send(CtrlMsg::kLocationRequest, host_,
-               env_->hv().ipam().vm_host(peer_ip), std::move(payload));
+               env_->hv().ipam().vm_host(peer.vm), std::move(payload));
   }
   arm_probe_timer(kLocations);
 }
@@ -233,14 +236,15 @@ void Dom0Agent::send_location_probes() {
 void Dom0Agent::send_capacity_probes() {
   PendingDecision& p = *pending_;
   p.awaiting_capacities = 0;
-  for (const auto& [dom0, delta] : p.candidates) {
-    (void)delta;
-    if (p.capacities.count(dom0)) continue;  // already answered
+  for (const Candidate& cand : candidates_) {
+    if (cand.cap) continue;  // already answered
     ++p.awaiting_capacities;
     std::vector<std::uint8_t> payload;
+    payload.reserve(kCapacityRequestBytes);
     put_u32(payload, p.nonce);
     env_->send(CtrlMsg::kCapacityRequest, host_,
-               env_->hv().ipam().host_of_address(dom0), std::move(payload));
+               env_->hv().ipam().host_of_address(cand.dom0),
+               std::move(payload));
   }
   arm_probe_timer(kCapacities);
 }
@@ -269,12 +273,7 @@ void Dom0Agent::on_probe_timer(std::uint32_t nonce, int stage) {
     pending_->awaiting_locations = 0;
     // Peers that never answered are invisible this round: drop them from
     // the measured set so the Lemma-3 delta only uses confirmed locations.
-    auto& rates = pending_->peer_rates;
-    rates.erase(std::remove_if(rates.begin(), rates.end(),
-                               [this](const std::pair<Ipv4, double>& pr) {
-                                 return pending_->peer_dom0.count(pr.first) == 0;
-                               }),
-                rates.end());
+    std::erase_if(peers_, [](const Peer& peer) { return !peer.dom0; });
     on_locations_complete();
   } else if (stage == kCapacities && pending_->awaiting_capacities > 0) {
     if (pending_->retries_left > 0) {
@@ -294,7 +293,7 @@ void Dom0Agent::on_locations_complete() {
   const Ipam& ipam = env_->hv().ipam();
   const auto& weights = env_->hv().weights();
 
-  if (p.peer_rates.empty()) {  // every location probe timed out
+  if (peers_.empty()) {  // every location probe timed out
     finish_hold(false, 0.0);
     return;
   }
@@ -303,28 +302,19 @@ void Dom0Agent::on_locations_complete() {
   // own entry exactly, peers' entries raised only. Each peer's Lemma-3 term
   // for the holder's current host is the same for every candidate, so it is
   // read here once.
-  struct Peer {
-    topo::HostId host;
-    double rate;
-    double own_prefix;
-  };
   const auto& topo = env_->hv().topology();
-  std::vector<Peer> peers;
-  peers.reserve(p.peer_rates.size());
   int own_level = 0;
-  core::CandidateBuilder probe_order;
-  probe_order.reset(host_);
-  for (const auto& [peer_ip, rate] : p.peer_rates) {
-    const topo::HostId peer_host =
-        ipam.host_of_address(p.peer_dom0.at(peer_ip));
-    const int level = topo.comm_level(host_, peer_host);
+  probe_order_.reset(host_);
+  for (Peer& peer : peers_) {
+    peer.host = ipam.host_of_address(*peer.dom0);
+    const int level = topo.comm_level(host_, peer.host);
     own_level = std::max(own_level, level);
-    const std::size_t entry = p.token.index_of(peer_ip);
+    const std::size_t entry = p.token.index_of(peer.vm);
     p.token.set_level(entry, std::max<std::uint8_t>(
                                  p.token.level(entry),
                                  static_cast<std::uint8_t>(level)));
-    if (level > 0) probe_order.add_peer(level, rate, peer_host);
-    peers.push_back({peer_host, rate, weights.prefix(level)});
+    if (level > 0) probe_order_.add_peer(level, peer.rate, peer.host);
+    peer.own_prefix = weights.prefix(level);
   }
   p.token.set_level(p.token.index_of(p.token.holder()),
                     static_cast<std::uint8_t>(own_level));
@@ -333,18 +323,18 @@ void Dom0Agent::on_locations_complete() {
   // Lemma 3, from purely local data: measured λ, probed peer locations. The
   // delta needs no capacity, and Theorem 1 moves only when it exceeds c_m,
   // so only those candidates are probed. A hold with none ends here.
-  for (const topo::HostId cand : probe_order.build(topo)) {
+  for (const topo::HostId cand : probe_order_.build(topo)) {
     double delta = 0.0;
-    for (const Peer& peer : peers) {
+    for (const Peer& peer : peers_) {
       delta += 2.0 * peer.rate *
                (peer.own_prefix -
                 weights.prefix(topo.comm_level(peer.host, cand)));
     }
     if (delta > cfg_->engine.migration_cost) {
-      p.candidates.emplace_back(ipam.host_address(cand), delta);
+      candidates_.push_back({ipam.host_address(cand), delta, std::nullopt});
     }
   }
-  if (p.candidates.empty()) {
+  if (candidates_.empty()) {
     finish_hold(false, 0.0);
     return;
   }
@@ -361,17 +351,16 @@ void Dom0Agent::on_capacities_complete() {
 
   // The first feasible candidate with the largest delta. Every stored delta
   // already exceeds c_m (Theorem 1).
-  const std::pair<Ipv4, double>* best = nullptr;
-  for (const auto& cand : p.candidates) {
-    const auto cap_it = p.capacities.find(cand.first);
-    if (cap_it == p.capacities.end()) continue;  // probe lost / host gone
-    const CapInfo& cap = cap_it->second;
+  const Candidate* best = nullptr;
+  for (const Candidate& cand : candidates_) {
+    if (!cand.cap) continue;  // probe lost / host gone
+    const CapInfo& cap = *cand.cap;
     if (cap.free_slots == 0 || cap.free_ram_mb < spec.ram_mb ||
         cap.free_cpu < spec.cpu_cores ||
         cap.free_net_bps < spec.net_bps) {
       continue;
     }
-    if (best == nullptr || cand.second > best->second) best = &cand;
+    if (best == nullptr || cand.delta > best->delta) best = &cand;
   }
   if (best == nullptr) {
     finish_hold(false, 0.0);
@@ -384,7 +373,7 @@ void Dom0Agent::on_capacities_complete() {
   // and the hold ends without a move. A win that would overrun the remaining
   // pre-copy byte budget is rejected the same way (strictly cost-reducing
   // moves only, and only as many as the operator priced in).
-  const topo::HostId target = hv.ipam().host_of_address(best->first);
+  const topo::HostId target = hv.ipam().host_of_address(best->dom0);
   if (!hv.host_up(target) || !hv.can_host(target, spec)) {
     finish_hold(false, 0.0);
     return;
@@ -396,7 +385,7 @@ void Dom0Agent::on_capacities_complete() {
   }
   // The allocation epoch advances with every commit.
   p.token.set_epoch(p.token.epoch() + 1);
-  p.token.set_aggregate_delta(p.token.aggregate_delta() + best->second);
+  p.token.set_aggregate_delta(p.token.aggregate_delta() + best->delta);
   finish_hold(true, outcome.total_time_s);
 }
 

@@ -18,6 +18,15 @@
 // the multi-process control plane relies on — a daemon-side agent replaying
 // the same deliveries against a replica world makes the same decisions.
 //
+// Per-hold state is flat. The pending decision holds the token frame (taken
+// from the delivered message by move, validated on every hop) and a few
+// scalars. The measured peers and the candidates above c_m live in agent
+// vectors that each hold clears and refills, next to a warm probe-order
+// builder, so a warm agent allocates nothing per hold but its message
+// payloads. Peers are sorted by address and found by binary search,
+// candidates (at most core::kMaxCandidates) by a scan; a probe response
+// naming a peer or host that was never probed is ignored, like a stale one.
+//
 // AgentExecutor is the dispatch seam above the agents: the runtime hands it
 // message deliveries, fired probe timers and host-churn notifications.
 // LocalAgentExecutor calls resident Dom0Agents directly; the remote executor
@@ -28,13 +37,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/migration_engine.hpp"
 #include "hypervisor/communicator.hpp"
-#include "hypervisor/flow_table.hpp"
 #include "hypervisor/hypervisor.hpp"
 #include "hypervisor/token_codec.hpp"
 #include "sim/network.hpp"
@@ -116,11 +123,8 @@ class Dom0Agent {
   void on_message(const sim::Message& msg);
   /// A probe-stage timeout fired; (nonce, stage) discriminate stale timers.
   void on_probe_timer(std::uint32_t nonce, int stage);
-  /// Host churn: drop in-flight decision state and flow statistics.
-  void reset() {
-    pending_.reset();
-    flows_.clear();
-  }
+  /// Host churn: drop the in-flight decision.
+  void reset() { pending_.reset(); }
 
  private:
   struct CapInfo {
@@ -128,6 +132,23 @@ class Dom0Agent {
     double free_ram_mb = 0.0;
     double free_cpu = 0.0;
     double free_net_bps = 0.0;
+  };
+
+  /// One peer of the holder, filled in stage by stage.
+  struct Peer {
+    Ipv4 vm = 0;
+    double rate = 0.0;         ///< measured λ(z,u) (TM rate units)
+    std::optional<Ipv4> dom0;  ///< its location response
+    topo::HostId host = 0;     ///< host of `dom0`, once every peer answered
+    double own_prefix = 0.0;   ///< its Lemma-3 term for the holder's host
+  };
+
+  /// One candidate whose Lemma-3 delta exceeds c_m: the only hosts probed
+  /// for capacity, since Theorem 1 cannot pass anywhere else.
+  struct Candidate {
+    Ipv4 dom0 = 0;
+    double delta = 0.0;
+    std::optional<CapInfo> cap;  ///< its capacity response
   };
 
   struct PendingDecision {
@@ -139,15 +160,7 @@ class Dom0Agent {
                               ///< restarted decision attempts (watchdog)
     Stage stage = kLocations;
     std::size_t retries_left = 0;  ///< probe retransmissions, current stage
-    /// Measured per-peer traffic loads λ(z,u) (TM rate units).
-    std::vector<std::pair<Ipv4, double>> peer_rates;
-    std::unordered_map<Ipv4, Ipv4> peer_dom0;  ///< peer VM -> its dom0 addr
     std::size_t awaiting_locations = 0;
-    /// (dom0 address, Lemma-3 delta) of each candidate whose delta exceeds
-    /// c_m, in candidate order: the only hosts probed for capacity, since
-    /// Theorem 1 cannot pass anywhere else.
-    std::vector<std::pair<Ipv4, double>> candidates;
-    std::unordered_map<Ipv4, CapInfo> capacities;
     std::size_t awaiting_capacities = 0;
   };
 
@@ -162,9 +175,12 @@ class Dom0Agent {
   AgentEnv* env_ = nullptr;
   const AgentConfig* cfg_ = nullptr;
   topo::HostId host_ = 0;
-  FlowTable flows_;
   std::optional<PendingDecision> pending_;
   std::uint32_t next_nonce_ = 1;
+  // The pending decision's buffers, refilled by every hold.
+  std::vector<Peer> peers_;            ///< ascending by address
+  std::vector<Candidate> candidates_;  ///< in probe order
+  core::CandidateBuilder probe_order_;
 };
 
 class RunControl;

@@ -3,11 +3,11 @@
 //
 // Each host runs a Dom0Agent ("a token listening server runs on a known port
 // in dom0 of each hypervisor") holding only its local VM set and a local view
-// of traffic (its own flow table). When the token arrives for a hosted VM,
-// the agent — acting on the VM's behalf, since virtualization is transparent
-// — executes the full §V-B pipeline using only locally obtainable
-// information (see hypervisor/agent.hpp for the pipeline and the seams the
-// agent runs behind).
+// of traffic (its datapath byte counters). When the token arrives for a
+// hosted VM, the agent — acting on the VM's behalf, since virtualization is
+// transparent — executes the full §V-B pipeline using only locally
+// obtainable information (see hypervisor/agent.hpp for the pipeline and the
+// seams the agent runs behind).
 //
 // The runtime is the composition root: it owns the event queue and fabric
 // (sim::Network), the authoritative world (SimHypervisor), the convergence
@@ -64,7 +64,6 @@
 #include "core/migration_engine.hpp"
 #include "driver/convergence.hpp"
 #include "hypervisor/communicator.hpp"
-#include "hypervisor/flow_table.hpp"
 #include "hypervisor/ipam.hpp"
 #include "hypervisor/run_control.hpp"
 #include "sim/network.hpp"

@@ -9,7 +9,7 @@
 // the placement manager's directory:
 //   * static topology + IPAM reads (location cost mapping, §V-B.4),
 //   * residual-capacity reads answered in capacity responses (§V-B.5),
-//   * the datapath byte counters the flow table is polled from (§V-B.1),
+//   * the datapath byte counters an agent measures its peers from (§V-B.1),
 //   * host liveness (churn: a drained host stops being a migration target),
 //   * migrate() — the live-migration handshake with the target hypervisor,
 //     with pre-copy transfer timing from hypervisor/live_migration and the
@@ -74,7 +74,7 @@ class SimHypervisor {
     return alloc_->can_host(host, spec);
   }
   /// Ground-truth per-peer traffic rates for a VM (the simulated Open vSwitch
-  /// the flow table is polled from).
+  /// an agent measures its peers from).
   traffic::NeighborView datapath_rates(core::VmId vm) const {
     return tm_->neighbors(vm);
   }

@@ -531,7 +531,7 @@ void RemoteAgentExecutor::deliver(const sim::Message& msg) {
   task.msg_type = static_cast<std::uint8_t>(msg.type);
   task.src = msg.src;
   task.dst = msg.dst;
-  task.payload = msg.payload;
+  task.payload = std::move(msg.payload);  // the delivery's to take
 
   const bool stateless =
       static_cast<int>(msg.type) ==

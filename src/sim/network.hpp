@@ -7,6 +7,17 @@
 // kLoopbackLatencyS), matching how the paper's control messages traverse the
 // same tree as data traffic. Messages between a fixed pair are delivered in
 // FIFO order (the event queue breaks timestamp ties by scheduling order).
+//
+// Delivery contract: a delivered message belongs to its handler. The handler
+// receives it by const reference, but `payload` is mutable so the handler
+// may take the bytes by move (a dom0 agent adopts the O(|V|) token frame
+// that way instead of copying it). Nothing reads the message after its
+// handler returns. The observer sees every message at send time, before the
+// fabric takes it over, and must only read it.
+//
+// In-flight messages wait in a slot pool (a vector plus a free list): the
+// delivery event carries only the slot index, so scheduling it allocates
+// nothing, and the pool holds only messages still on the wire.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +38,10 @@ inline constexpr double kLoopbackLatencyS = 5e-6;
 struct Message {
   topo::HostId src = 0;
   topo::HostId dst = 0;
-  int type = 0;                       ///< application-defined discriminator
-  std::vector<std::uint8_t> payload;  ///< application-defined wire bytes
+  int type = 0;  ///< application-defined discriminator
+  /// Application-defined wire bytes. Mutable so the delivery handler may
+  /// take them (see the delivery contract above); no one else may.
+  mutable std::vector<std::uint8_t> payload;
 };
 
 class Network {
@@ -67,7 +80,8 @@ class Network {
 
   /// Observer invoked synchronously for every send() after the loss roll —
   /// the determinism seam: recording (message, lost) pairs in send order
-  /// yields a reproducible wire trace for a fixed seed.
+  /// yields a reproducible wire trace for a fixed seed. It must not take
+  /// the payload.
   using Observer = std::function<void(const Message&, bool lost)>;
   void set_observer(Observer observer) { observer_ = std::move(observer); }
 
@@ -77,10 +91,14 @@ class Network {
   std::uint64_t bytes_sent() const { return bytes_; }
 
  private:
+  void deliver(std::size_t slot);
+
   EventQueue* queue_;
   const topo::Topology* topo_;
   std::vector<Handler> handlers_;
   Observer observer_;
+  std::vector<Message> in_flight_;       ///< slot pool of undelivered messages
+  std::vector<std::size_t> free_slots_;  ///< slots of delivered messages
   double loss_rate_ = 0.0;
   util::Rng loss_rng_{1};
   std::uint64_t sent_ = 0;

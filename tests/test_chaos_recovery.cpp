@@ -39,8 +39,8 @@ TEST(ChaosRecovery, KillOneDaemonAtCanonicalScaleWithinOnePercent) {
   const ChaosRun run = chaos::run_chaos(args, 4, "gate", opts);
 
   // Within 1% of the fault-free final cost — the adopted agents restart
-  // with empty flow tables, so bit-identity is not expected, but the
-  // decision loop must still converge to an equivalent allocation.
+  // without their in-flight decisions, so bit-identity is not expected, but
+  // the decision loop must still converge to an equivalent allocation.
   EXPECT_NEAR(run.result.final_cost, ref.result.final_cost,
               0.01 * ref.result.final_cost);
   EXPECT_LT(run.result.final_cost, 0.5 * run.result.initial_cost)

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -148,6 +149,71 @@ TEST(Network, FifoBetweenSamePair) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+// In-flight messages wait in a slot pool. A handler that sends grows the pool
+// while a delivery is under way, and a handler that takes the payload empties
+// the message it was handed; every message must still arrive exactly once,
+// in (time, send order), with its own bytes.
+TEST(Network, PooledSlotsDeliverEachMessageOnceInOrder) {
+  CanonicalTree topo(tiny_tree_config());
+  EventQueue queue;
+  Network net(queue, topo);
+  const auto bytes_of = [](int id) {
+    return std::vector<std::uint8_t>(static_cast<std::size_t>(id % 5 + 1),
+                                     static_cast<std::uint8_t>(id));
+  };
+  struct Sent {
+    int id;
+    double due;  ///< send time + path latency
+    std::size_t bytes;
+  };
+  std::vector<Sent> sent;
+  net.set_observer([&](const Message& m, bool lost) {
+    EXPECT_FALSE(lost);
+    const int hops = topo.hop_count(m.src, m.dst);
+    const double latency = hops == 0 ? score::sim::kLoopbackLatencyS
+                                     : score::sim::kPerHopLatencyS * hops;
+    sent.push_back({m.type, queue.now() + latency, m.payload.size()});
+  });
+  struct Got {
+    int id;
+    double at;
+    std::vector<std::uint8_t> payload;
+  };
+  std::vector<Got> got;
+  // Host 1 reads each message; each of the first ones makes it send three
+  // more (one to itself, two to host 2) from inside the delivery.
+  int next_id = 100;
+  net.attach(1, [&](const Message& m) {
+    got.push_back({m.type, queue.now(), m.payload});
+    if (m.type >= 100) return;
+    for (int k = 0; k < 3; ++k) {
+      const int id = next_id++;
+      net.send(Message{1, k == 0 ? 1u : 2u, id, bytes_of(id)});
+    }
+  });
+  // Host 2 takes each payload.
+  net.attach(2, [&](const Message& m) {
+    got.push_back({m.type, queue.now(), std::move(m.payload)});
+  });
+  for (int id = 0; id < 6; ++id) {
+    net.send(Message{0, id % 2 == 0 ? 1u : 2u, id, bytes_of(id)});
+  }
+  queue.run();
+
+  ASSERT_EQ(sent.size(), 15u);
+  ASSERT_EQ(got.size(), sent.size());
+  std::vector<Sent> expected = sent;  // send order
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Sent& a, const Sent& b) { return a.due < b.due; });
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, expected[i].id) << "delivery " << i;
+    EXPECT_EQ(got[i].at, expected[i].due) << "delivery " << i;
+    EXPECT_EQ(got[i].payload, bytes_of(got[i].id)) << "delivery " << i;
+    EXPECT_EQ(expected[i].bytes, bytes_of(expected[i].id).size());
+  }
+  EXPECT_EQ(net.messages_dropped(), 0u);
+}
+
 // ------------------------------------------------------ DistributedRuntime
 
 class DistributedTest : public ::testing::Test {
@@ -174,7 +240,7 @@ TEST_F(DistributedTest, ReducesCostAndStaysConsistent) {
 TEST_F(DistributedTest, MatchesCentralizedEngineQuality) {
   // The message-passing protocol must land within a whisker of the
   // centralized loop driven by the same policy and candidate rules (small
-  // differences can come from byte-counter rounding in the flow table).
+  // differences can come from the agents' byte-counter rounding).
   Rng rng(32);
   auto tm = random_tm(48, 3.0, rng);
   auto alloc_central = random_allocation(topo_, 48, rng);
@@ -646,6 +712,8 @@ class ProbePayloadTest : public DistributedTest,
     CtrlMsg type;
     score::topo::HostId to;
     std::vector<std::uint8_t> payload;
+
+    bool operator==(const Sent&) const = default;
   };
 
   ProbePayloadTest()
@@ -697,15 +765,40 @@ class ProbePayloadTest : public DistributedTest,
   void note_probe_retransmits(std::size_t) override {}
   void note_probe_timeout() override {}
 
-  /// Hand the agent on `vm`'s host the token held by `vm`, with c_m set to
-  /// `migration_cost`, and answer every location probe it sends. Returns the
-  /// messages the agent sent after the last location response.
-  std::vector<Sent> hold_after_locations(VmId vm, double migration_cost) {
-    const Ipam& ipam = hv_.ipam();
+  /// The VM with the most peers.
+  VmId busiest_vm() const {
+    VmId u = 0;
+    for (VmId v = 1; v < alloc_.num_vms(); ++v) {
+      if (tm_.neighbors(v).size() > tm_.neighbors(u).size()) u = v;
+    }
+    return u;
+  }
+
+  /// The message host `request.to`'s agent answers `request` with, sent
+  /// back to `from`.
+  Message answer(const Sent& request, score::topo::HostId from) {
+    Dom0Agent responder;
+    responder.bind(this, &cfg_, request.to);
+    responder.on_message(
+        Message{from, request.to, static_cast<int>(request.type),
+                request.payload});
+    const Sent response = log_.back();
+    log_.pop_back();
+    return Message{request.to, from, static_cast<int>(response.type),
+                   response.payload};
+  }
+
+  /// Hand a fresh agent on `vm`'s host (holder_) the token held by `vm`,
+  /// with c_m set to `migration_cost`, and answer every location probe it
+  /// sends. A `stray` message, when given, reaches the holder first. Returns
+  /// the messages the holder sent after the last location response.
+  std::vector<Sent> hold_after_locations(
+      VmId vm, double migration_cost,
+      const std::optional<Message>& stray = std::nullopt) {
     const score::topo::HostId host = alloc_.server_of(vm);
     cfg_.engine.migration_cost = migration_cost;
-    Dom0Agent agent;
-    agent.bind(this, &cfg_, host);
+    holder_ = Dom0Agent{};
+    holder_.bind(this, &cfg_, host);
 
     score::hypervisor::Token token;
     token.holder = score::hypervisor::addr_of_vm(vm);
@@ -718,21 +811,15 @@ class ProbePayloadTest : public DistributedTest,
     msg.type = static_cast<int>(CtrlMsg::kToken);
     msg.payload = score::hypervisor::encode_token(token);
     log_.clear();
-    agent.on_message(msg);
+    holder_.on_message(msg);
 
     const std::vector<Sent> requests = log_;
     EXPECT_EQ(requests.size(), tm_.neighbors(vm).size());
     log_.clear();
+    if (stray) holder_.on_message(*stray);
     for (const Sent& req : requests) {
       EXPECT_EQ(req.type, CtrlMsg::kLocationRequest);
-      Message resp;
-      resp.src = req.to;
-      resp.dst = host;
-      resp.type = static_cast<int>(CtrlMsg::kLocationResponse);
-      put_u32(resp.payload, get_u32(req.payload, 0));  // subject VM
-      put_u32(resp.payload, ipam.host_address(req.to));
-      put_u32(resp.payload, get_u32(req.payload, 4));  // nonce
-      agent.on_message(resp);
+      holder_.on_message(answer(req, host));
     }
     return log_;
   }
@@ -743,6 +830,7 @@ class ProbePayloadTest : public DistributedTest,
   score::hypervisor::SimHypervisor hv_;
   score::hypervisor::AgentConfig cfg_;
   Dom0Agent agent_;
+  Dom0Agent holder_;  ///< the agent hold_after_locations drives
   std::vector<std::pair<CtrlMsg, std::size_t>> sent_;
   std::vector<Sent> log_;  ///< every send with its destination and payload
 };
@@ -781,10 +869,7 @@ TEST_F(ProbePayloadTest, WrongLengthPayloadsAreRejected) {
 // at the candidates above c_m, in candidate order, and a hold with none
 // forwards the token without a capacity stage.
 TEST_F(ProbePayloadTest, CapacityProbesOnlyCandidatesAboveMigrationCost) {
-  VmId u = 0;
-  for (VmId v = 1; v < alloc_.num_vms(); ++v) {
-    if (tm_.neighbors(v).size() > tm_.neighbors(u).size()) u = v;
-  }
+  const VmId u = busiest_vm();
   const Ipam& ipam = hv_.ipam();
   const auto capacity_targets = [](const std::vector<Sent>& sent) {
     std::vector<score::topo::HostId> to;
@@ -806,7 +891,7 @@ TEST_F(ProbePayloadTest, CapacityProbesOnlyCandidatesAboveMigrationCost) {
   ASSERT_GE(candidates.size(), 4u);
 
   // Put c_m in the widest gap between the candidates' deltas, far from the
-  // flow table's byte-counter rounding of the measured rates.
+  // agent's byte-counter rounding of the measured rates.
   std::vector<double> deltas;
   for (const score::topo::HostId c : candidates) {
     deltas.push_back(model_.migration_delta(alloc_, tm_, u, c));
@@ -841,6 +926,67 @@ TEST_F(ProbePayloadTest, CapacityProbesOnlyCandidatesAboveMigrationCost) {
                              static_cast<VmId>((u + 1) % alloc_.num_vms())));
   EXPECT_EQ(next.epoch, 0u);
   EXPECT_EQ(next.ring_pos, 1u);
+}
+
+// A location response with the current nonce that names a VM the holder
+// never probed is ignored, like a stale one: it neither closes the stage
+// early nor reaches the decision. Inside a score_agent daemon it is outside
+// input.
+TEST_F(ProbePayloadTest, LocationResponseForAnUnprobedVmIsIgnored) {
+  const VmId u = busiest_vm();
+  const double c_m = std::numeric_limits<double>::lowest();
+  const std::vector<Sent> clean = hold_after_locations(u, c_m);
+  ASSERT_FALSE(clean.empty());
+
+  VmId stranger = 0;
+  const auto is_peer = [&](VmId v) {
+    for (const auto& [peer, rate] : tm_.neighbors(u)) {
+      if (peer == v) return true;
+    }
+    return false;
+  };
+  while (stranger == u || is_peer(stranger)) ++stranger;
+  const std::uint32_t nonce = 1;  // a fresh holder's first decision
+  Message stray;
+  stray.src = 0;
+  stray.dst = alloc_.server_of(u);
+  stray.type = static_cast<int>(CtrlMsg::kLocationResponse);
+  put_u32(stray.payload, score::hypervisor::addr_of_vm(stranger));
+  put_u32(stray.payload, hv_.ipam().host_address(0));
+  put_u32(stray.payload, nonce);
+  EXPECT_EQ(hold_after_locations(u, c_m, stray), clean);
+}
+
+// Likewise a capacity response from a host that is not a candidate: the
+// stage waits for every probed candidate, and the token moves on only after
+// the last one answered.
+TEST_F(ProbePayloadTest, CapacityResponseFromAnUnprobedHostIsIgnored) {
+  const VmId u = busiest_vm();
+  const std::vector<Sent> requests =
+      hold_after_locations(u, std::numeric_limits<double>::lowest());
+  ASSERT_GE(requests.size(), 2u);
+  const score::topo::HostId host = alloc_.server_of(u);
+  score::topo::HostId stranger = 0;
+  const auto probed = [&](score::topo::HostId h) {
+    for (const Sent& req : requests) {
+      if (req.to == h) return true;
+    }
+    return false;
+  };
+  while (stranger == host || probed(stranger)) ++stranger;
+  const Sent stray_request{CtrlMsg::kCapacityRequest, stranger,
+                           requests.front().payload};  // the current nonce
+  const Message stray = answer(stray_request, host);
+
+  log_.clear();
+  holder_.on_message(stray);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_EQ(requests[i].type, CtrlMsg::kCapacityRequest);
+    EXPECT_TRUE(log_.empty()) << "hold ended before capacity response " << i;
+    holder_.on_message(answer(requests[i], host));
+  }
+  ASSERT_EQ(log_.size(), 1u);
+  EXPECT_EQ(log_[0].type, CtrlMsg::kToken);
 }
 
 TEST_F(ProbePayloadTest, UnknownMessageTypeIsRejected) {

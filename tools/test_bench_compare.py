@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Unit tests for tools/bench_compare.py (schema rejection, perf-gate trips,
---allow-new). Stdlib only; run directly, via `ctest -R python_tools_test`, or
-through the CI `python-tools-test` step:
+--allow-new) and for tools/perf_pair.py's pair summary. Stdlib only; run
+directly, via `ctest -R python_tools_test`, or through the CI
+`python-tools-test` step:
 
     python3 tools/test_bench_compare.py -v
 """
@@ -21,6 +22,7 @@ import unittest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import bench_compare as bc
+import perf_pair as pp
 
 
 def make_record(suite="micro", scenario="total_cost", **overrides):
@@ -372,6 +374,79 @@ class MainEndToEndTests(unittest.TestCase):
                                     make_record(scenario="new-suite")]))
         self.assertEqual(self.run_main(base, cand), 1)
         self.assertEqual(self.run_main("--allow-new", base, cand), 0)
+
+
+PERF_METRICS = [
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "rss_bytes_per_vm", "unit": "B", "better": "lower", "bound": 0.15},
+    {"name": "cost_reduction_pct", "unit": "%", "better": "higher",
+     "bound": 0.15},
+]
+
+
+def perf_result(run_s, reduction=50.0, failed=0):
+    values = {"setup_s": 0.01, "run_s": run_s, "rss_bytes_per_vm": 100.0,
+              "cost_reduction_pct": reduction}
+    return {"correct": failed == 0, "attempted": 10, "failed": failed,
+            "metrics": {k: {"value": v, "unit": "-"} for k, v in values.items()}}
+
+
+class PerfPairSummaryTests(unittest.TestCase):
+    def rows(self, pairs):
+        rows, flags = pp.summarize(pairs, PERF_METRICS)
+        return {r["metric"]: r for r in rows}, flags
+
+    def test_percentile_interpolates_between_ranks(self):
+        self.assertEqual(pp.percentile([4.0, 1.0, 3.0, 2.0], 0.5), 2.5)
+        self.assertEqual(pp.percentile([5.0, 1.0, 2.0, 4.0, 3.0], 0.25), 2.0)
+        self.assertEqual(pp.percentile([7.0], 0.75), 7.0)
+
+    def test_lower_is_better_wins_medians_and_iqr(self):
+        rows, flags = self.rows([(1, perf_result(0.40), perf_result(0.20)),
+                                 (2, perf_result(0.36), perf_result(0.21)),
+                                 (3, perf_result(0.30), perf_result(0.35))])
+        run = rows["run_s"]
+        self.assertEqual((run["wins"], run["pairs"]), (2, 3))
+        self.assertAlmostEqual(run["parent"]["median"], 0.36)
+        self.assertAlmostEqual(run["parent"]["q1"], 0.33)
+        self.assertAlmostEqual(run["parent"]["q3"], 0.38)
+        self.assertAlmostEqual(run["head"]["median"], 0.21)
+        self.assertAlmostEqual(run["change_pct"], 100.0 * (0.21 / 0.36 - 1.0))
+        self.assertTrue(run["beyond_parent_iqr"])
+        self.assertEqual(flags, [])
+
+    def test_ties_are_not_wins_and_a_small_shift_stays_inside_the_iqr(self):
+        rows, _ = self.rows([(1, perf_result(0.30), perf_result(0.30)),
+                             (2, perf_result(0.40), perf_result(0.39)),
+                             (3, perf_result(0.20), perf_result(0.21))])
+        self.assertEqual(rows["run_s"]["wins"], 1)
+        self.assertFalse(rows["run_s"]["beyond_parent_iqr"])
+        self.assertEqual(rows["setup_s"]["wins"], 0)
+        self.assertEqual(rows["setup_s"]["change_pct"], 0.0)
+
+    def test_higher_is_better_counts_rises_as_wins(self):
+        rows, flags = self.rows([(1, perf_result(0.3, 40.0), perf_result(0.3, 41.0)),
+                                 (2, perf_result(0.3, 40.0), perf_result(0.3, 39.0))])
+        self.assertEqual(rows["cost_reduction_pct"]["wins"], 1)
+        self.assertEqual(len(flags), 2)
+
+    def test_flags_cost_reduction_changes_and_failure_rises(self):
+        _, flags = self.rows([
+            (7001, perf_result(0.3, 90.0), perf_result(0.2, 90.5)),
+            (7002, perf_result(0.3, failed=0), perf_result(0.2, failed=1)),
+            (7003, perf_result(0.3, failed=2), perf_result(0.2, failed=1))])
+        self.assertEqual(len(flags), 2)
+        self.assertIn("seed 7001: cost_reduction_pct", flags[0])
+        self.assertIn("seed 7002: failed 0 -> 1", flags[1])
+
+    def test_report_lists_every_metric_and_flag(self):
+        rows, flags = pp.summarize(
+            [(9, perf_result(0.3, 90.0), perf_result(0.2, 91.0))], PERF_METRICS)
+        report = pp.format_report("dist-ft16", rows, flags)
+        for m in PERF_METRICS:
+            self.assertIn(m["name"], report)
+        self.assertIn("FLAG seed 9: cost_reduction_pct", report)
 
 
 if __name__ == "__main__":
